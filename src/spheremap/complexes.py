@@ -109,6 +109,11 @@ class Complex:
                 out.setdefault(f[:i] + f[i + 1:], []).append((f, i))
         return {r: tuple(es) for r, es in out.items()}
 
+    @cached_property
+    def sphere_verdict(self) -> "SphereVerdict":
+        """The verdict of ``is_sphere``, computed once per complex."""
+        return _sphere_verdict(self)
+
 
 def build_complex(facet_list) -> Complex:
     """Validate a raw facet list and return a Complex.
@@ -318,12 +323,38 @@ class SphereVerdict:
 def is_sphere(complex: Complex) -> SphereVerdict:
     """Sphere recognition where it is decidable, necessary checks beyond.
 
+    The checks are: closed pseudomanifold, connected, orientable, Euler
+    characteristic 1 + (-1)**n, and ``vertex_links``, which holds when
+    every vertex link passes the same battery, applied recursively to its
+    own links.  A link of a link is the link of a larger face (the link of
+    u in lk(v) is lk({u, v})), so ``vertex_links`` is decided in one pass
+    over the faces sigma of K with 1 <= |sigma| <= n - 1, each visited
+    once, checking lk(sigma) is connected with Euler characteristic
+    1 + (-1)**dim.  The remaining checks are inherited from K: links of a
+    closed pseudomanifold are closed (a ridge of lk(sigma) plus sigma is a
+    ridge of K), links of an orientable complex are orientable, and the
+    link of a ridge is two points, which always pass.  Link orientability
+    is therefore tested only when K itself is not orientable.
+
     Exact for dimension <= 2 (closed + connected + orientable + Euler
     characteristic + all vertex links single cycles pins down the sphere by
-    surface classification).  For dimension >= 3 the same battery of checks
-    is applied, with links tested recursively, but a passing verdict is only
+    surface classification).  For dimension >= 3 a passing verdict is only
     NecessaryConditionsOnly: no full sphere recognition is attempted.
+
+    The verdict is computed once per complex and cached on it.
     """
+    return complex.sphere_verdict
+
+
+def _orientable(complex: Complex) -> bool:
+    try:
+        orient(complex)
+    except NonOrientable:
+        return False
+    return True
+
+
+def _sphere_verdict(complex: Complex) -> SphereVerdict:
     n = complex.dimension
     checks: list[tuple[str, bool]] = []
 
@@ -333,11 +364,7 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     if not report.passed:
         return SphereVerdict(SphereStatus.NOT_SPHERE, tuple(checks))
 
-    try:
-        orient(complex)
-        orientable = True
-    except NonOrientable:
-        orientable = False
+    orientable = _orientable(complex)
     checks.append(("orientable", orientable))
 
     chi_ok = euler_characteristic(complex) == 1 + (-1) ** n
@@ -345,15 +372,7 @@ def is_sphere(complex: Complex) -> SphereVerdict:
 
     links_ok = True
     if n >= 1:
-        for v in complex.vertices:
-            verdict = is_sphere(vertex_link(complex, v))
-            if n <= 3:
-                # links live in dimension <= 2 where the test is exact
-                links_ok = verdict.status is SphereStatus.SPHERE
-            else:
-                links_ok = verdict.status is not SphereStatus.NOT_SPHERE
-            if not links_ok:
-                break
+        links_ok = _face_links_pass(complex, check_orientation=not orientable)
         checks.append(("vertex_links", links_ok))
 
     if not (orientable and chi_ok and links_ok):
@@ -361,6 +380,29 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     if n <= 2:
         return SphereVerdict(SphereStatus.SPHERE, tuple(checks))
     return SphereVerdict(SphereStatus.NECESSARY_CONDITIONS_ONLY, tuple(checks))
+
+
+def _face_links_pass(complex: Complex, check_orientation: bool) -> bool:
+    """Every lk(sigma), 1 <= |sigma| <= n - 1, is connected with Euler
+    characteristic 1 + (-1)**dim, and orientable if asked.  K must be a
+    closed pseudomanifold."""
+    n = complex.dimension
+    links: dict[Facet, list[Facet]] = {}
+    for f in complex.facets:
+        for k in range(1, n):
+            for sigma in combinations(f, k):
+                links.setdefault(sigma, []).append(
+                    tuple(u for u in f if u not in sigma)
+                )
+    for sigma, link_facets in links.items():
+        link = Complex(n - len(sigma), tuple(link_facets))
+        if not _facet_graph_connected(link):
+            return False
+        if euler_characteristic(link) != 1 + (-1) ** link.dimension:
+            return False
+        if check_orientation and not _orientable(link):
+            return False
+    return True
 
 
 def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet, int]:

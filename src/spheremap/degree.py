@@ -255,9 +255,11 @@ def link_reduction(ls: LabeledSphere, v: int) -> LabeledSphere:
         failing = [name for name, ok in verdict.checks if not ok]
         raise InvalidLink(f"link of {v} fails sphere checks: {failing}")
 
+    # only the link's vertices keep a color, so v and every vertex off the link go
+    link_vertices = set(base.vertices)
     labels = {
         u: (col if col < c else col - 1)
         for u, col in ls.labels.items()
-        if u != v
+        if u in link_vertices
     }
     return LabeledSphere(oriented, labels)

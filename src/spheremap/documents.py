@@ -25,7 +25,7 @@ from .complexes import (
     parity_to_sorted,
     SphereStatus,
 )
-from .constructions import ConstructionCertificate, Recipe, _as_labeled
+from .constructions import ConstructionCertificate, Recipe, _as_labeled, replay
 from .degree import LabeledSphere, degree, labeled_sphere
 from .errors import (
     DegreeMismatch,
@@ -74,16 +74,68 @@ def _recipe_to_json(recipe: Recipe) -> list:
     return out
 
 
-def _recipe_from_json(data) -> Recipe:
-    steps = []
-    for raw in data:
-        op, *args = raw
-        if op == "insert":
-            steps.append(("insert", tuple(int(v) for v in args[0])))
-        elif op == "literal":
-            steps.append(("literal", args[0]))
+# (dimension, vertex count) of the sphere each seed step builds
+_INT_SEEDS = {
+    "boundary_simplex": lambda n: (n, n + 2),
+    "cyclic_circle": lambda d: (1, 3 * abs(d)),
+    "degree_zero": lambda n: (n, n + 2),
+}
+_BARE_SEEDS = {"degree_four_witness": (3, 10), "degree_four_witness_raw": (3, 10)}
+
+
+def _recipe_from_json(data, ls: LabeledSphere) -> Recipe:
+    """Check a JSON recipe's shape against ``ls`` and convert it.
+
+    A recipe is one seed step followed by suspend, insert and reverse
+    moves; a literal seed is validated like a document.  The steps fix the
+    dimension and vertex count of what the recipe builds, and neither ever
+    decreases along it, so checking both against ``ls`` before any replay
+    keeps the replay within the size of the document.
+    """
+    if not isinstance(data, list) or not data or not all(
+        isinstance(step, list) and step and isinstance(step[0], str) for step in data
+    ):
+        raise ValidationError("metadata.recipe must be a non-empty list of steps")
+    (op, *args), moves = data[0], data[1:]
+    if op in _INT_SEEDS and len(args) == 1 and _is_int(args[0]):
+        steps = [(op, args[0])]
+        dim, size = _INT_SEEDS[op](args[0])
+    elif op in _BARE_SEEDS and not args:
+        steps = [(op,)]
+        dim, size = _BARE_SEEDS[op]
+    elif op == "literal" and len(args) == 1 and isinstance(args[0], dict):
+        try:
+            seed, _ = _parse_document({**args[0], "format_version": FORMAT_VERSION})
+        except SpheremapError as e:
+            raise ValidationError(f"recipe literal seed: {e}") from None
+        steps = [_as_labeled(seed)[1][0]]
+        dim, size = seed.dimension, len(seed.oriented.vertices)
+    else:
+        raise ValidationError(f"recipe seed {data[0]!r} is malformed")
+
+    for step in moves:
+        op, *args = step
+        if op == "suspend" and len(args) == 1 and _is_int(args[0]):
+            steps.append(("suspend", args[0]))
+            dim, size = dim + 1, size + 1
+        elif (
+            op == "insert"
+            and len(args) == 1
+            and isinstance(args[0], list)
+            and all(_is_int(v) for v in args[0])
+        ):
+            steps.append(("insert", tuple(args[0])))
+            size += dim + 2
+        elif op == "reverse" and not args:
+            steps.append(("reverse",))
         else:
-            steps.append((op, *args))
+            raise ValidationError(f"recipe step {step!r} is malformed")
+
+    if (dim, size) != (ls.dimension, len(ls.oriented.vertices)):
+        raise ValidationError(
+            f"recipe builds dimension {dim} on {size} vertices, the document has "
+            f"dimension {ls.dimension} on {len(ls.oriented.vertices)} vertices"
+        )
     return tuple(steps)
 
 
@@ -127,6 +179,10 @@ def parse_with_metadata(text: str) -> tuple[LabeledSphere, dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
+    return _parse_document(doc)
+
+
+def _parse_document(doc) -> tuple[LabeledSphere, dict]:
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
 
@@ -246,15 +302,23 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
 def load_certificate(text: str) -> ConstructionCertificate:
     """Parse a document into a certificate, keeping any recipe metadata.
 
-    Documents without a recipe get a literal seed so later construction
-    steps still produce replayable recipes.
+    A recipe is checked, not trusted: it is replayed and must rebuild the
+    document's sphere exactly (facets, orientation and labels).  Documents
+    without a recipe get a literal seed so later construction steps still
+    produce replayable recipes.
     """
     ls, metadata = parse_with_metadata(text)
     raw_recipe = metadata.get("recipe")
-    if raw_recipe:
-        recipe = _recipe_from_json(raw_recipe)
-    else:
+    if raw_recipe is None:
         _, recipe = _as_labeled(ls)
+    else:
+        recipe = _recipe_from_json(raw_recipe, ls)
+        try:
+            rebuilt = replay(recipe).labeled
+        except SpheremapError as e:
+            raise ValidationError(f"recipe replay failed: {e}") from None
+        if rebuilt != ls:
+            raise ValidationError("recipe does not rebuild the document's sphere")
     return ConstructionCertificate(
         labeled=ls,
         claimed_degree=degree(ls).degree,

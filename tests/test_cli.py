@@ -190,3 +190,29 @@ def test_write_failure_exits_one(capsys):
     )
     assert code == 1
     assert stderr.startswith("FAIL:")
+
+
+@pytest.mark.parametrize("command", ["suspend", "insert"])
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        [["insert"]],
+        [["suspend", "x"]],
+        [[5]],
+        [["boundary_simplex", 5]],
+        [["boundary_simplex", 2], ["insert", [1, 2, 3]], ["reverse"]],
+        [["boundary_simplex", 99]],
+        "not a list",
+    ],
+)
+def test_untrusted_recipe_exits_one(tmp_path, capsys, command, recipe):
+    base = tmp_path / "base.json"
+    run(capsys, "construct", "--n", "2", "--d", "3", "--out", str(base))
+    doc = json.loads(base.read_text())
+    doc["metadata"]["recipe"] = recipe
+    base.write_text(json.dumps(doc))
+    argv = [command, str(base)] + (["--facet", "1,2,3"] if command == "insert" else [])
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr.startswith("FAIL: ValidationError: ")
+    assert "Traceback" not in stdout + stderr

@@ -26,7 +26,9 @@ from spheremap import (
     vertex_link,
 )
 from spheremap.complexes import coherence_failures
-from spheremap.constructions import degree_four_witness
+from spheremap.constructions import boundary_simplex, construct, degree_four_witness
+from spheremap.search import enumerate_spheres
+from sphere_oracle import recursive_is_sphere
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
@@ -273,6 +275,92 @@ def test_is_sphere_rejects_open_and_disconnected():
     verdict = is_sphere(two)
     assert verdict.status is SphereStatus.NOT_SPHERE
     assert dict(verdict.checks)["connected"] is False
+
+
+def suspension(facets):
+    """Two-point suspension: every facet joined with each of two new apexes."""
+    top = max(v for f in facets for v in f)
+    return [tuple(f) + (apex,) for f in facets for apex in (top + 1, top + 2)]
+
+
+def band(x, y):
+    """Triangulated annulus between the 3-cycles x and y."""
+    return [
+        f
+        for i, j in ((0, 1), (1, 2), (2, 0))
+        for f in ((x[i], x[j], y[i]), (x[j], y[i], y[j]))
+    ]
+
+
+# a 2-sphere (two cones on a triangulated cylinder) with both cone points
+# made one vertex 1, whose link is two disjoint triangles
+PINCHED_SPHERE = (
+    [(1, 2, 3), (1, 3, 4), (1, 2, 4)]
+    + band((2, 3, 4), (5, 6, 7))
+    + band((5, 6, 7), (8, 9, 10))
+    + [(1, 8, 9), (1, 9, 10), (1, 8, 10)]
+)
+
+
+def twisted_sphere_bundle():
+    """Three layers of (boundary tetrahedron) x interval, the last glued to
+    the first by a reflection: a non-orientable closed 3-manifold with
+    Euler characteristic 0 whose vertex links are all 2-spheres."""
+    flip = {0: 1, 1: 0, 2: 2, 3: 3}
+
+    def vid(v, t):
+        return 4 * (t % 3) + (flip[v] if t == 3 else v) + 1
+
+    facets = []
+    for t in range(3):
+        for face in combinations(range(4), 3):
+            a, b, c = (vid(v, t) for v in face)
+            A, B, C = (vid(v, t + 1) for v in face)
+            facets += [(a, b, c, C), (a, b, B, C), (a, A, B, C)]
+    return facets
+
+
+def test_is_sphere_verdict_cached_per_complex():
+    K = build_complex(TETRA)
+    assert is_sphere(K) is is_sphere(K)
+
+
+def test_is_sphere_matches_oracle_on_enumerated_classes():
+    for v in range(4, 11):
+        for K in enumerate_spheres(2, v):
+            assert is_sphere(K) == recursive_is_sphere(K)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_is_sphere_matches_oracle_on_constructions(n):
+    for K in [boundary_simplex(n).labeled.complex] + [
+        construct(n, d).labeled.complex for d in (1, 3, 5)
+    ]:
+        assert is_sphere(K) == recursive_is_sphere(K)
+        assert is_sphere(K).passed
+
+
+NON_SPHERES = {
+    "torus": TORUS,
+    "rp2": RP2,
+    "suspended_torus": suspension(TORUS),
+    "suspended_rp2": suspension(RP2),
+    "double_suspended_rp2": suspension(suspension(RP2)),
+    "open_triangle": [(1, 2, 3)],
+    "two_circles": [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)],
+    # of the link checks, only connectivity fails
+    "pinched_sphere": PINCHED_SPHERE,
+    # of the link checks, only orientability fails (at the apexes)
+    "twisted_sphere_bundle": twisted_sphere_bundle(),
+    "suspended_twisted_sphere_bundle": suspension(twisted_sphere_bundle()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SPHERES))
+def test_is_sphere_matches_oracle_on_non_spheres(name):
+    K = build_complex(NON_SPHERES[name])
+    assert is_sphere(K) == recursive_is_sphere(K)
+    assert is_sphere(K).status is SphereStatus.NOT_SPHERE
 
 
 def test_subdivide_facet_counts():

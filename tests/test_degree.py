@@ -24,9 +24,11 @@ from spheremap import (
     link_reduction,
     one_point_suspension,
     orient,
+    parse,
     permutation_sign,
     relabel,
     reverse_orientation,
+    serialize,
     singleton_colors,
     canonical_form,
 )
@@ -229,6 +231,20 @@ def test_link_reduction_apex_round_trip():
     assert red.complex.facets == cert.labeled.complex.facets
     assert red.labels == cert.labeled.labels
     assert degree(red).degree == 3
+
+
+def test_link_reduction_off_apex_round_trips():
+    # octahedron with antipodal pairs (1, 6), (2, 4), (3, 5): vertex 6 is
+    # not in the link of vertex 1, so it must not keep a label
+    octahedron = build_complex([
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 2, 5),
+        (6, 2, 3), (6, 3, 4), (6, 4, 5), (6, 2, 5),
+    ])
+    ls = labeled_sphere(orient(octahedron), {1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 4})
+    red = link_reduction(ls, 1)
+    assert set(red.labels) == set(red.oriented.vertices) == {2, 3, 4, 5}
+    assert red.labels == {2: 1, 3: 2, 4: 1, 5: 2}
+    assert parse(serialize(red)) == red
 
 
 def test_link_reduction_guards():

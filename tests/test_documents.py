@@ -128,6 +128,31 @@ def test_load_certificate_without_recipe_gets_literal_seed():
     assert replay(longer.recipe).labeled == longer.labeled
 
 
+def test_load_certificate_checks_recipe():
+    # construct(2, 3) is boundary_simplex(2) plus one insertion on (1, 2, 3)
+    doc = doc_of(construct(2, 3))
+    assert doc["metadata"]["recipe"] == [["boundary_simplex", 2], ["insert", [1, 2, 3]]]
+    literal = {k: doc[k] for k in ("dimension", "facets", "labels", "orientation")}
+    broken_literal = dict(literal, facets=literal["facets"][1:])
+    cases = [
+        ([["boundary_simplex", 2], ["insert", [1, 2, 3]], ["reverse"]], "does not rebuild"),
+        ([["literal", literal], ["reverse"]], "does not rebuild"),
+        ([["boundary_simplex", 2], ["insert", [1, 2, 9]]], "replay failed"),
+        ([["boundary_simplex", 2], ["suspend", 1]], "builds dimension 3 on 5 vertices"),
+        ([["cyclic_circle", 10 ** 9]], "builds dimension 1"),
+        ([["literal", broken_literal]], "literal seed"),
+        ([["reverse"]], "seed"),
+        ([["boundary_simplex", 2], ["insert", "1,2,3"]], "malformed"),
+        ([], "non-empty list"),
+    ]
+    for recipe, message in cases:
+        doc["metadata"]["recipe"] = recipe
+        with pytest.raises(ValidationError, match=message):
+            load_certificate(json.dumps(doc))
+    doc["metadata"]["recipe"] = [["literal", literal]]
+    assert load_certificate(json.dumps(doc)).labeled == construct(2, 3).labeled
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(DocumentSyntaxError):
         parse("{not json")

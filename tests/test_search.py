@@ -67,7 +67,7 @@ def test_enumerate_guards():
 
 
 def test_enumerate_soundness_and_canonical_ids():
-    for v in range(4, 8):
+    for v in range(4, 11):
         for K in enumerate_spheres(2, v):
             assert K.vertices == tuple(range(1, v + 1))
             assert is_sphere(K).status is SphereStatus.SPHERE
