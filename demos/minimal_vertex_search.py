@@ -1,9 +1,7 @@
 """Exhaustive minimal-vertex searches and the summary table.
 
-Run:  python3 demos/minimal_vertex_search.py [--jobs N]
+Run:  python3 demos/minimal_vertex_search.py
 """
-
-import argparse
 
 from spheremap import (
     degree,
@@ -15,11 +13,6 @@ from spheremap import (
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the per-class searches")
-    args = parser.parse_args()
-
     print("-- triangulated 2-spheres per vertex count ----------------------")
     for v in range(4, 11):
         print(f"v = {v:2d}: {len(list(enumerate_spheres(2, v))):3d} classes")
@@ -36,7 +29,7 @@ def main() -> None:
 
     print("-- minimal vertex counts by exhaustive search --------------------")
     for n, d, v_max in [(1, 3, 12), (2, 2, 10), (2, 3, 10), (2, 4, 10)]:
-        result = lambda_search(n, d, v_max, jobs=args.jobs)
+        result = lambda_search(n, d, v_max)
         where = (f"lambda = {result.lambda_value}"
                  if result.found else result.status)
         print(f"n={n} d={d} (v <= {v_max}): {where}  "
@@ -52,7 +45,7 @@ def main() -> None:
         {"n": 2, "d": 4, "v_max": 10},
         {"n": 5, "d": 2},
         {"n": 3, "d": 7},
-    ], jobs=args.jobs)
+    ])
     for row in table.rows:
         print(f"n={row.n} d={row.d}: lambda {row.lambda_value} "
               f"({row.status}; lambda/|d| = {row.ratio_over_d}) -- {row.note}")

@@ -21,7 +21,7 @@ from .constructions import (
 )
 from .degree import degree
 from .documents import load_certificate, parse_with_metadata, serialize
-from .errors import SpheremapError
+from .errors import DocumentSyntaxError, SpheremapError
 from .search import lambda_search, lambda_table
 
 
@@ -57,12 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the witness document here")
 
     p = sub.add_parser("table", help="tabulate minimal vertex counts")
     p.add_argument("--spec", required=True, help='JSON file: {"rows": [{"n":..,"d":..,"v_max":..}]}')
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON table here (default: stdout)")
 
     p = sub.add_parser("suspend", help="one-point suspension of a document")
@@ -86,6 +84,14 @@ def _emit_document(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise DocumentSyntaxError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _summary(lines, to_stderr: bool) -> None:
@@ -112,9 +118,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.file) as fh:
-        text = fh.read()
-    ls, metadata = parse_with_metadata(text)
+    ls, metadata = parse_with_metadata(_read_text(args.file))
     rep = degree(ls)
     verdict = is_sphere(ls.complex)
     print(f"dimension: {ls.dimension}")
@@ -140,7 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    result = lambda_search(args.n, args.d, args.max_vertices, jobs=args.jobs)
+    result = lambda_search(args.n, args.d, args.max_vertices)
     print(f"n: {result.n}")
     print(f"d: {result.d}")
     print(f"max vertices: {result.v_max}")
@@ -162,15 +166,14 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    with open(args.spec) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpheremapError(f"table spec is not valid JSON: {e}") from None
+    try:
+        spec = json.loads(_read_text(args.spec))
+    except json.JSONDecodeError as e:
+        raise SpheremapError(f"table spec is not valid JSON: {e}") from None
     rows = spec.get("rows") if isinstance(spec, dict) else None
     if not isinstance(rows, list):
         raise SpheremapError('table spec must be {"rows": [{"n":..,"d":..}, ...]}')
-    table = lambda_table(rows, jobs=args.jobs)
+    table = lambda_table(rows)
 
     header = f"{'n':>3} {'d':>4} {'lambda':>7} {'status':<24} {'l/|d|':>7} {'l/n':>7}  note"
     print(header)
@@ -213,38 +216,29 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_suspend(args) -> int:
-    with open(args.file) as fh:
-        cert = load_certificate(fh.read())
-    new = one_point_suspension(cert, args.pivot)
-    _emit_document(serialize(new), args.out)
+def _emit_move(new, out: str | None) -> int:
+    """Document and summary of a suspend or insert result."""
+    _emit_document(serialize(new), out)
     _summary(
         [
             f"dimension: {new.dimension}",
             f"vertices: {new.vertex_count}",
             f"degree: {new.claimed_degree}",
         ]
-        + ([f"wrote: {args.out}"] if args.out else []),
-        to_stderr=not args.out,
+        + ([f"wrote: {out}"] if out else []),
+        to_stderr=not out,
     )
     return 0
+
+
+def _cmd_suspend(args) -> int:
+    cert = load_certificate(_read_text(args.file))
+    return _emit_move(one_point_suspension(cert, args.pivot), args.out)
 
 
 def _cmd_insert(args) -> int:
-    with open(args.file) as fh:
-        cert = load_certificate(fh.read())
-    new = insertion_step(cert, args.facet)
-    _emit_document(serialize(new), args.out)
-    _summary(
-        [
-            f"dimension: {new.dimension}",
-            f"vertices: {new.vertex_count}",
-            f"degree: {new.claimed_degree}",
-        ]
-        + ([f"wrote: {args.out}"] if args.out else []),
-        to_stderr=not args.out,
-    )
-    return 0
+    cert = load_certificate(_read_text(args.file))
+    return _emit_move(insertion_step(cert, args.facet), args.out)
 
 
 _COMMANDS = {

@@ -110,6 +110,16 @@ class Complex:
         return {r: tuple(es) for r, es in out.items()}
 
     @cached_property
+    def closedness(self) -> "ClosednessReport":
+        """The report of ``check_closed_pseudomanifold``, computed once."""
+        return _closedness(self)
+
+    @cached_property
+    def orientation(self) -> "OrientedComplex":
+        """The coherent orientation ``orient`` returns, computed once."""
+        return _orient(self)
+
+    @cached_property
     def sphere_verdict(self) -> "SphereVerdict":
         """The verdict of ``is_sphere``, computed once per complex."""
         return _sphere_verdict(self)
@@ -153,7 +163,14 @@ class ClosednessReport:
 
 
 def check_closed_pseudomanifold(complex: Complex) -> ClosednessReport:
-    """Every ridge in exactly two facets, facet adjacency graph connected."""
+    """Every ridge in exactly two facets, facet adjacency graph connected.
+
+    The report is computed once per complex and cached on it.
+    """
+    return complex.closedness
+
+
+def _closedness(complex: Complex) -> ClosednessReport:
     bad = tuple(
         (r, len(es))
         for r, es in sorted(complex.ridge_entries.items())
@@ -221,13 +238,26 @@ class OrientedComplex:
     def reversed(self) -> "OrientedComplex":
         return OrientedComplex(self.base, tuple(-s for s in self.signs))
 
+    @classmethod
+    def from_pairs(cls, dimension: int, pairs) -> "OrientedComplex":
+        """Oriented complex from (sorted facet, sign) pairs in any order."""
+        pairs = sorted(pairs)
+        return cls(
+            Complex(dimension, tuple(f for f, _ in pairs)), tuple(s for _, s in pairs)
+        )
+
 
 def orient(complex: Complex) -> OrientedComplex:
     """Assign a coherent orientation, or raise NonOrientable.
 
     Deterministic: breadth-first propagation seeded with sign +1 on the
     lexicographically smallest facet.  Requires a closed pseudomanifold.
+    The orientation is computed once per complex and cached on it.
     """
+    return complex.orientation
+
+
+def _orient(complex: Complex) -> OrientedComplex:
     report = check_closed_pseudomanifold(complex)
     if not report.passed:
         detail = "disconnected facet graph" if not report.connected else (
@@ -448,9 +478,7 @@ def stellar_subdivide_oriented(
     for i in range(m):
         sub = tuple(sorted(facet[:i] + facet[i + 1:] + (w,)))
         pairs.append((sub, eps * (-1 if (m - 1 - i) % 2 else 1)))
-    pairs.sort()
-    base = Complex(oriented.base.dimension, tuple(f for f, _ in pairs))
-    return OrientedComplex(base, tuple(s for _, s in pairs)), w
+    return OrientedComplex.from_pairs(oriented.base.dimension, pairs), w
 
 
 @dataclass(frozen=True)

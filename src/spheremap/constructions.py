@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import (
-    Complex,
     Facet,
     OrientedComplex,
+    SphereStatus,
     build_complex,
+    coherence_failures,
+    is_sphere,
     orient,
     stellar_subdivide_oriented,
 )
@@ -46,6 +48,7 @@ from .errors import (
     InvalidDimension,
     PivotNotFound,
     SpheremapError,
+    ValidationError,
     ZeroDegree,
 )
 
@@ -95,23 +98,22 @@ def _certify(ls: LabeledSphere, recipe: Recipe) -> ConstructionCertificate:
 
 
 def _as_labeled(x) -> tuple[LabeledSphere, Recipe]:
-    """Accept a LabeledSphere or a certificate; synthesize a literal seed
-    recipe for bare spheres so composed recipes stay replayable."""
+    """Accept a LabeledSphere or a certificate.  A bare sphere becomes a
+    literal seed, so composed recipes stay replayable; like a document, it
+    must pass the sphere checks with a coherent orientation."""
     if isinstance(x, ConstructionCertificate):
         return x.labeled, x.recipe
     if isinstance(x, LabeledSphere):
-        seed = (
-            "literal",
-            {
-                "dimension": x.dimension,
-                "facets": [list(f) for f in x.complex.facets],
-                "labels": dict(x.labels),
-                "orientation": [
-                    [s, *f] for f, s in zip(x.complex.facets, x.oriented.signs)
-                ],
-            },
-        )
-        return x, (seed,)
+        verdict = is_sphere(x.complex)
+        if verdict.status is SphereStatus.NOT_SPHERE:
+            failing = [name for name, ok in verdict.checks if not ok]
+            raise ValidationError(f"literal seed fails sphere checks: {failing}")
+        bad = coherence_failures(x.oriented)
+        if bad:
+            raise ValidationError(
+                f"literal seed orientation not coherent across ridge {list(bad[0])}"
+            )
+        return x, (("literal", x),)
     raise TypeError(f"expected LabeledSphere or ConstructionCertificate, got {type(x)!r}")
 
 
@@ -176,9 +178,7 @@ def one_point_suspension(x, pivot: int | None = None) -> ConstructionCertificate
             g = tuple(sorted(facet + (pivot,)))
             p = g.index(pivot)
             pairs.append((g, eps * (-1 if (n + 1 - p) % 2 else 1)))
-    pairs.sort()
-    base = Complex(n + 1, tuple(f for f, _ in pairs))
-    oriented = OrientedComplex(base, tuple(s for _, s in pairs))
+    oriented = OrientedComplex.from_pairs(n + 1, pairs)
     labels = dict(ls.labels)
     labels[apex] = n + 3
     out = labeled_sphere(oriented, labels)
@@ -321,7 +321,9 @@ def replay(recipe) -> ConstructionCertificate:
         elif op == "degree_four_witness_raw":
             cert = degree_four_witness(raw=True)
         elif op == "literal":
-            cert = _literal_certificate(args[0])
+            if not isinstance(args[0], LabeledSphere):
+                raise ValidationError("a literal seed must be a LabeledSphere")
+            cert = _certify(*_as_labeled(args[0]))
         elif op == "suspend":
             cert = one_point_suspension(cert, int(args[0]))
         elif op == "insert":
@@ -334,25 +336,3 @@ def replay(recipe) -> ConstructionCertificate:
         raise SpheremapError("empty recipe")
     return cert
 
-
-def _literal_certificate(core: dict) -> ConstructionCertificate:
-    complex = build_complex(core["facets"])
-    signs_by_facet: dict[Facet, int] = {}
-    for entry in core["orientation"]:
-        sign, *verts = entry
-        signs_by_facet[tuple(sorted(int(v) for v in verts))] = int(sign)
-    oriented = OrientedComplex(
-        complex, tuple(signs_by_facet[f] for f in complex.facets)
-    )
-    labels = {int(v): int(c) for v, c in core["labels"].items()}
-    ls = labeled_sphere(oriented, labels)
-    seed = (
-        "literal",
-        {
-            "dimension": ls.dimension,
-            "facets": [list(f) for f in complex.facets],
-            "labels": dict(labels),
-            "orientation": [[s, *f] for f, s in zip(complex.facets, oriented.signs)],
-        },
-    )
-    return _certify(ls, (seed,))

@@ -87,6 +87,11 @@ class LabeledSphere:
             out.setdefault(c, []).append(v)
         return {c: tuple(sorted(vs)) for c, vs in out.items()}
 
+    @cached_property
+    def degree_report(self) -> "DegreeReport":
+        """The report of ``degree``, computed once per labeled sphere."""
+        return _degree_report(self)
+
 
 def labeled_sphere(oriented: OrientedComplex, labels: Labeling) -> LabeledSphere:
     """Validated constructor: labels cover the vertex set, colors in range."""
@@ -156,8 +161,13 @@ def degree(ls: LabeledSphere) -> DegreeReport:
 
     All sums are computed and compared; disagreement raises
     InconsistentDegree (with the report attached), which indicates a
-    corrupted complex or orientation, never a valid input.
+    corrupted complex or orientation, never a valid input.  The report is
+    computed once per labeled sphere and cached on it.
     """
+    return ls.degree_report
+
+
+def _degree_report(ls: LabeledSphere) -> DegreeReport:
     full = ls.color_count
     labels = ls.labels
     per: dict[int, list[tuple[Facet, int]]] = {i: [] for i in range(1, full + 1)}
@@ -168,24 +178,19 @@ def degree(ls: LabeledSphere) -> DegreeReport:
             degenerate += 1
         else:
             per[omitted].append((facet, s))
+    sums = {sum(s for _, s in entries) for entries in per.values()}
+    consistent = len(sums) == 1
     report = DegreeReport(
-        degree=None,
+        degree=sums.pop() if consistent else None,
         per_target_facet={i: tuple(entries) for i, entries in per.items()},
-        consistent=False,
+        consistent=consistent,
         _degenerate=degenerate,
     )
-    sums = set(report.per_target_sums.values())
-    if len(sums) != 1:
+    if not consistent:
         raise InconsistentDegree(
             f"per-target signed sums disagree: {report.per_target_sums}", report
         )
-    common = sums.pop()
-    return DegreeReport(
-        degree=common,
-        per_target_facet=report.per_target_facet,
-        consistent=True,
-        _degenerate=degenerate,
-    )
+    return report
 
 
 def permutation_sign(perm: dict[int, int]) -> int:
@@ -203,12 +208,12 @@ def relabel(ls: LabeledSphere, perm: dict[int, int]) -> LabeledSphere:
     domain = set(range(1, full + 1))
     if set(perm.keys()) != domain or set(perm.values()) != domain:
         raise NotAPermutation(f"expected a bijection on 1..{full}")
-    return LabeledSphere(ls.oriented, {v: perm[c] for v, c in ls.labels.items()})
+    return labeled_sphere(ls.oriented, {v: perm[c] for v, c in ls.labels.items()})
 
 
 def reverse_orientation(ls: LabeledSphere) -> LabeledSphere:
     """Flip every facet sign; negates the degree."""
-    return LabeledSphere(ls.oriented.reversed(), dict(ls.labels))
+    return labeled_sphere(ls.oriented.reversed(), ls.labels)
 
 
 def singleton_colors(ls: LabeledSphere) -> dict[int, int]:
@@ -246,20 +251,18 @@ def link_reduction(ls: LabeledSphere, v: int) -> LabeledSphere:
         p = facet.index(v)
         link_facet = facet[:p] + facet[p + 1:]
         pairs.append((link_facet, kappa * eps * (-1 if p % 2 else 1)))
-    pairs.sort()
-    base = Complex(n - 1, tuple(f for f, _ in pairs))
-    oriented = OrientedComplex(base, tuple(s for _, s in pairs))
+    oriented = OrientedComplex.from_pairs(n - 1, pairs)
 
-    verdict = is_sphere(base)
+    verdict = is_sphere(oriented.base)
     if verdict.status is SphereStatus.NOT_SPHERE:
         failing = [name for name, ok in verdict.checks if not ok]
         raise InvalidLink(f"link of {v} fails sphere checks: {failing}")
 
     # only the link's vertices keep a color, so v and every vertex off the link go
-    link_vertices = set(base.vertices)
+    link_vertices = set(oriented.vertices)
     labels = {
         u: (col if col < c else col - 1)
         for u, col in ls.labels.items()
         if u in link_vertices
     }
-    return LabeledSphere(oriented, labels)
+    return labeled_sphere(oriented, labels)

@@ -25,7 +25,7 @@ from .complexes import (
     parity_to_sorted,
     SphereStatus,
 )
-from .constructions import ConstructionCertificate, Recipe, _as_labeled, replay
+from .constructions import ConstructionCertificate, Recipe, _certify, replay
 from .degree import LabeledSphere, degree, labeled_sphere
 from .errors import (
     DegreeMismatch,
@@ -55,18 +55,7 @@ def _recipe_to_json(recipe: Recipe) -> list:
     for step in recipe:
         op, *args = step
         if op == "literal":
-            core = args[0]
-            out.append(
-                [
-                    "literal",
-                    {
-                        "dimension": core["dimension"],
-                        "facets": [list(f) for f in core["facets"]],
-                        "labels": {str(v): c for v, c in core["labels"].items()},
-                        "orientation": [list(e) for e in core["orientation"]],
-                    },
-                ]
-            )
+            out.append(["literal", _core_dict(args[0])])
         elif op == "insert":
             out.append(["insert", list(args[0])])
         else:
@@ -108,7 +97,7 @@ def _recipe_from_json(data, ls: LabeledSphere) -> Recipe:
             seed, _ = _parse_document({**args[0], "format_version": FORMAT_VERSION})
         except SpheremapError as e:
             raise ValidationError(f"recipe literal seed: {e}") from None
-        steps = [_as_labeled(seed)[1][0]]
+        steps = [("literal", seed)]
         dim, size = seed.dimension, len(seed.oriented.vertices)
     else:
         raise ValidationError(f"recipe seed {data[0]!r} is malformed")
@@ -139,6 +128,18 @@ def _recipe_from_json(data, ls: LabeledSphere) -> Recipe:
     return tuple(steps)
 
 
+def _core_dict(ls: LabeledSphere) -> dict:
+    """The sphere's fields, shared by documents and literal recipe seeds."""
+    return {
+        "dimension": ls.dimension,
+        "facets": [list(f) for f in ls.complex.facets],
+        "labels": {str(v): c for v, c in sorted(ls.labels.items())},
+        "orientation": [
+            [s, *f] for f, s in zip(ls.complex.facets, ls.oriented.signs)
+        ],
+    }
+
+
 def _document_dict(obj) -> dict:
     if isinstance(obj, ConstructionCertificate):
         ls = obj.labeled
@@ -152,16 +153,7 @@ def _document_dict(obj) -> dict:
         metadata = {"claimed_degree": degree(obj).degree}
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
-    return {
-        "format_version": FORMAT_VERSION,
-        "dimension": ls.dimension,
-        "facets": [list(f) for f in ls.complex.facets],
-        "labels": {str(v): c for v, c in sorted(ls.labels.items())},
-        "orientation": [
-            [s, *f] for f, s in zip(ls.complex.facets, ls.oriented.signs)
-        ],
-        "metadata": metadata,
-    }
+    return {"format_version": FORMAT_VERSION, **_core_dict(ls), "metadata": metadata}
 
 
 def serialize(obj) -> str:
@@ -279,7 +271,7 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
         if not isinstance(entry, list) or len(entry) < 2:
             raise ValidationError(f"bad orientation entry {entry!r}")
         sign, *verts = entry
-        if sign not in (1, -1) or not all(_is_int(v) for v in verts):
+        if not (_is_int(sign) and sign in (1, -1) and all(_is_int(v) for v in verts)):
             raise ValidationError(f"bad orientation entry {entry!r}")
         facet = tuple(sorted(verts))
         if len(set(verts)) != len(verts) or facet not in complex.facet_set:
@@ -310,7 +302,7 @@ def load_certificate(text: str) -> ConstructionCertificate:
     ls, metadata = parse_with_metadata(text)
     raw_recipe = metadata.get("recipe")
     if raw_recipe is None:
-        _, recipe = _as_labeled(ls)
+        recipe = (("literal", ls),)
     else:
         recipe = _recipe_from_json(raw_recipe, ls)
         try:
@@ -319,9 +311,4 @@ def load_certificate(text: str) -> ConstructionCertificate:
             raise ValidationError(f"recipe replay failed: {e}") from None
         if rebuilt != ls:
             raise ValidationError("recipe does not rebuild the document's sphere")
-    return ConstructionCertificate(
-        labeled=ls,
-        claimed_degree=degree(ls).degree,
-        claimed_vertex_count=len(ls.oriented.vertices),
-        recipe=recipe,
-    )
+    return _certify(ls, recipe)

@@ -15,7 +15,6 @@ reductions that never lose witnesses:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +28,13 @@ from .complexes import (
 )
 from .constructions import construct
 from .degree import LabeledSphere, Labeling, degree, labeled_sphere
-from .errors import BudgetExceeded, InvalidDimension, UnsupportedDimension
+from .documents import _is_int
+from .errors import (
+    BudgetExceeded,
+    InvalidDimension,
+    UnsupportedDimension,
+    ValidationError,
+)
 
 __all__ = [
     "LambdaResult",
@@ -277,18 +282,12 @@ class LambdaResult:
         return "found" if self.found else "NotFoundWithinBudget"
 
 
-def _labeling_worker(payload) -> tuple[Labeling | None, int]:
-    K, d = payload
-    return _search_labelings(K, d)
-
-
-def lambda_search(n: int, d: int, v_max: int, jobs: int = 1) -> LambdaResult:
+def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
     """Smallest vertex count admitting a degree-d coloring, up to v_max.
 
     Scans vertex counts upward, streaming every isomorphism class at each
     count; the reported witness is the first in deterministic enumeration
-    order, and the result is identical for any ``jobs`` value (workers only
-    parallelize the per-class search; reduction happens in stream order).
+    order.
     """
     if n not in (1, 2):
         raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {n}")
@@ -299,32 +298,22 @@ def lambda_search(n: int, d: int, v_max: int, jobs: int = 1) -> LambdaResult:
     triangulations = 0
     labelings = 0
     for v in range(n + 2, v_max + 1):
-        classes = list(enumerate_spheres(n, v))
-        if jobs <= 1 or len(classes) <= 1:
-            results = map(_labeling_worker, ((K, d) for K in classes))
-            pool = None
-        else:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            results = pool.map(_labeling_worker, [(K, d) for K in classes])
-        try:
-            for K, (witness, nodes) in zip(classes, results):
-                triangulations += 1
-                labelings += nodes
-                if witness is not None:
-                    ls = labeled_sphere(orient(K), witness)
-                    assert degree(ls).degree == d
-                    return LambdaResult(
-                        n=n,
-                        d=d,
-                        v_max=v_max,
-                        lambda_value=v,
-                        witness=ls,
-                        triangulations_examined=triangulations,
-                        labelings_examined=labelings,
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+        for K in enumerate_spheres(n, v):
+            witness, nodes = _search_labelings(K, d)
+            triangulations += 1
+            labelings += nodes
+            if witness is not None:
+                ls = labeled_sphere(orient(K), witness)
+                assert degree(ls).degree == d
+                return LambdaResult(
+                    n=n,
+                    d=d,
+                    v_max=v_max,
+                    lambda_value=v,
+                    witness=ls,
+                    triangulations_examined=triangulations,
+                    labelings_examined=labelings,
+                )
     return LambdaResult(
         n=n,
         d=d,
@@ -402,20 +391,30 @@ class LambdaTable:
         return out
 
 
-def lambda_table(requests, jobs: int = 1) -> LambdaTable:
+def lambda_table(requests) -> LambdaTable:
     """Build a table of exact and bounded entries from request dicts.
 
-    Each request is {"n": int, "d": int, "v_max": optional int}.  With a
-    v_max and n in {1, 2} the entry is computed by exhaustive search;
-    otherwise a closed form is used when one exists, and the construct
-    generator's vertex count is reported as an upper bound when not.
+    Each request is {"n": int, "d": int, "v_max": optional int}; any other
+    request raises ValidationError.  With a v_max and n in {1, 2} the entry
+    is computed by exhaustive search; otherwise a closed form is used when
+    one exists, and the construct generator's vertex count is reported as
+    an upper bound when not.
     """
     rows = []
     for req in requests:
-        n, d = int(req["n"]), int(req["d"])
+        if not (
+            isinstance(req, dict)
+            and _is_int(req.get("n"))
+            and _is_int(req.get("d"))
+            and (req.get("v_max") is None or _is_int(req["v_max"]))
+        ):
+            raise ValidationError(
+                f'table row {req!r} must be {{"n": int, "d": int, "v_max": optional int}}'
+            )
+        n, d = req["n"], req["d"]
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
-            res = lambda_search(n, d, int(v_max), jobs=jobs)
+            res = lambda_search(n, d, v_max)
             if res.found:
                 rows.append(
                     LambdaRow(

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -122,6 +123,76 @@ def test_table_rejects_bad_spec(tmp_path, capsys):
     code, _, stderr = run(capsys, "table", "--spec", str(spec))
     assert code == 1
     assert "FAIL" in stderr
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"rows": [{"d": 3}]},
+        {"rows": [{"n": 2, "d": 3, "v_max": "x"}]},
+        {"rows": ["a"]},
+        {"rows": [{"n": 2.0, "d": 3}]},
+        {"rows": [{"n": 2, "d": True}]},
+    ],
+)
+def test_table_rejects_bad_rows(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, stdout, stderr = run(capsys, "table", "--spec", str(path))
+    assert code == 1
+    assert stderr.startswith("FAIL: ValidationError: table row ")
+    assert "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "suspend", "insert", "table"])
+def test_non_utf8_input_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "verify": ["verify", str(path)],
+        "suspend": ["suspend", str(path)],
+        "insert": ["insert", str(path), "--facet", "1,2,3"],
+        "table": ["table", "--spec", str(path)],
+    }[command]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr.startswith("FAIL: DocumentSyntaxError: ")
+    assert "not UTF-8" in stderr
+    assert "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("with_orientation", [True, False])
+def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with_orientation):
+    # count the passes themselves, not the cached public wrappers; link
+    # complexes checked inside the sphere verdict are not counted
+    complexes_mod = importlib.import_module("spheremap.complexes")
+    degree_mod = importlib.import_module("spheremap.degree")  # not the function
+
+    out = tmp_path / "c.json"
+    run(capsys, "construct", "--n", "3", "--d", "5", "--out", str(out))
+    doc = json.loads(out.read_text())
+    if not with_orientation:  # parse then orients the complex itself
+        del doc["orientation"], doc["metadata"]
+        out.write_text(json.dumps(doc))
+    facets = tuple(tuple(f) for f in doc["facets"])
+    calls = {"closedness": 0, "orientation": 0, "degree": 0}
+
+    def counting(module, name, key, complex_of):
+        original = getattr(module, name)
+
+        def wrapper(x):
+            if complex_of(x).facets == facets:
+                calls[key] += 1
+            return original(x)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(complexes_mod, "_closedness", "closedness", lambda c: c)
+    counting(complexes_mod, "_orient", "orientation", lambda c: c)
+    counting(degree_mod, "_degree_report", "degree", lambda ls: ls.complex)
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0 and "PASS" in stdout
+    assert calls == {"closedness": 1, "orientation": 1, "degree": 1}
 
 
 def test_suspend_round_trip(tmp_path, capsys):

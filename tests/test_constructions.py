@@ -1,17 +1,28 @@
+import hashlib
+import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap import (
     BadFacetColors,
     BadFacetSign,
     FacetNotFound,
     InvalidDimension,
+    Complex,
+    ConstructionCertificate,
+    OrientedComplex,
     PivotNotFound,
     SphereStatus,
     SpheremapError,
+    ValidationError,
     ZeroDegree,
     boundary_simplex,
+    build_complex,
+    check_closed_pseudomanifold,
+    coherence_failures,
     construct,
     cyclic_circle,
     degree,
@@ -19,9 +30,17 @@ from spheremap import (
     degree_zero_sphere,
     insertion_step,
     is_sphere,
+    labeled_sphere,
+    link_reduction,
+    load_certificate,
     one_point_suspension,
+    orient,
+    parse,
+    relabel,
     replay,
     reverse_orientation,
+    serialize,
+    singleton_colors,
     vertex_bound,
     vertex_link,
 )
@@ -244,3 +263,126 @@ def test_certificates_self_verify():
     for cert in (construct(4, 9), construct(2, 2), cyclic_circle(-5)):
         assert degree(cert.labeled).degree == cert.claimed_degree
         assert len(cert.labeled.oriented.vertices) == cert.claimed_vertex_count
+
+
+def test_construct_runs_degree_pass_once_per_certificate(monkeypatch):
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    degree_mod = importlib.import_module("spheremap.degree")  # not the function
+    calls = {"certify": 0, "degree": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(constructions_mod, "_certify", "certify")
+    counting(degree_mod, "_degree_report", "degree")
+    cert = construct(3, 30)
+    assert cert.claimed_degree == 30
+    # boundary_simplex(2), one insertion, one suspension, then 9 insertions
+    assert calls == {"certify": 12, "degree": 12}
+
+
+def _oriented_union(*blocks) -> OrientedComplex:
+    oriented = [orient(build_complex(block)) for block in blocks]
+    return OrientedComplex.from_pairs(
+        oriented[0].dimension,
+        [pair for oc in oriented for pair in zip(oc.facets, oc.signs)],
+    )
+
+
+def test_replay_rejects_bad_literal_seeds():
+    two_circles = _oriented_union([(1, 2), (2, 3), (1, 3)], [(4, 5), (5, 6), (4, 6)])
+    labels = {v: (v - 1) % 3 + 1 for v in range(1, 7)}
+    with pytest.raises(ValidationError, match="literal seed fails sphere checks"):
+        replay([("literal", labeled_sphere(two_circles, labels))])
+
+    circle = cyclic_circle(2).labeled
+    signs = circle.oriented.signs
+    flipped = OrientedComplex(circle.complex, (-signs[0],) + signs[1:])
+    with pytest.raises(ValidationError, match="not coherent"):
+        replay([("literal", labeled_sphere(flipped, circle.labels))])
+
+    # a document core, here with an orientation entry missing, is not a
+    # literal seed: documents parse it into a LabeledSphere first
+    core = {
+        "dimension": 1,
+        "facets": [list(f) for f in circle.complex.facets],
+        "labels": dict(circle.labels),
+        "orientation": [[s, *f] for f, s in zip(circle.complex.facets, signs)][1:],
+    }
+    with pytest.raises(SpheremapError):
+        replay([("literal", core)])
+    with pytest.raises(SpheremapError):
+        one_point_suspension(labeled_sphere(two_circles, labels))
+
+
+def test_literal_seed_documents_are_unchanged():
+    lifted = one_point_suspension(cyclic_circle(2).labeled)
+    assert lifted.recipe == (("literal", cyclic_circle(2).labeled), ("suspend", 1))
+    inserted = insertion_step(load_certificate(serialize(boundary_simplex(2).labeled)))
+    digests = [hashlib.sha256(serialize(c).encode()).hexdigest() for c in (lifted, inserted)]
+    assert digests == [
+        "5e24ee38c10f51249340fb286deb51b602d37c5f435f0dae76ba2215e89f6980",
+        "1130211a08a03a8124c2b44ea70774f6faf64a13e6bcc6c92797930320e67bc7",
+    ]
+    assert load_certificate(serialize(inserted)).recipe == inserted.recipe
+
+
+def _assert_cached_invariants_hold(x) -> None:
+    """Cached closedness, orientation and degree equal a fresh computation
+    on an equal, uncached object; the move's orientation is coherent; the
+    result round-trips through a document."""
+    ls = x.labeled if isinstance(x, ConstructionCertificate) else x
+    fresh_complex = Complex(ls.dimension, ls.complex.facets)
+    fresh = labeled_sphere(OrientedComplex(fresh_complex, ls.oriented.signs), ls.labels)
+    assert check_closed_pseudomanifold(ls.complex) is ls.complex.closedness
+    assert check_closed_pseudomanifold(ls.complex) == check_closed_pseudomanifold(fresh_complex)
+    assert orient(ls.complex) is ls.complex.orientation
+    assert orient(ls.complex) == orient(fresh_complex)
+    assert degree(ls) is ls.degree_report
+    assert degree(ls) == degree(fresh)
+    if isinstance(x, ConstructionCertificate):
+        assert x.claimed_degree == degree(fresh).degree
+    assert coherence_failures(ls.oriented) == ()
+    assert parse(serialize(ls)) == ls
+
+
+MOVES = ["suspend", "insert", "relabel", "reverse", "link"]
+SEEDS = st.one_of(
+    st.integers(1, 3).map(boundary_simplex),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]).map(cyclic_circle),
+)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=SEEDS, data=st.data())
+def test_move_chains_keep_cached_invariants(seed, data):
+    x = seed
+    _assert_cached_invariants_hold(x)
+    moves = data.draw(st.lists(st.sampled_from(MOVES), max_size=4))
+    for move in moves:
+        ls = x.labeled if isinstance(x, ConstructionCertificate) else x
+        n = ls.dimension
+        if move == "suspend" and n < 3:
+            x = one_point_suspension(x, data.draw(st.sampled_from(ls.oriented.vertices)))
+        elif move == "insert":
+            qualifying = sorted(f for f, s in degree(ls).per_target_facet[n + 2] if s == 1)
+            if not qualifying:
+                continue
+            x = insertion_step(x, data.draw(st.sampled_from(qualifying)))
+        elif move == "relabel":
+            colors = range(1, ls.color_count + 1)
+            x = relabel(ls, dict(zip(colors, data.draw(st.permutations(colors)))))
+        elif move == "reverse":
+            x = reverse_orientation(ls)
+        elif move == "link" and n >= 2 and singleton_colors(ls):
+            cut = data.draw(st.sampled_from(sorted(singleton_colors(ls).values())))
+            x = link_reduction(ls, cut)
+        else:
+            continue
+        _assert_cached_invariants_hold(x)

@@ -224,10 +224,14 @@ def test_parse_rejects_orientation_problems():
     with pytest.raises(ValidationError, match="coherent"):
         parse(json.dumps(doc))
 
-    doc = json.loads(json.dumps(base))
-    doc["orientation"][0] = [2, 1, 2, 3]
-    with pytest.raises(ValidationError, match="orientation"):
-        parse(json.dumps(doc))
+    # (1, 2, 3) has sign +1, so 1.0 and True carry the right value as a
+    # float and a bool, which would break the integers-only canonical form
+    assert base["orientation"][0] == [1, 1, 2, 3]
+    for bad_sign in (2, 1.0, True):
+        doc = json.loads(json.dumps(base))
+        doc["orientation"][0] = [bad_sign, 1, 2, 3]
+        with pytest.raises(ValidationError, match="bad orientation entry"):
+            parse(json.dumps(doc))
 
     doc = json.loads(json.dumps(base))
     doc["orientation"][0] = [1, 1, 2, 9]
