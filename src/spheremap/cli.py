@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_document(text: str, out: str | None) -> None:
-    """Document to --out (summary then goes to stdout) or to stdout
-    (summary to stderr)."""
+    """Document text to the --out file when given, else to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -152,14 +151,11 @@ def _cmd_search(args) -> int:
     print(f"partial colorings examined: {result.labelings_examined}")
     if result.found:
         print(f"lambda: {result.lambda_value}")
-        text = serialize(result.witness)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"witness written to: {args.out}")
-        else:
+        if not args.out:
             print("witness document:")
-            sys.stdout.write(text)
+        _emit_document(serialize(result.witness), args.out)
+        if args.out:
+            print(f"witness written to: {args.out}")
     else:
         print("lambda: NotFoundWithinBudget")
     return 0
@@ -205,14 +201,11 @@ def _cmd_table(args) -> int:
             for row in table.rows
         ]
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"json written to: {args.out}")
-    else:
+    if not args.out:
         print()
-        sys.stdout.write(text)
+    _emit_document(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    if args.out:
+        print(f"json written to: {args.out}")
     return 0
 
 

@@ -21,6 +21,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import (
     DegenerateFacet,
@@ -87,16 +88,16 @@ class Complex:
         return frozenset(self.facets)
 
     @cached_property
-    def facets_at(self) -> dict[int, tuple[Facet, ...]]:
+    def facets_at(self) -> MappingProxyType[int, tuple[Facet, ...]]:
         """Vertex id -> facets containing it."""
         out: dict[int, list[Facet]] = {}
         for f in self.facets:
             for v in f:
                 out.setdefault(v, []).append(f)
-        return {v: tuple(fs) for v, fs in out.items()}
+        return MappingProxyType({v: tuple(fs) for v, fs in out.items()})
 
     @cached_property
-    def ridge_entries(self) -> dict[Facet, tuple[tuple[Facet, int], ...]]:
+    def ridge_entries(self) -> MappingProxyType[Facet, tuple[tuple[Facet, int], ...]]:
         """Ridge -> ((facet, position of the off-ridge vertex), ...).
 
         For dimension 0 the unique ridge is the empty tuple, shared by all
@@ -107,7 +108,7 @@ class Complex:
         for f in self.facets:
             for i in range(len(f)):
                 out.setdefault(f[:i] + f[i + 1:], []).append((f, i))
-        return {r: tuple(es) for r, es in out.items()}
+        return MappingProxyType({r: tuple(es) for r, es in out.items()})
 
     @cached_property
     def closedness(self) -> "ClosednessReport":
@@ -226,8 +227,8 @@ class OrientedComplex:
         return self.base.vertices
 
     @cached_property
-    def sign_by_facet(self) -> dict[Facet, int]:
-        return dict(zip(self.base.facets, self.signs))
+    def sign_by_facet(self) -> MappingProxyType[Facet, int]:
+        return MappingProxyType(dict(zip(self.base.facets, self.signs)))
 
     def sign_of(self, facet: Facet) -> int:
         try:
@@ -446,6 +447,14 @@ def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet,
     return facet, new_vertex
 
 
+def _stellar_pairs(facet: Facet, sign: int, w: int) -> list[tuple[Facet, int]]:
+    """The n+1 (facet, sign) pairs replacing ``facet``, of stored sign
+    ``sign``, when a new vertex w subdivides it: each keeps ``sign`` read
+    along ``facet`` with w in place of one vertex, whatever w's size."""
+    subs = [facet[:i] + (w,) + facet[i + 1:] for i in range(len(facet))]
+    return [(tuple(sorted(sub)), sign * parity_to_sorted(sub)) for sub in subs]
+
+
 def stellar_subdivide_facet(complex: Complex, facet, new_vertex: int | None = None) -> Complex:
     """Replace facet sigma by the n+1 facets (sigma \\ {x}) + {w} for x in sigma.
 
@@ -453,8 +462,7 @@ def stellar_subdivide_facet(complex: Complex, facet, new_vertex: int | None = No
     """
     facet, w = _check_subdivision_args(complex, facet, new_vertex)
     out = [f for f in complex.facets if f != facet]
-    for i in range(len(facet)):
-        out.append(tuple(sorted(facet[:i] + facet[i + 1:] + (w,))))
+    out.extend(f for f, _ in _stellar_pairs(facet, 1, w))
     return Complex(complex.dimension, tuple(sorted(out)))
 
 
@@ -463,21 +471,14 @@ def stellar_subdivide_oriented(
 ) -> tuple[OrientedComplex, int]:
     """Stellar subdivision carrying the orientation through.
 
-    The facet obtained by substituting w for the vertex at sorted position i
-    keeps the old facet's sign relative to that substituted order; moving w
-    to its sorted slot (w is larger than every existing id, so the end)
-    contributes a factor (-1)**(m-1-i) for a facet of m vertices.  The
-    result is coherent whenever the input is.
+    ``new_vertex`` may be any id not in the complex (default max(existing
+    ids) + 1); the result is coherent whenever the input is.
     """
     facet, w = _check_subdivision_args(oriented.base, facet, new_vertex)
-    eps = oriented.sign_of(facet)
-    m = len(facet)
     pairs = [
         (f, s) for f, s in zip(oriented.base.facets, oriented.signs) if f != facet
     ]
-    for i in range(m):
-        sub = tuple(sorted(facet[:i] + facet[i + 1:] + (w,)))
-        pairs.append((sub, eps * (-1 if (m - 1 - i) % 2 else 1)))
+    pairs.extend(_stellar_pairs(facet, oriented.sign_of(facet), w))
     return OrientedComplex.from_pairs(oriented.base.dimension, pairs), w
 
 

@@ -21,20 +21,22 @@ stays within ((n+2)/n)*|d| + 2n+2, and hits the known exact minima for
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 from .complexes import (
     Facet,
     OrientedComplex,
     SphereStatus,
+    _stellar_pairs,
     build_complex,
     coherence_failures,
     is_sphere,
     orient,
-    stellar_subdivide_oriented,
 )
 from .degree import (
     LabeledSphere,
+    _is_int,
     degree,
     facet_sign,
     labeled_sphere,
@@ -220,16 +222,15 @@ def insertion_step(x, facet: Facet | None = None) -> ConstructionCertificate:
             raise BadFacetSign(f"facet {facet} has map sign {s}, need +1")
 
     labels = dict(ls.labels)
-    oriented = ls.oriented
     w = max(ls.oriented.vertices) + 1
-    oriented, _ = stellar_subdivide_oriented(oriented, facet, w)
+    new = dict(_stellar_pairs(facet, ls.oriented.sign_of(facet), w))
     labels[w] = n + 2
-    for u in facet:  # sorted order: deterministic ids for the second round
+    for i, u in enumerate(facet, 1):  # sorted order: deterministic ids
         a = tuple(sorted(tuple(z for z in facet if z != u) + (w,)))
-        wi = max(oriented.vertices) + 1
-        oriented, _ = stellar_subdivide_oriented(oriented, a, wi)
-        labels[wi] = ls.labels[u]
-    out = labeled_sphere(oriented, labels)
+        new.update(_stellar_pairs(a, new.pop(a), w + i))
+        labels[w + i] = ls.labels[u]
+    kept = [(f, s) for f, s in zip(ls.complex.facets, ls.oriented.signs) if f != facet]
+    out = labeled_sphere(OrientedComplex.from_pairs(n, kept + list(new.items())), labels)
     cert = _certify(out, recipe + (("insert", tuple(facet)),))
     if cert.claimed_degree != degree(ls).degree + n:
         raise SpheremapError("insertion step did not add n to the degree")  # pragma: no cover
@@ -245,15 +246,13 @@ def degree_four_witness(raw: bool = False) -> ConstructionCertificate:
     swap of colors 1 and 2 makes the degree +4.  ``raw=True`` skips the
     final swap.
     """
-    complex = build_complex(combinations(range(1, 6), 4))
-    oriented = orient(complex)
+    signs = dict(orient(build_complex(combinations(range(1, 6), 4))).sign_by_facet)
     labels = {v: v for v in range(1, 6)}
     for i in range(1, 6):
         opposite = tuple(v for v in range(1, 6) if v != i)
-        wi = 5 + i
-        oriented, _ = stellar_subdivide_oriented(oriented, opposite, wi)
-        labels[wi] = i
-    ls = labeled_sphere(oriented, labels)
+        signs.update(_stellar_pairs(opposite, signs.pop(opposite), 5 + i))
+        labels[5 + i] = i
+    ls = labeled_sphere(OrientedComplex.from_pairs(3, signs.items()), labels)
     if raw:
         return _certify(ls, (("degree_four_witness_raw",),))
     swap = {c: c for c in range(1, 6)}
@@ -305,34 +304,73 @@ def _reverse_certificate(cert: ConstructionCertificate) -> ConstructionCertifica
     return _certify(reverse_orientation(cert.labeled), cert.recipe + (("reverse",),))
 
 
-def replay(recipe) -> ConstructionCertificate:
-    """Re-run a recipe; reproduces the certificate's facet list exactly."""
-    cert: ConstructionCertificate | None = None
-    for step in recipe:
-        op, *args = step
-        if op == "boundary_simplex":
-            cert = boundary_simplex(int(args[0]))
-        elif op == "cyclic_circle":
-            cert = cyclic_circle(int(args[0]))
-        elif op == "degree_zero":
-            cert = degree_zero_sphere(int(args[0]))
-        elif op == "degree_four_witness":
-            cert = degree_four_witness()
-        elif op == "degree_four_witness_raw":
-            cert = degree_four_witness(raw=True)
-        elif op == "literal":
-            if not isinstance(args[0], LabeledSphere):
-                raise ValidationError("a literal seed must be a LabeledSphere")
-            cert = _certify(*_as_labeled(args[0]))
-        elif op == "suspend":
-            cert = one_point_suspension(cert, int(args[0]))
-        elif op == "insert":
-            cert = insertion_step(cert, tuple(int(v) for v in args[0]))
-        elif op == "reverse":
-            cert = _reverse_certificate(cert)
-        else:
-            raise SpheremapError(f"unknown recipe step {op!r}")
-    if cert is None:
-        raise SpheremapError("empty recipe")
-    return cert
+def _is_facet(x) -> bool:
+    return isinstance(x, tuple) and all(_is_int(v) for v in x)
 
+
+# The recipe grammar: one seed step, then moves.  Each entry is (builder,
+# argument checks, shape): a seed's shape is the (dimension, vertex count)
+# it builds, a move's is that pair after the move given the pair before it.
+_SEEDS = {
+    "boundary_simplex": (boundary_simplex, (_is_int,), lambda n: (n, n + 2)),
+    "cyclic_circle": (cyclic_circle, (_is_int,), lambda d: (1, 3 * abs(d))),
+    "degree_zero": (degree_zero_sphere, (_is_int,), lambda n: (n, n + 2)),
+    "degree_four_witness": (degree_four_witness, (), lambda: (3, 10)),
+    "degree_four_witness_raw": (partial(degree_four_witness, raw=True), (), lambda: (3, 10)),
+    "literal": (
+        lambda ls: _certify(*_as_labeled(ls)),
+        (lambda x: isinstance(x, LabeledSphere),),
+        lambda ls: (ls.dimension, len(ls.oriented.vertices)),
+    ),
+}
+_MOVES = {
+    "suspend": (one_point_suspension, (_is_int,), lambda dim, size, _: (dim + 1, size + 1)),
+    "insert": (insertion_step, (_is_facet,), lambda dim, size, _: (dim, size + dim + 2)),
+    "reverse": (_reverse_certificate, (), lambda dim, size: (dim, size)),
+}
+
+
+def _step_args(step, table) -> list | None:
+    """The arguments of ``step`` if it is a well-formed step of ``table``."""
+    if not isinstance(step, tuple) or not step or not isinstance(step[0], str):
+        return None
+    op, *args = step
+    if op not in table:
+        return None
+    checks = table[op][1]
+    if len(args) != len(checks) or not all(ok(a) for ok, a in zip(checks, args)):
+        return None
+    return args
+
+
+def _recipe_shape(recipe) -> tuple[int, int]:
+    """(dimension, vertex count) of what a recipe builds, without building it.
+
+    Raises ValidationError unless the recipe is a non-empty list or tuple of
+    step tuples: one seed step, then suspend, insert and reverse moves.
+    Neither number ever decreases along a recipe.
+    """
+    if not isinstance(recipe, (list, tuple)) or not recipe:
+        raise ValidationError("a recipe must be a non-empty list of steps")
+    shape = ()
+    for i, step in enumerate(recipe):
+        table = _MOVES if i else _SEEDS
+        args = _step_args(step, table)
+        if args is None:
+            raise ValidationError(f"recipe {'step' if i else 'seed'} {step!r} is malformed")
+        shape = table[step[0]][2](*shape, *args)
+    return shape
+
+
+def replay(recipe) -> ConstructionCertificate:
+    """Re-run a recipe; reproduces the certificate's facet list exactly.
+
+    A malformed recipe raises ValidationError before anything is built; a
+    well-formed step that does not apply raises the error of its move.
+    """
+    _recipe_shape(recipe)
+    (op, *args), *moves = recipe
+    cert = _SEEDS[op][0](*args)
+    for op, *args in moves:
+        cert = _MOVES[op][0](cert, *args)
+    return cert

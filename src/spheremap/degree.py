@@ -22,8 +22,10 @@ Sign of a nondegenerate facet t:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .complexes import (
     Complex,
@@ -44,7 +46,7 @@ from .errors import (
     UnknownVertex,
 )
 
-Labeling = dict[int, int]
+Labeling = Mapping[int, int]
 
 __all__ = [
     "Labeling",
@@ -81,16 +83,20 @@ class LabeledSphere:
         return self.dimension + 2
 
     @cached_property
-    def color_classes(self) -> dict[int, tuple[int, ...]]:
+    def color_classes(self) -> Mapping[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
         for v, c in self.labels.items():
             out.setdefault(c, []).append(v)
-        return {c: tuple(sorted(vs)) for c, vs in out.items()}
+        return MappingProxyType({c: tuple(sorted(vs)) for c, vs in out.items()})
 
     @cached_property
     def degree_report(self) -> "DegreeReport":
         """The report of ``degree``, computed once per labeled sphere."""
         return _degree_report(self)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def labeled_sphere(oriented: OrientedComplex, labels: Labeling) -> LabeledSphere:
@@ -102,9 +108,9 @@ def labeled_sphere(oriented: OrientedComplex, labels: Labeling) -> LabeledSphere
         raise BadLabeling(f"label domain mismatch (missing {missing}, extra {extra})")
     top = oriented.dimension + 2
     for v, c in labels.items():
-        if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= top:
+        if not _is_int(c) or not 1 <= c <= top:
             raise BadLabeling(f"vertex {v} has color {c!r}, expected 1..{top}")
-    return LabeledSphere(oriented, dict(labels))
+    return LabeledSphere(oriented, MappingProxyType(dict(labels)))
 
 
 def _facet_sign(labels: Labeling, full_colors: int, eps: int, facet: Facet):
@@ -139,15 +145,14 @@ class DegreeReport:
     """Per-target preimage lists with signs, plus the common signed sum."""
 
     degree: int | None
-    per_target_facet: dict[int, tuple[tuple[Facet, int], ...]]
+    per_target_facet: Mapping[int, tuple[tuple[Facet, int], ...]]
     consistent: bool
 
     @cached_property
-    def per_target_sums(self) -> dict[int, int]:
-        return {
-            i: sum(s for _, s in entries)
-            for i, entries in self.per_target_facet.items()
-        }
+    def per_target_sums(self) -> Mapping[int, int]:
+        return MappingProxyType(
+            {i: sum(s for _, s in es) for i, es in self.per_target_facet.items()}
+        )
 
     @property
     def degenerate_facet_count(self) -> int:
@@ -182,7 +187,7 @@ def _degree_report(ls: LabeledSphere) -> DegreeReport:
     consistent = len(sums) == 1
     report = DegreeReport(
         degree=sums.pop() if consistent else None,
-        per_target_facet={i: tuple(entries) for i, entries in per.items()},
+        per_target_facet=MappingProxyType({i: tuple(es) for i, es in per.items()}),
         consistent=consistent,
         _degenerate=degenerate,
     )

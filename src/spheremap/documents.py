@@ -25,8 +25,14 @@ from .complexes import (
     parity_to_sorted,
     SphereStatus,
 )
-from .constructions import ConstructionCertificate, Recipe, _certify, replay
-from .degree import LabeledSphere, degree, labeled_sphere
+from .constructions import (
+    ConstructionCertificate,
+    Recipe,
+    _certify,
+    _recipe_shape,
+    replay,
+)
+from .degree import LabeledSphere, _is_int, degree, labeled_sphere
 from .errors import (
     DegreeMismatch,
     DocumentSyntaxError,
@@ -46,86 +52,35 @@ __all__ = [
 ]
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _recipe_to_json(recipe: Recipe) -> list:
-    out = []
-    for step in recipe:
-        op, *args = step
-        if op == "literal":
-            out.append(["literal", _core_dict(args[0])])
-        elif op == "insert":
-            out.append(["insert", list(args[0])])
-        else:
-            out.append([op, *args])
-    return out
+    """JSON form of a recipe; ``json`` writes the insert facet as a list."""
+    return [
+        ["literal", _core_dict(args[0])] if op == "literal" else [op, *args]
+        for op, *args in recipe
+    ]
 
 
-# (dimension, vertex count) of the sphere each seed step builds
-_INT_SEEDS = {
-    "boundary_simplex": lambda n: (n, n + 2),
-    "cyclic_circle": lambda d: (1, 3 * abs(d)),
-    "degree_zero": lambda n: (n, n + 2),
-}
-_BARE_SEEDS = {"degree_four_witness": (3, 10), "degree_four_witness_raw": (3, 10)}
+def _recipe_from_json(data):
+    """Convert a JSON recipe to replay's form, leaving its checks to replay's
+    grammar: a literal first step is parsed like a document, an insert facet
+    becomes a tuple, and every other step list becomes a tuple as it is."""
+    if not isinstance(data, list):
+        return data
+    return tuple(_step_from_json(step, first=i == 0) for i, step in enumerate(data))
 
 
-def _recipe_from_json(data, ls: LabeledSphere) -> Recipe:
-    """Check a JSON recipe's shape against ``ls`` and convert it.
-
-    A recipe is one seed step followed by suspend, insert and reverse
-    moves; a literal seed is validated like a document.  The steps fix the
-    dimension and vertex count of what the recipe builds, and neither ever
-    decreases along it, so checking both against ``ls`` before any replay
-    keeps the replay within the size of the document.
-    """
-    if not isinstance(data, list) or not data or not all(
-        isinstance(step, list) and step and isinstance(step[0], str) for step in data
-    ):
-        raise ValidationError("metadata.recipe must be a non-empty list of steps")
-    (op, *args), moves = data[0], data[1:]
-    if op in _INT_SEEDS and len(args) == 1 and _is_int(args[0]):
-        steps = [(op, args[0])]
-        dim, size = _INT_SEEDS[op](args[0])
-    elif op in _BARE_SEEDS and not args:
-        steps = [(op,)]
-        dim, size = _BARE_SEEDS[op]
-    elif op == "literal" and len(args) == 1 and isinstance(args[0], dict):
+def _step_from_json(step, first: bool):
+    if not isinstance(step, list):
+        return step
+    if first and len(step) == 2 and step[0] == "literal" and isinstance(step[1], dict):
         try:
-            seed, _ = _parse_document({**args[0], "format_version": FORMAT_VERSION})
+            seed, _ = _parse_document({**step[1], "format_version": FORMAT_VERSION})
         except SpheremapError as e:
             raise ValidationError(f"recipe literal seed: {e}") from None
-        steps = [("literal", seed)]
-        dim, size = seed.dimension, len(seed.oriented.vertices)
-    else:
-        raise ValidationError(f"recipe seed {data[0]!r} is malformed")
-
-    for step in moves:
-        op, *args = step
-        if op == "suspend" and len(args) == 1 and _is_int(args[0]):
-            steps.append(("suspend", args[0]))
-            dim, size = dim + 1, size + 1
-        elif (
-            op == "insert"
-            and len(args) == 1
-            and isinstance(args[0], list)
-            and all(_is_int(v) for v in args[0])
-        ):
-            steps.append(("insert", tuple(args[0])))
-            size += dim + 2
-        elif op == "reverse" and not args:
-            steps.append(("reverse",))
-        else:
-            raise ValidationError(f"recipe step {step!r} is malformed")
-
-    if (dim, size) != (ls.dimension, len(ls.oriented.vertices)):
-        raise ValidationError(
-            f"recipe builds dimension {dim} on {size} vertices, the document has "
-            f"dimension {ls.dimension} on {len(ls.oriented.vertices)} vertices"
-        )
-    return tuple(steps)
+        return ("literal", seed)
+    if len(step) == 2 and step[0] == "insert" and isinstance(step[1], list):
+        return ("insert", tuple(step[1]))
+    return tuple(step)
 
 
 def _core_dict(ls: LabeledSphere) -> dict:
@@ -304,7 +259,15 @@ def load_certificate(text: str) -> ConstructionCertificate:
     if raw_recipe is None:
         recipe = (("literal", ls),)
     else:
-        recipe = _recipe_from_json(raw_recipe, ls)
+        # neither dimension nor vertex count ever decreases along a recipe,
+        # so matching both before replaying keeps it within the document's size
+        recipe = _recipe_from_json(raw_recipe)
+        dim, size = _recipe_shape(recipe)
+        if (dim, size) != (ls.dimension, len(ls.oriented.vertices)):
+            raise ValidationError(
+                f"recipe builds dimension {dim} on {size} vertices, the document has "
+                f"dimension {ls.dimension} on {len(ls.oriented.vertices)} vertices"
+            )
         try:
             rebuilt = replay(recipe).labeled
         except SpheremapError as e:

@@ -27,8 +27,7 @@ from .complexes import (
     parity_to_sorted,
 )
 from .constructions import construct
-from .degree import LabeledSphere, Labeling, degree, labeled_sphere
-from .documents import _is_int
+from .degree import LabeledSphere, Labeling, _is_int, degree, labeled_sphere
 from .errors import (
     BudgetExceeded,
     InvalidDimension,

@@ -409,6 +409,18 @@ def test_subdivide_oriented_keeps_untouched_signs():
     assert out.sign_of((2, 3, 4)) == oc.sign_of((2, 3, 4))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subdivide_oriented_with_any_fresh_vertex(n):
+    # boundary of the (n+1)-simplex on even ids, so a fresh id can fall below,
+    # between or above the vertices of the subdivided facet (2, 4, ..., 2n+2)
+    oc = orient(build_complex(combinations(range(2, 2 * n + 6, 2), n + 1)))
+    facet = oc.facets[0]
+    for w in (1, 3, 2 * n + 1, 2 * n + 3, 99):
+        out, got = stellar_subdivide_oriented(oc, facet, new_vertex=w)
+        assert got == w and len(out.facets) == len(oc.facets) + n
+        assert coherence_failures(out) == ()
+
+
 def test_canonical_hexagon_relabeling_invariance():
     a = cycle(6)
     b = build_complex([(10, 20), (20, 30), (30, 40), (40, 50), (50, 60), (10, 60)])

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import random
 
 import pytest
@@ -258,6 +259,27 @@ def test_replay_guards():
         replay((("warp", 3),))
 
 
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        (),
+        (("warp", 3),),
+        [("boundary_simplex",)],
+        [("suspend", 1)],
+        [("boundary_simplex", "x")],
+        [("boundary_simplex", True)],
+        [("insert", (1, 2, 3)), ("boundary_simplex", 2)],
+        [("boundary_simplex", 2), ("insert", [1, 2, 3])],
+        [("boundary_simplex", 2), ("cyclic_circle", 2)],
+        [["boundary_simplex", 2]],
+        "boundary_simplex",
+    ],
+)
+def test_replay_rejects_malformed_recipes(recipe):
+    with pytest.raises(ValidationError):
+        replay(recipe)
+
+
 def test_certificates_self_verify():
     # claimed numbers always come from the engine, never from arithmetic
     for cert in (construct(4, 9), construct(2, 2), cyclic_circle(-5)):
@@ -386,3 +408,67 @@ def test_move_chains_keep_cached_invariants(seed, data):
         else:
             continue
         _assert_cached_invariants_hold(x)
+
+
+# recipe steps built from the grammar's op names, well-formed or with junk
+# arguments; integers stay small because replay builds whatever a
+# well-formed recipe asks for
+SEED_OPS = ["boundary_simplex", "cyclic_circle", "degree_zero"]
+BARE_SEED_OPS = ["degree_four_witness", "degree_four_witness_raw"]
+RECIPE_OPS = SEED_OPS + BARE_SEED_OPS + ["literal", "suspend", "insert", "reverse", "warp"]
+SMALL = st.integers(-3, 6)
+JSON_JUNK = st.one_of(
+    SMALL,
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(SMALL, max_size=4),
+    st.just({}),
+    st.just(json.loads(serialize(cyclic_circle(1).labeled))),
+)
+JUNK = st.one_of(
+    JSON_JUNK, st.lists(SMALL, max_size=4).map(tuple), st.just(cyclic_circle(1).labeled)
+)
+
+
+def _recipes(junk, facets):
+    any_step = st.builds(
+        lambda op, args: (op, *args), st.sampled_from(RECIPE_OPS), st.lists(junk, max_size=2)
+    )
+    seed = st.one_of(
+        st.tuples(st.sampled_from(SEED_OPS), SMALL),
+        st.tuples(st.sampled_from(BARE_SEED_OPS)),
+        any_step,
+    )
+    move = st.one_of(
+        st.tuples(st.just("suspend"), SMALL),
+        st.tuples(st.just("insert"), facets),
+        st.just(("reverse",)),
+        any_step,
+    )
+    recipe = st.builds(lambda first, rest: [first, *rest], seed, st.lists(move, max_size=5))
+    return st.one_of(recipe, junk)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(recipe=_recipes(JUNK, st.lists(SMALL, min_size=2, max_size=4).map(tuple)))
+def test_replay_fuzz_raises_only_spheremap_errors(recipe):
+    try:
+        replay(recipe)
+    except SpheremapError:
+        pass
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    recipe=_recipes(JSON_JUNK, st.lists(SMALL, min_size=2, max_size=4)),
+    built=st.sampled_from([cyclic_circle(1), construct(2, 3)]),
+)
+def test_load_certificate_fuzz_raises_only_spheremap_errors(recipe, built):
+    doc = json.loads(serialize(built))
+    doc["metadata"]["recipe"] = recipe
+    try:
+        load_certificate(json.dumps(doc))
+    except SpheremapError:
+        pass

@@ -287,3 +287,22 @@ def test_link_reduction_nonzero_degree_bounded_vertices_has_cut():
         assert len(ls.oriented.vertices) <= 2 * ls.dimension + 3
         assert degree(ls).degree != 0
         assert singleton_colors(ls)
+
+
+def test_cached_results_are_read_only():
+    ls = cyclic_circle(2).labeled
+    with pytest.raises(TypeError):
+        degree(ls).per_target_facet[1] = ()
+    with pytest.raises(TypeError):
+        ls.labels[ls.complex.vertices[0]] = 1
+    cached = (
+        ls.color_classes,
+        degree(ls).per_target_sums,
+        ls.complex.facets_at,
+        ls.complex.ridge_entries,
+        ls.oriented.sign_by_facet,
+    )
+    for mapping in cached:
+        with pytest.raises(TypeError):
+            mapping[0] = 0
+    assert degree(ls).degree == 2 and len(degree(ls).per_target_facet[1]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,21 @@ def test_load_certificate_checks_recipe():
             load_certificate(json.dumps(doc))
     doc["metadata"]["recipe"] = [["literal", literal]]
     assert load_certificate(json.dumps(doc)).labeled == construct(2, 3).labeled
+
+
+def test_document_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for raw in (False, True):
+        digest.update(serialize(degree_four_witness(raw=raw)).encode())
+    for n in range(1, 6):
+        for d in (-7, -2, -1, 0, 1, 2, 3, 5, 9):
+            cert = construct(n, d)
+            digest.update(serialize(cert).encode())
+            if d != 0:
+                digest.update(serialize(one_point_suspension(cert)).encode())
+    assert digest.hexdigest() == (
+        "31da6f3c830308f34dd305de62a387b30b43ae03eafa6d890023a5fa1be871c5"
+    )
 
 
 def test_parse_rejects_bad_json():
