@@ -2,15 +2,20 @@
 
 Dimension 1 and 2 only: circles are enumerated directly, 2-spheres by
 vertex splitting from the boundary tetrahedron with canonical-form
-deduplication.  For a fixed complex, colorings are searched with two
-reductions that never lose witnesses:
+deduplication.  For a fixed complex, a depth-first search colors the
+vertices in one fixed order and keeps one state per facet: the bit mask
+of the colors placed on it, or a degenerate mark once a color repeats.
+A facet is decided at its last vertex in that order, where its sign and
+target come from the degree module's sign rule.  Two reductions never
+lose witnesses:
 
 * color-permutation quotient: colors are forced to appear in first-use
-  order along a fixed vertex ordering, and both degrees d and -d are
-  accepted (an odd color swap flips a -d witness back to +d);
-* interval pruning: a partial coloring is abandoned when, for every
-  accepted degree D, some target facet's completed signed sum can no
-  longer reach D given the number of facets still open for that target.
+  order along the vertex order, and both degrees d and -d are accepted
+  (an odd color swap flips a -d witness back to +d);
+* per-target interval bound: a partial coloring is abandoned when, for
+  every accepted degree D, some target's signed sum over its decided
+  facets is further from D than the number of undecided facets that can
+  still map onto that target.
 """
 
 from __future__ import annotations
@@ -18,19 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
-from .complexes import (
-    Complex,
-    build_complex,
-    canonical_form,
-    orient,
-    parity_to_sorted,
-)
+from .complexes import Complex, build_complex, canonical_form, orient
 from .constructions import construct
-from .degree import LabeledSphere, Labeling, _is_int, degree, labeled_sphere
+from .degree import LabeledSphere, Labeling, _facet_sign, _is_int, degree, labeled_sphere
 from .errors import (
     BudgetExceeded,
     InvalidDimension,
+    SpheremapError,
     UnsupportedDimension,
     ValidationError,
 )
@@ -49,6 +50,9 @@ __all__ = [
 
 # class counts for 2-spheres grow steeply past this; desk-scale contract
 MAX_SPLIT_VERTICES = 12
+
+# facet state once a color repeats on it; otherwise the state is a color mask
+_DEGENERATE = -1
 
 
 def enumerate_spheres(n: int, v: int):
@@ -134,20 +138,15 @@ def _order_vertices(K: Complex) -> list[int]:
     vertex completing the most facets whose other vertices are placed."""
     order = list(K.facets[0])
     placed = set(order)
+
+    def score(v: int) -> tuple[int, int]:
+        closes = sum(all(u in placed for u in f if u != v) for f in K.facets_at[v])
+        return closes, -v
+
     while len(placed) < len(K.vertices):
-        best = None
-        for v in K.vertices:
-            if v in placed:
-                continue
-            score = sum(
-                1
-                for f in K.facets_at[v]
-                if all(u in placed for u in f if u != v)
-            )
-            if best is None or score > best[0] or (score == best[0] and v < best[1]):
-                best = (score, v)
-        order.append(best[1])
-        placed.add(best[1])
+        v = max((u for u in K.vertices if u not in placed), key=score)
+        order.append(v)
+        placed.add(v)
     return order
 
 
@@ -158,101 +157,72 @@ def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
     to the reductions in the module docstring: a coloring of degree d
     exists iff this scan returns one.
     """
-    n = K.dimension
-    ncolors = n + 2
-    facet_size = n + 1
-    oriented = orient(K)
+    ncolors = K.dimension + 2
+    colors = range(1, ncolors + 1)
+    eps = orient(K).signs
     order = _order_vertices(K)
-    facets = K.facets
-    eps = oriented.signs
-    nf = len(facets)
-    facets_of = {v: [] for v in order}
-    for fi, f in enumerate(facets):
+    position = {v: i for i, v in enumerate(order)}
+    # per vertex: (facet index, whether the vertex is the facet's last in order)
+    touches: dict[int, list[tuple[int, bool]]] = {v: [] for v in order}
+    for fi, f in enumerate(K.facets):
+        last = max(f, key=position.__getitem__)
         for v in f:
-            facets_of[v].append(fi)
+            touches[v].append((fi, v == last))
 
-    full_mask = (1 << (ncolors + 1)) - 2  # bits 1..ncolors
-    count = [0] * nf
-    mask = [0] * nf
-    degen = [False] * nf
-    sums = [0] * (ncolors + 1)
-    open_for = [nf] * (ncolors + 1)
+    state = [0] * len(K.facets)  # bit mask of placed colors, or _DEGENERATE
+    sums = [0] * (ncolors + 1)  # signed sum of the closed facets over each target
+    open_for = [len(K.facets)] * (ncolors + 1)  # undecided facets that may hit each target
     color_of: dict[int, int] = {}
     accepted = (d,) if d == 0 else (d, -d)
-    stats = {"nodes": 0}
+    nodes = 0
 
-    def feasible() -> bool:
-        for D in accepted:
-            if all(abs(D - sums[m]) <= open_for[m] for m in range(1, ncolors + 1)):
-                return True
-        return False
-
-    def assign(v: int, c: int, trail: list) -> None:
+    def place(v: int, c: int) -> None:
         color_of[v] = c
         bit = 1 << c
-        for fi in facets_of[v]:
-            trail.append((fi, count[fi], mask[fi], degen[fi]))
-            count[fi] += 1
-            if degen[fi]:
+        for fi, closes in touches[v]:
+            mask = state[fi]
+            if mask == _DEGENERATE:
                 continue
-            if mask[fi] & bit:
-                # facet just became degenerate: it was open for every color
-                # missing from its mask, and is now open for none
-                degen[fi] = True
-                for m in range(1, ncolors + 1):
-                    if not mask[fi] & (1 << m):
+            if mask & bit:
+                # a repeated color: the facet can no longer hit any target
+                state[fi] = _DEGENERATE
+                for m in colors:
+                    if not mask & (1 << m):
                         open_for[m] -= 1
-                        trail.append(("open", m))
                 continue
-            mask[fi] |= bit
+            state[fi] = mask | bit
             open_for[c] -= 1
-            trail.append(("open", c))
-            if count[fi] == facet_size:
-                missing = full_mask & ~mask[fi]
-                m = missing.bit_length() - 1
-                open_for[m] -= 1
-                trail.append(("open", m))
-                sigma = parity_to_sorted([color_of[u] for u in facets[fi]])
-                val = eps[fi] * sigma * (-1 if (n + m) % 2 else 1)
-                sums[m] += val
-                trail.append(("sum", m, val))
-
-    def undo(v: int, trail: list) -> None:
-        del color_of[v]
-        for entry in reversed(trail):
-            tag = entry[0]
-            if tag == "open":
-                open_for[entry[1]] += 1
-            elif tag == "sum":
-                sums[entry[1]] -= entry[2]
-            else:
-                fi, c0, m0, d0 = entry
-                count[fi], mask[fi], degen[fi] = c0, m0, d0
+            if closes:
+                sign, target = _facet_sign(color_of, ncolors, eps[fi], K.facets[fi])
+                open_for[target] -= 1
+                sums[target] += sign
 
     def dfs(pos: int, max_used: int) -> Labeling | None:
+        nonlocal nodes
         if pos == len(order):
-            value = sums[1]
-            if value == d:
+            if sums[1] == d:
                 return dict(color_of)
-            # value == -d by the feasibility check; an odd swap flips it
-            return {
-                v: (2 if c == 1 else 1 if c == 2 else c)
-                for v, c in color_of.items()
-            }
+            # sums[1] == -d by the interval bound; an odd swap flips it
+            return {v: (2 if c == 1 else 1 if c == 2 else c) for v, c in color_of.items()}
         v = order[pos]
-        for c in range(1, min(max_used + 1, ncolors) + 1):
-            trail: list = []
-            assign(v, c, trail)
-            stats["nodes"] += 1
-            if feasible():
+        masks = [state[fi] for fi, _ in touches[v]]
+        saved_sums, saved_open = sums[:], open_for[:]
+        for c in colors[: max_used + 1]:
+            place(v, c)
+            nodes += 1
+            if any(all(abs(D - sums[m]) <= open_for[m] for m in colors) for D in accepted):
                 found = dfs(pos + 1, max(max_used, c))
                 if found is not None:
                     return found
-            undo(v, trail)
+            for (fi, _), mask in zip(touches[v], masks):
+                state[fi] = mask
+            sums[:] = saved_sums
+            open_for[:] = saved_open
+        del color_of[v]
         return None
 
     witness = dfs(0, 0)
-    return witness, stats["nodes"]
+    return witness, nodes
 
 
 def exists_labeling(K: Complex, d: int) -> Labeling | None:
@@ -294,31 +264,24 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
         raise BudgetExceeded(
             f"v_max {v_max} above the n=2 guard ({MAX_SPLIT_VERTICES})"
         )
-    triangulations = 0
-    labelings = 0
-    for v in range(n + 2, v_max + 1):
-        for K in enumerate_spheres(n, v):
-            witness, nodes = _search_labelings(K, d)
-            triangulations += 1
-            labelings += nodes
-            if witness is not None:
-                ls = labeled_sphere(orient(K), witness)
-                assert degree(ls).degree == d
-                return LambdaResult(
-                    n=n,
-                    d=d,
-                    v_max=v_max,
-                    lambda_value=v,
-                    witness=ls,
-                    triangulations_examined=triangulations,
-                    labelings_examined=labelings,
-                )
+    triangulations = labelings = 0
+    witness = None
+    sizes = range(n + 2, v_max + 1)
+    for K in chain.from_iterable(enumerate_spheres(n, v) for v in sizes):
+        coloring, nodes = _search_labelings(K, d)
+        triangulations += 1
+        labelings += nodes
+        if coloring is not None:
+            witness = labeled_sphere(orient(K), coloring)
+            if degree(witness).degree != d:
+                raise SpheremapError(f"search witness does not have degree {d}")
+            break
     return LambdaResult(
         n=n,
         d=d,
         v_max=v_max,
-        lambda_value=None,
-        witness=None,
+        lambda_value=None if witness is None else len(witness.complex.vertices),
+        witness=witness,
         triangulations_examined=triangulations,
         labelings_examined=labelings,
     )
@@ -414,27 +377,21 @@ def lambda_table(requests) -> LambdaTable:
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
             res = lambda_search(n, d, v_max)
-            if res.found:
-                rows.append(
-                    LambdaRow(
-                        n=n,
-                        d=d,
-                        lambda_value=res.lambda_value,
-                        status="exact_search",
-                        note=f"exhaustive search to v_max={v_max}",
-                        witness_vertices=res.lambda_value,
-                    )
+            status, note = (
+                ("exact_search", f"exhaustive search to v_max={v_max}")
+                if res.found
+                else ("not_found_within_budget", f"no witness with up to {v_max} vertices")
+            )
+            rows.append(
+                LambdaRow(
+                    n=n,
+                    d=d,
+                    lambda_value=res.lambda_value,
+                    status=status,
+                    note=note,
+                    witness_vertices=res.lambda_value,
                 )
-            else:
-                rows.append(
-                    LambdaRow(
-                        n=n,
-                        d=d,
-                        lambda_value=None,
-                        status="not_found_within_budget",
-                        note=f"no witness with up to {v_max} vertices",
-                    )
-                )
+            )
             continue
         formula = known_lambda(n, d)
         if formula is not None:

@@ -1,13 +1,16 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import spheremap.search
 from spheremap import (
     BudgetExceeded,
     InvalidDimension,
     MAX_SPLIT_VERTICES,
     SphereStatus,
+    SpheremapError,
     UnsupportedDimension,
     build_complex,
     degree,
@@ -19,6 +22,7 @@ from spheremap import (
     lambda_search,
     lambda_table,
     orient,
+    serialize,
 )
 
 OCTAHEDRON = build_complex([
@@ -104,16 +108,17 @@ def test_exists_labeling_octahedron_degree_one():
 
 def test_pruned_search_equals_brute_force():
     # completeness of the pruning + first-use color normalization, checked
-    # against the unpruned 4^v scan on every small class
-    for v in (4, 5, 6):
-        for K in enumerate_spheres(2, v):
-            reachable = brute_force_degrees(K)
-            for d in range(-4, 5):
-                witness = exists_labeling(K, d)
-                assert (witness is not None) == (d in reachable)
-                if witness is not None:
-                    ls = labeled_sphere(orient(K), witness)
-                    assert degree(ls).degree == d
+    # against the unpruned scan on every small circle and 2-sphere class
+    circles = [next(enumerate_spheres(1, v)) for v in range(3, 9)]
+    spheres = [K for v in (4, 5, 6) for K in enumerate_spheres(2, v)]
+    for K in circles + spheres:
+        reachable = brute_force_degrees(K)
+        for d in range(-4, 5):
+            witness = exists_labeling(K, d)
+            assert (witness is not None) == (d in reachable)
+            if witness is not None:
+                ls = labeled_sphere(orient(K), witness)
+                assert degree(ls).degree == d
 
 
 def test_lambda_circle_values():
@@ -131,12 +136,36 @@ def test_lambda_small_sphere_values():
     assert lambda_search(2, 4, 10).lambda_value == 10
 
 
+# (n, d, v_max) -> (lambda, triangulations examined, labelings examined,
+# SHA-256 of the serialized witness); pins the search's output and its work
+SEARCH_PINS = {
+    (2, 2, 8): (7, 5, 273, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
+    (2, 3, 9): (8, 10, 436, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
+    (2, 5, 9): (None, 73, 7683, None),
+    (1, 3, 8): (None, 6, 407, None),
+    (1, 4, 12): (12, 10, 11880, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
+}
+
+
 def test_lambda_counts_examined():
-    result = lambda_search(2, 2, 8)
-    # classes with v < 7 are all exhausted: 1 + 1 + 2 at v = 4, 5, 6
-    assert result.lambda_value == 7
-    assert result.triangulations_examined >= 5
-    assert result.labelings_examined > 0
+    for (n, d, v_max), pinned in SEARCH_PINS.items():
+        r = lambda_search(n, d, v_max)
+        digest = None if r.witness is None else (
+            hashlib.sha256(serialize(r.witness).encode()).hexdigest()
+        )
+        got = (r.lambda_value, r.triangulations_examined, r.labelings_examined, digest)
+        assert got == pinned, (n, d, v_max)
+
+
+def test_lambda_search_rejects_wrong_witness(monkeypatch):
+    # a coloring whose degree is not d must raise, also under python -O
+    monkeypatch.setattr(
+        spheremap.search,
+        "_search_labelings",
+        lambda K, d: ({v: 1 for v in K.vertices}, 1),
+    )
+    with pytest.raises(SpheremapError, match="does not have degree 2"):
+        lambda_search(2, 2, 8)
 
 
 def test_lambda_guards():
