@@ -16,13 +16,18 @@ The two composable moves are:
 construct(n, d) composes these from small seeds so that the vertex count
 stays within ((n+2)/n)*|d| + 2n+2, and hits the known exact minima for
 |d| <= 1 and for d in {2,3,4} with n >= d-1 (n+d+3 vertices).
+
+construct and replay splice a run of insertions into one facet -> sign dict
+and certify once, so both take time linear in |d|; both raise BudgetExceeded
+before building anything above MAX_BUILD_DIMENSION or MAX_BUILD_VERTICES.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, count, groupby
 
 from .complexes import (
     Facet,
@@ -36,9 +41,9 @@ from .complexes import (
 )
 from .degree import (
     LabeledSphere,
+    _facet_sign,
     _is_int,
     degree,
-    facet_sign,
     labeled_sphere,
     relabel,
     reverse_orientation,
@@ -46,6 +51,7 @@ from .degree import (
 from .errors import (
     BadFacetColors,
     BadFacetSign,
+    BudgetExceeded,
     FacetNotFound,
     InvalidDimension,
     PivotNotFound,
@@ -65,7 +71,17 @@ __all__ = [
     "construct",
     "replay",
     "vertex_bound",
+    "MAX_BUILD_DIMENSION",
+    "MAX_BUILD_VERTICES",
 ]
+
+# construct and replay build whatever they are asked for, and untrusted
+# input (table specs, CLI arguments, recipes) picks the size.  Work grows
+# with the facet count, about n times the vertex count, times the facet
+# size n+1: at both caps, construct plus serialize takes about 14 s and
+# 740 MiB (2 vCPU Xeon, Python 3.11).
+MAX_BUILD_DIMENSION = 12
+MAX_BUILD_VERTICES = 20_000
 
 RecipeStep = tuple
 Recipe = tuple[RecipeStep, ...]
@@ -89,8 +105,10 @@ class ConstructionCertificate:
         return self.labeled.dimension
 
 
-def _certify(ls: LabeledSphere, recipe: Recipe) -> ConstructionCertificate:
+def _certify(ls: LabeledSphere, recipe: Recipe, expected=None) -> ConstructionCertificate:
     d = degree(ls).degree
+    if expected is not None and d != expected:  # the degree a move predicts
+        raise SpheremapError(f"move gave degree {d}, expected {expected}")  # pragma: no cover
     return ConstructionCertificate(
         labeled=ls,
         claimed_degree=d,
@@ -184,16 +202,7 @@ def one_point_suspension(x, pivot: int | None = None) -> ConstructionCertificate
     labels = dict(ls.labels)
     labels[apex] = n + 3
     out = labeled_sphere(oriented, labels)
-    cert = _certify(out, recipe + (("suspend", pivot),))
-    if cert.claimed_degree != degree(ls).degree:
-        raise SpheremapError("suspension changed the degree")  # pragma: no cover
-    return cert
-
-
-def _qualifying_facets(ls: LabeledSphere) -> list[Facet]:
-    """Facets mapping with sign +1 onto the target facet colored {1..n+1}."""
-    rep = degree(ls)
-    return sorted(f for f, s in rep.per_target_facet[ls.dimension + 2] if s == 1)
+    return _certify(out, recipe + (("suspend", pivot),), degree(ls).degree)
 
 
 def insertion_step(x, facet: Facet | None = None) -> ConstructionCertificate:
@@ -202,39 +211,50 @@ def insertion_step(x, facet: Facet | None = None) -> ConstructionCertificate:
     The facet must carry map sign +1 and the colors {1..n+1}.  When no facet
     is given, the lexicographically smallest qualifying one is used.
     """
+    return _insert(x, [facet])
+
+
+def _insert(x, facets) -> ConstructionCertificate:
+    """An insertion step at each of ``facets`` (None: the smallest qualifying
+    facet), all spliced into one facet -> sign dict and certified once."""
     ls, recipe = _as_labeled(x)
     n = ls.dimension
-    want = set(range(1, n + 2))
-    if facet is None:
-        candidates = _qualifying_facets(ls)
-        if not candidates:
-            raise FacetNotFound("no facet with sign +1 and colors {1..n+1}")
-        facet = candidates[0]
-    else:
-        facet = tuple(sorted(facet))
-        if facet not in ls.complex.facet_set:
-            raise FacetNotFound(f"{facet} is not a facet of the complex")
-        cols = {ls.labels[v] for v in facet}
-        if cols != want:
-            raise BadFacetColors(f"facet colors {sorted(cols)} != {sorted(want)}")
-        s, _ = facet_sign(ls, facet)
-        if s != 1:
-            raise BadFacetSign(f"facet {facet} has map sign {s}, need +1")
-
+    signs = dict(ls.oriented.sign_by_facet)
     labels = dict(ls.labels)
-    w = max(ls.oriented.vertices) + 1
-    new = dict(_stellar_pairs(facet, ls.oriented.sign_of(facet), w))
-    labels[w] = n + 2
-    for i, u in enumerate(facet, 1):  # sorted order: deterministic ids
-        a = tuple(sorted(tuple(z for z in facet if z != u) + (w,)))
-        new.update(_stellar_pairs(a, new.pop(a), w + i))
-        labels[w + i] = ls.labels[u]
-    kept = [(f, s) for f, s in zip(ls.complex.facets, ls.oriented.signs) if f != facet]
-    out = labeled_sphere(OrientedComplex.from_pairs(n, kept + list(new.items())), labels)
-    cert = _certify(out, recipe + (("insert", tuple(facet)),))
-    if cert.claimed_degree != degree(ls).degree + n:
-        raise SpheremapError("insertion step did not add n to the degree")  # pragma: no cover
-    return cert
+    before = degree(ls)
+    # qualifying facets, sorted and so a heap; consumed ones are skipped on pop
+    heap = sorted(f for f, s in before.per_target_facet[n + 2] if s == 1)
+    steps = []
+    for w, facet in zip(count(max(ls.oriented.vertices) + 1, n + 2), facets):
+        if facet is None:
+            while heap and heap[0] not in signs:
+                heapq.heappop(heap)
+            if not heap:
+                raise FacetNotFound("no facet with sign +1 and colors {1..n+1}")
+            facet = heapq.heappop(heap)
+        else:
+            facet = tuple(sorted(facet))
+            if facet not in signs:
+                raise FacetNotFound(f"{facet} is not a facet of the complex")
+            cols = {labels[v] for v in facet}
+            if cols != set(range(1, n + 2)):
+                raise BadFacetColors(f"facet colors {sorted(cols)} != {list(range(1, n + 2))}")
+            s, _ = _facet_sign(labels, n + 2, signs[facet], facet)
+            if s != 1:
+                raise BadFacetSign(f"facet {facet} has map sign {s}, need +1")
+        new = dict(_stellar_pairs(facet, signs.pop(facet), w))
+        labels[w] = n + 2
+        for i, u in enumerate(facet, 1):  # sorted order: deterministic ids
+            a = tuple(sorted(tuple(z for z in facet if z != u) + (w,)))
+            new.update(_stellar_pairs(a, new.pop(a), w + i))
+            labels[w + i] = labels[u]
+        for f, eps in new.items():
+            if _facet_sign(labels, n + 2, eps, f) == (1, n + 2):
+                heapq.heappush(heap, f)
+        signs.update(new)
+        steps.append(("insert", facet))
+    out = labeled_sphere(OrientedComplex.from_pairs(n, signs.items()), labels)
+    return _certify(out, recipe + tuple(steps), before.degree + n * len(steps))
 
 
 def degree_four_witness(raw: bool = False) -> ConstructionCertificate:
@@ -276,28 +296,33 @@ def construct(n: int, d: int) -> ConstructionCertificate:
     """
     if n < 1:
         raise InvalidDimension(f"construct needs n >= 1, got {n}")
+    _check_budget(n, vertex_bound(n, d))
     if n == 1:
         return degree_zero_sphere(1) if d == 0 else cyclic_circle(d)
     if d == 0:
         return degree_zero_sphere(n)
-    a = abs(d)
-    if a == 1:
+    k, l = divmod(abs(d), n)
+    if l == 0:
+        k, l = k - 1, n
+    if l == 1:
         cert = boundary_simplex(n)
     else:
-        k, l = divmod(a, n)
-        if l == 0:
-            k, l = k - 1, n
-        if l == 1:
-            cert = boundary_simplex(n)
-        else:
-            cert = insertion_step(boundary_simplex(l - 1))
-            for _ in range(n - l + 1):
-                cert = one_point_suspension(cert)
-        for _ in range(k):
-            cert = insertion_step(cert)
+        cert = insertion_step(boundary_simplex(l - 1))
+        for _ in range(n - l + 1):
+            cert = one_point_suspension(cert)
+    if k:
+        cert = _insert(cert, [None] * k)
     if d < 0:
         cert = _reverse_certificate(cert)
     return cert
+
+
+def _check_budget(dimension: int, vertices: int) -> None:
+    if dimension > MAX_BUILD_DIMENSION or vertices > MAX_BUILD_VERTICES:
+        raise BudgetExceeded(
+            f"dimension {dimension} on {vertices} vertices is above the build caps "
+            f"(dimension {MAX_BUILD_DIMENSION}, {MAX_BUILD_VERTICES} vertices)"
+        )
 
 
 def _reverse_certificate(cert: ConstructionCertificate) -> ConstructionCertificate:
@@ -311,6 +336,7 @@ def _is_facet(x) -> bool:
 # The recipe grammar: one seed step, then moves.  Each entry is (builder,
 # argument checks, shape): a seed's shape is the (dimension, vertex count)
 # it builds, a move's is that pair after the move given the pair before it.
+# The insert entry takes the facets of a whole run of insert steps at once.
 _SEEDS = {
     "boundary_simplex": (boundary_simplex, (_is_int,), lambda n: (n, n + 2)),
     "cyclic_circle": (cyclic_circle, (_is_int,), lambda d: (1, 3 * abs(d))),
@@ -325,7 +351,7 @@ _SEEDS = {
 }
 _MOVES = {
     "suspend": (one_point_suspension, (_is_int,), lambda dim, size, _: (dim + 1, size + 1)),
-    "insert": (insertion_step, (_is_facet,), lambda dim, size, _: (dim, size + dim + 2)),
+    "insert": (_insert, (_is_facet,), lambda dim, size, _: (dim, size + dim + 2)),
     "reverse": (_reverse_certificate, (), lambda dim, size: (dim, size)),
 }
 
@@ -365,12 +391,18 @@ def _recipe_shape(recipe) -> tuple[int, int]:
 def replay(recipe) -> ConstructionCertificate:
     """Re-run a recipe; reproduces the certificate's facet list exactly.
 
-    A malformed recipe raises ValidationError before anything is built; a
-    well-formed step that does not apply raises the error of its move.
+    A malformed recipe raises ValidationError, and one building more than
+    the caps BudgetExceeded, before anything is built; a well-formed step
+    that does not apply raises the error of its move.  Each run of
+    consecutive insert steps is spliced and certified once.
     """
-    _recipe_shape(recipe)
+    _check_budget(*_recipe_shape(recipe))
     (op, *args), *moves = recipe
     cert = _SEEDS[op][0](*args)
-    for op, *args in moves:
-        cert = _MOVES[op][0](cert, *args)
+    for op, run in groupby(moves, key=lambda step: step[0]):
+        if op == "insert":
+            cert = _MOVES[op][0](cert, [facet for _, facet in run])
+        else:
+            for _, *args in run:
+                cert = _MOVES[op][0](cert, *args)
     return cert

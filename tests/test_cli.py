@@ -92,6 +92,24 @@ def test_search_budget_guard(capsys):
     assert "FAIL: BudgetExceeded" in stderr
 
 
+@pytest.mark.parametrize("n, d", [("2", "100000000"), ("1000", "7")])
+def test_construct_budget_guard(capsys, n, d):
+    code, stdout, stderr = run(capsys, "construct", "--n", n, "--d", d)
+    assert code == 1
+    assert stderr.startswith("FAIL: BudgetExceeded: ")
+    assert "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("row", [{"n": 2, "d": 100000000}, {"n": 1000, "d": 7}])
+def test_table_budget_guard(tmp_path, capsys, row):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"rows": [row]}))
+    code, stdout, stderr = run(capsys, "table", "--spec", str(path))
+    assert code == 1
+    assert stderr.startswith("FAIL: BudgetExceeded: ")
+    assert "Traceback" not in stdout + stderr
+
+
 def test_table_text_and_json(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremap import (
+    MAX_BUILD_DIMENSION,
+    MAX_BUILD_VERTICES,
     BadFacetColors,
     BadFacetSign,
+    BudgetExceeded,
     FacetNotFound,
     InvalidDimension,
     Complex,
@@ -37,6 +40,7 @@ from spheremap import (
     one_point_suspension,
     orient,
     parse,
+    permutation_sign,
     relabel,
     replay,
     reverse_orientation,
@@ -280,6 +284,66 @@ def test_replay_rejects_malformed_recipes(recipe):
         replay(recipe)
 
 
+def test_construct_budget_guard():
+    with pytest.raises(BudgetExceeded):
+        construct(2, 100_000_000)
+    with pytest.raises(BudgetExceeded):
+        construct(MAX_BUILD_DIMENSION + 1, 1)
+    n = 3  # d is the largest |d| whose vertex bound is within the cap
+    d = (MAX_BUILD_VERTICES - 2 * n - 2) * n // (n + 2)
+    assert vertex_bound(n, d) <= MAX_BUILD_VERTICES < vertex_bound(n, d + 1)
+    with pytest.raises(BudgetExceeded):
+        construct(n, d + 1)
+
+
+def test_replay_budget_guard():
+    with pytest.raises(BudgetExceeded):
+        replay([("boundary_simplex", MAX_BUILD_DIMENSION + 1)])
+    with pytest.raises(BudgetExceeded):
+        replay([("cyclic_circle", MAX_BUILD_VERTICES // 3 + 1)])
+    with pytest.raises(BudgetExceeded):
+        replay([("boundary_simplex", 2)] + [("insert", (1, 2, 3))] * (MAX_BUILD_VERTICES // 4))
+
+
+def test_insertion_run_matches_single_steps():
+    # an explicit facet consumes the smallest qualifying one, so the next
+    # default step must skip it and pick the same facet a single step picks
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    base = construct(3, 7)
+    smallest = sorted(f for f, s in degree(base.labeled).per_target_facet[5] if s == 1)[0]
+    run = constructions_mod._insert(base, [smallest, None, None])
+    steps = insertion_step(insertion_step(insertion_step(base, smallest)))
+    assert run.labeled == steps.labeled and run.recipe == steps.recipe
+    assert run.claimed_degree == 16
+
+
+# the second insertion of a run names a facet the first one consumed, a
+# facet without the colors {1..n+1}, or one mapping with sign -1
+BAD_RUN_STEPS = [
+    ((1, 2, 3), FacetNotFound, "(1, 2, 3) is not a facet of the complex"),
+    ((1, 3, 4), BadFacetColors, "facet colors [1, 3] != [1, 2, 3]"),
+    ((1, 2, 4), BadFacetSign, "facet (1, 2, 4) has map sign -1, need +1"),
+]
+
+
+@pytest.mark.parametrize("facet, error, message", BAD_RUN_STEPS)
+def test_bad_insert_in_a_run_raises_its_move_error(facet, error, message):
+    recipe = [("degree_zero", 2), ("insert", (1, 2, 3)), ("insert", facet)]
+    with pytest.raises(error) as caught:
+        replay(recipe)
+    assert str(caught.value) == message
+    with pytest.raises(error) as one_step:
+        insertion_step(insertion_step(degree_zero_sphere(2), (1, 2, 3)), facet)
+    assert str(one_step.value) == message
+
+    # a document of the shape the recipe claims, so only replaying it fails
+    doc = json.loads(serialize(insertion_step(insertion_step(degree_zero_sphere(2)))))
+    doc["metadata"]["recipe"] = [list(step) for step in recipe]
+    with pytest.raises(ValidationError) as wrapped:
+        load_certificate(json.dumps(doc))
+    assert str(wrapped.value) == f"recipe replay failed: {message}"
+
+
 def test_certificates_self_verify():
     # claimed numbers always come from the engine, never from arithmetic
     for cert in (construct(4, 9), construct(2, 2), cyclic_circle(-5)):
@@ -303,10 +367,13 @@ def test_construct_runs_degree_pass_once_per_certificate(monkeypatch):
 
     counting(constructions_mod, "_certify", "certify")
     counting(degree_mod, "_degree_report", "degree")
-    cert = construct(3, 30)
-    assert cert.claimed_degree == 30
-    # boundary_simplex(2), one insertion, one suspension, then 9 insertions
-    assert calls == {"certify": 12, "degree": 12}
+    for d in (30, 300):
+        calls.update(certify=0, degree=0)
+        cert = construct(3, d)
+        assert cert.claimed_degree == d
+        # boundary_simplex(2), one insertion, one suspension, then one
+        # batched run of insertions, whatever its length
+        assert calls == {"certify": 4, "degree": 4}
 
 
 def _oriented_union(*blocks) -> OrientedComplex:
@@ -370,11 +437,14 @@ def _assert_cached_invariants_hold(x) -> None:
     assert degree(ls) == degree(fresh)
     if isinstance(x, ConstructionCertificate):
         assert x.claimed_degree == degree(fresh).degree
+        assert replay(x.recipe).labeled == ls
     assert coherence_failures(ls.oriented) == ()
     assert parse(serialize(ls)) == ls
 
 
-MOVES = ["suspend", "insert", "relabel", "reverse", "link"]
+# insert is listed twice so chains often hold runs of consecutive insertions,
+# which replay splices in one batch
+MOVES = ["suspend", "insert", "insert", "relabel", "reverse", "link"]
 SEEDS = st.one_of(
     st.integers(1, 3).map(boundary_simplex),
     st.sampled_from([-3, -2, -1, 1, 2, 3]).map(cyclic_circle),
@@ -386,28 +456,36 @@ SEEDS = st.one_of(
 def test_move_chains_keep_cached_invariants(seed, data):
     x = seed
     _assert_cached_invariants_hold(x)
-    moves = data.draw(st.lists(st.sampled_from(MOVES), max_size=4))
+    moves = data.draw(st.lists(st.sampled_from(MOVES), max_size=6))
     for move in moves:
         ls = x.labeled if isinstance(x, ConstructionCertificate) else x
         n = ls.dimension
+        before = degree(ls).degree
         if move == "suspend" and n < 3:
             x = one_point_suspension(x, data.draw(st.sampled_from(ls.oriented.vertices)))
+            law = before
         elif move == "insert":
             qualifying = sorted(f for f, s in degree(ls).per_target_facet[n + 2] if s == 1)
             if not qualifying:
                 continue
             x = insertion_step(x, data.draw(st.sampled_from(qualifying)))
+            law = before + n
         elif move == "relabel":
             colors = range(1, ls.color_count + 1)
-            x = relabel(ls, dict(zip(colors, data.draw(st.permutations(colors)))))
+            perm = dict(zip(colors, data.draw(st.permutations(colors))))
+            x = relabel(ls, perm)
+            law = permutation_sign(perm) * before
         elif move == "reverse":
             x = reverse_orientation(ls)
+            law = -before
         elif move == "link" and n >= 2 and singleton_colors(ls):
             cut = data.draw(st.sampled_from(sorted(singleton_colors(ls).values())))
             x = link_reduction(ls, cut)
+            law = before
         else:
             continue
         _assert_cached_invariants_hold(x)
+        assert degree(x.labeled if isinstance(x, ConstructionCertificate) else x).degree == law
 
 
 # recipe steps built from the grammar's op names, well-formed or with junk
