@@ -18,8 +18,9 @@ stays within ((n+2)/n)*|d| + 2n+2, and hits the known exact minima for
 |d| <= 1 and for d in {2,3,4} with n >= d-1 (n+d+3 vertices).
 
 construct and replay splice a run of insertions into one facet -> sign dict
-and certify once, so both take time linear in |d|; both raise BudgetExceeded
-before building anything above MAX_BUILD_DIMENSION or MAX_BUILD_VERTICES.
+and certify once, so both take time linear in |d|.  construct, replay and
+both moves raise BudgetExceeded before building anything above
+MAX_BUILD_DIMENSION or MAX_BUILD_VERTICES, so every output loads again.
 """
 
 from __future__ import annotations
@@ -190,6 +191,7 @@ def one_point_suspension(x, pivot: int | None = None) -> ConstructionCertificate
     elif pivot not in ls.labels:
         raise PivotNotFound(f"pivot {pivot} is not a vertex")
     n = ls.dimension
+    _check_budget(n + 1, len(verts) + 1)
     apex = max(verts) + 1
     pairs: list[tuple[Facet, int]] = []
     for facet, eps in zip(ls.complex.facets, ls.oriented.signs):
@@ -219,6 +221,7 @@ def _insert(x, facets) -> ConstructionCertificate:
     facet), all spliced into one facet -> sign dict and certified once."""
     ls, recipe = _as_labeled(x)
     n = ls.dimension
+    _check_budget(n, len(ls.oriented.vertices) + (n + 2) * len(facets))
     signs = dict(ls.oriented.sign_by_facet)
     labels = dict(ls.labels)
     before = degree(ls)

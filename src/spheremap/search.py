@@ -12,10 +12,13 @@ lose witnesses:
 * color-permutation quotient: colors are forced to appear in first-use
   order along the vertex order, and both degrees d and -d are accepted
   (an odd color swap flips a -d witness back to +d);
-* per-target interval bound: a partial coloring is abandoned when, for
-  every accepted degree D, some target's signed sum over its decided
-  facets is further from D than the number of undecided facets that can
-  still map onto that target.
+* counting bound: a live facet (undecided, no repeated color) can still
+  land on at most one target, so a partial coloring is abandoned when, for
+  every accepted degree D, sum_t |D - s_t| over the targets' signed sums
+  s_t exceeds the number of live facets.
+
+lambda_search caps v_max at MAX_SPLIT_VERTICES for 2-spheres and at
+MAX_CIRCLE_VERTICES for circles.
 """
 
 from __future__ import annotations
@@ -46,10 +49,14 @@ __all__ = [
     "lambda_table",
     "known_lambda",
     "MAX_SPLIT_VERTICES",
+    "MAX_CIRCLE_VERTICES",
 ]
 
 # class counts for 2-spheres grow steeply past this; desk-scale contract
 MAX_SPLIT_VERTICES = 12
+# a circle search to v_max is cubic in v_max (_order_vertices is quadratic
+# per circle): about 0.6 s to 99 vertices, which covers |d| <= 33
+MAX_CIRCLE_VERTICES = 99
 
 # facet state once a color repeats on it; otherwise the state is a color mask
 _DEGENERATE = -1
@@ -171,12 +178,13 @@ def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
 
     state = [0] * len(K.facets)  # bit mask of placed colors, or _DEGENERATE
     sums = [0] * (ncolors + 1)  # signed sum of the closed facets over each target
-    open_for = [len(K.facets)] * (ncolors + 1)  # undecided facets that may hit each target
+    live = len(K.facets)  # undecided facets without a repeated color
     color_of: dict[int, int] = {}
     accepted = (d,) if d == 0 else (d, -d)
     nodes = 0
 
     def place(v: int, c: int) -> None:
+        nonlocal live
         color_of[v] = c
         bit = 1 << c
         for fi, closes in touches[v]:
@@ -186,38 +194,35 @@ def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
             if mask & bit:
                 # a repeated color: the facet can no longer hit any target
                 state[fi] = _DEGENERATE
-                for m in colors:
-                    if not mask & (1 << m):
-                        open_for[m] -= 1
+                live -= 1
                 continue
             state[fi] = mask | bit
-            open_for[c] -= 1
             if closes:
                 sign, target = _facet_sign(color_of, ncolors, eps[fi], K.facets[fi])
-                open_for[target] -= 1
                 sums[target] += sign
+                live -= 1
 
     def dfs(pos: int, max_used: int) -> Labeling | None:
-        nonlocal nodes
+        nonlocal nodes, live
         if pos == len(order):
             if sums[1] == d:
                 return dict(color_of)
-            # sums[1] == -d by the interval bound; an odd swap flips it
+            # every sum is -d by the counting bound; an odd swap flips it
             return {v: (2 if c == 1 else 1 if c == 2 else c) for v, c in color_of.items()}
         v = order[pos]
         masks = [state[fi] for fi, _ in touches[v]]
-        saved_sums, saved_open = sums[:], open_for[:]
+        saved_sums, saved_live = sums[:], live
         for c in colors[: max_used + 1]:
             place(v, c)
             nodes += 1
-            if any(all(abs(D - sums[m]) <= open_for[m] for m in colors) for D in accepted):
+            if any(sum(abs(D - sums[m]) for m in colors) <= live for D in accepted):
                 found = dfs(pos + 1, max(max_used, c))
                 if found is not None:
                     return found
             for (fi, _), mask in zip(touches[v], masks):
                 state[fi] = mask
             sums[:] = saved_sums
-            open_for[:] = saved_open
+            live = saved_live
         del color_of[v]
         return None
 
@@ -260,10 +265,9 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
     """
     if n not in (1, 2):
         raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {n}")
-    if n == 2 and v_max > MAX_SPLIT_VERTICES:
-        raise BudgetExceeded(
-            f"v_max {v_max} above the n=2 guard ({MAX_SPLIT_VERTICES})"
-        )
+    cap = MAX_CIRCLE_VERTICES if n == 1 else MAX_SPLIT_VERTICES
+    if v_max > cap:
+        raise BudgetExceeded(f"v_max {v_max} above the n={n} guard ({cap})")
     triangulations = labelings = 0
     witness = None
     sizes = range(n + 2, v_max + 1)

@@ -100,7 +100,9 @@ def test_construct_budget_guard(capsys, n, d):
     assert "Traceback" not in stdout + stderr
 
 
-@pytest.mark.parametrize("row", [{"n": 2, "d": 100000000}, {"n": 1000, "d": 7}])
+@pytest.mark.parametrize(
+    "row", [{"n": 2, "d": 100000000}, {"n": 1000, "d": 7}, {"n": 1, "d": 400, "v_max": 1200}]
+)
 def test_table_budget_guard(tmp_path, capsys, row):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"rows": [row]}))
@@ -108,6 +110,41 @@ def test_table_budget_guard(tmp_path, capsys, row):
     assert code == 1
     assert stderr.startswith("FAIL: BudgetExceeded: ")
     assert "Traceback" not in stdout + stderr
+
+
+def test_circle_search_budget_guard(capsys):
+    code, stdout, stderr = run(
+        capsys, "search", "--n", "1", "--d", "100000", "--max-vertices", "100000000"
+    )
+    assert code == 1
+    assert stderr.startswith("FAIL: BudgetExceeded: ")
+    assert "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("move", ["suspend", "insert"])
+def test_moves_obey_build_caps(tmp_path, capsys, monkeypatch, move):
+    # no move writes a document that loading it again would refuse
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    base = tmp_path / "base.json"
+    out = tmp_path / "out.json"
+    run(capsys, "construct", "--n", "3", "--d", "6", "--out", str(base))
+    cert = load_certificate(base.read_text())
+    argv = [move, str(base), "--out", str(out)]
+    size = cert.vertex_count + 1
+    if move == "insert":
+        facet = min(f for f, s in degree(cert.labeled).per_target_facet[5] if s == 1)
+        argv += ["--facet", ",".join(map(str, facet))]
+        size = cert.vertex_count + 5
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", size - 1)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr.startswith("FAIL: BudgetExceeded: ")
+    assert "Traceback" not in stdout + stderr
+    assert not out.exists()
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", size)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert load_certificate(out.read_text()).vertex_count == size
 
 
 def test_table_text_and_json(tmp_path, capsys):

@@ -305,6 +305,29 @@ def test_replay_budget_guard():
         replay([("boundary_simplex", 2)] + [("insert", (1, 2, 3))] * (MAX_BUILD_VERTICES // 4))
 
 
+def test_moves_obey_build_caps(monkeypatch):
+    # a move's output must load again, and loading replays within the caps
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    base = construct(3, 6)
+    assert base.vertex_count == 14
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", 14)
+    with pytest.raises(BudgetExceeded):
+        one_point_suspension(base)
+    with pytest.raises(BudgetExceeded):
+        insertion_step(base)
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_DIMENSION", 3)
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", 15)
+    with pytest.raises(BudgetExceeded):
+        one_point_suspension(base)
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_DIMENSION", 4)
+    for move, size in ((one_point_suspension, 15), (insertion_step, 19)):
+        monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", size)
+        out = move(base)
+        assert out.vertex_count == size
+        loaded = load_certificate(serialize(out))
+        assert (loaded.labeled, loaded.recipe) == (out.labeled, out.recipe)
+
+
 def test_insertion_run_matches_single_steps():
     # an explicit facet consumes the smallest qualifying one, so the next
     # default step must skip it and pick the same facet a single step picks

@@ -8,6 +8,7 @@ import spheremap.search
 from spheremap import (
     BudgetExceeded,
     InvalidDimension,
+    MAX_CIRCLE_VERTICES,
     MAX_SPLIT_VERTICES,
     SphereStatus,
     SpheremapError,
@@ -139,11 +140,13 @@ def test_lambda_small_sphere_values():
 # (n, d, v_max) -> (lambda, triangulations examined, labelings examined,
 # SHA-256 of the serialized witness); pins the search's output and its work
 SEARCH_PINS = {
-    (2, 2, 8): (7, 5, 273, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
-    (2, 3, 9): (8, 10, 436, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
-    (2, 5, 9): (None, 73, 7683, None),
-    (1, 3, 8): (None, 6, 407, None),
-    (1, 4, 12): (12, 10, 11880, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
+    (2, 2, 8): (7, 5, 81, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
+    (2, 3, 9): (8, 10, 29, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
+    (2, 5, 9): (None, 73, 73, None),
+    (1, 3, 8): (None, 6, 6, None),
+    (1, 4, 12): (12, 10, 33, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
+    (1, 6, 18): (18, 16, 51, "29324a3c97a0190d84aab235d5734f884e39abeb666d9217c52f8242a1d60e4e"),
+    (1, 7, 21): (21, 19, 60, "8633f0dde5b7214de97070b90bdd3ca0009c8c7eb2dddb5682553d18e3752d42"),
 }
 
 
@@ -155,6 +158,22 @@ def test_lambda_counts_examined():
         )
         got = (r.lambda_value, r.triangulations_examined, r.labelings_examined, digest)
         assert got == pinned, (n, d, v_max)
+
+
+def test_witnesses_are_stable():
+    # the first witness in scan order, or None, for every small class and
+    # degree; pins which witness the search finds, not just whether it does
+    rows = []
+    for n, sizes, degrees in ((2, range(4, 10), range(-2, 6)), (1, range(3, 13), range(-4, 5))):
+        for v in sizes:
+            for i, K in enumerate(enumerate_spheres(n, v)):
+                for d in degrees:
+                    w = exists_labeling(K, d)
+                    rows.append((v, i, d, None if w is None else sorted(w.items())))
+    assert len(rows) == 674 and sum(w is not None for *_, w in rows) == 416
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "adacc2410fc7ac1d7a46ad09faae2eb37116bc19879610c275cfee86837d167e"
+    )
 
 
 def test_lambda_search_rejects_wrong_witness(monkeypatch):
@@ -173,6 +192,15 @@ def test_lambda_guards():
         lambda_search(3, 2, 8)
     with pytest.raises(BudgetExceeded):
         lambda_search(2, 2, MAX_SPLIT_VERTICES + 1)
+    with pytest.raises(BudgetExceeded):
+        lambda_search(1, 2, MAX_CIRCLE_VERTICES + 1)
+    # without the cap this scans circles up to 300,000 vertices, and the
+    # recursive scan overflows the stack on one past about 1,000
+    with pytest.raises(BudgetExceeded):
+        lambda_search(1, 100_000, 100_000_000)
+    with pytest.raises(BudgetExceeded):
+        lambda_table([{"n": 1, "d": 400, "v_max": 1_200}])
+    assert lambda_search(1, 33, MAX_CIRCLE_VERTICES).lambda_value == MAX_CIRCLE_VERTICES
 
 
 def test_known_lambda_values():
