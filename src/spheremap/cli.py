@@ -20,7 +20,7 @@ from .constructions import (
     vertex_bound,
 )
 from .degree import degree
-from .documents import load_certificate, parse_with_metadata, serialize
+from .documents import _read_json, load_certificate, parse_with_metadata, serialize
 from .errors import DocumentSyntaxError, SpheremapError
 from .search import lambda_search, lambda_table
 
@@ -162,10 +162,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        spec = json.loads(_read_text(args.spec))
-    except json.JSONDecodeError as e:
-        raise SpheremapError(f"table spec is not valid JSON: {e}") from None
+    spec = _read_json(_read_text(args.spec))
     rows = spec.get("rows") if isinstance(spec, dict) else None
     if not isinstance(rows, list):
         raise SpheremapError('table spec must be {"rows": [{"n":..,"d":..}, ...]}')

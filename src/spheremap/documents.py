@@ -122,11 +122,16 @@ def parse(text: str) -> LabeledSphere:
 
 
 def parse_with_metadata(text: str) -> tuple[LabeledSphere, dict]:
+    return _parse_document(_read_json(text))
+
+
+def _read_json(text: str):
+    """The JSON value of text; malformed or too deeply nested text raises
+    DocumentSyntaxError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
-    return _parse_document(doc)
 
 
 def _parse_document(doc) -> tuple[LabeledSphere, dict]:

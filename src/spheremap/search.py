@@ -2,12 +2,12 @@
 
 Dimension 1 and 2 only: circles are enumerated directly, 2-spheres by
 vertex splitting from the boundary tetrahedron with canonical-form
-deduplication.  For a fixed complex, a depth-first search colors the
-vertices in one fixed order and keeps one state per facet: the bit mask
-of the colors placed on it, or a degenerate mark once a color repeats.
-A facet is decided at its last vertex in that order, where its sign and
-target come from the degree module's sign rule.  Two reductions never
-lose witnesses:
+deduplication.  One pass plans the vertex order and each facet's closing
+(last) vertex; a depth-first loop over a trail of per-vertex frames, with
+no recursion, colors the vertices in that order with one state per facet:
+the bit mask of its placed colors, or a degenerate mark once a color
+repeats.  A facet is decided at its closing vertex by the degree module's
+sign rule.  Two reductions never lose witnesses:
 
 * color-permutation quotient: colors are forced to appear in first-use
   order along the vertex order, and both degrees d and -d are accepted
@@ -23,6 +23,7 @@ MAX_CIRCLE_VERTICES for circles.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,8 +55,8 @@ __all__ = [
 
 # class counts for 2-spheres grow steeply past this; desk-scale contract
 MAX_SPLIT_VERTICES = 12
-# a circle search to v_max is cubic in v_max (_order_vertices is quadratic
-# per circle): about 0.6 s to 99 vertices, which covers |d| <= 33
+# a circle scan to v_max searches every cycle up to v_max vertices, so its
+# work grows quadratically; 99 covers |d| <= 33 in about 0.05 s
 MAX_CIRCLE_VERTICES = 99
 
 # facet state once a color repeats on it; otherwise the state is a color mask
@@ -140,21 +141,36 @@ def _vertex_splits(K: Complex):
                 yield Complex(2, tuple(sorted(facets)))
 
 
-def _order_vertices(K: Complex) -> list[int]:
-    """Fixed search order: the lex-smallest facet first, then always the
-    vertex completing the most facets whose other vertices are placed."""
-    order = list(K.facets[0])
-    placed = set(order)
+def _search_plan(K: Complex) -> tuple[list[int], dict[int, list[tuple[int, bool]]]]:
+    """Search order, and per vertex its facets as (facet index, closes).
 
-    def score(v: int) -> tuple[int, int]:
-        closes = sum(all(u in placed for u in f if u != v) for f in K.facets_at[v])
-        return closes, -v
-
-    while len(placed) < len(K.vertices):
-        v = max((u for u in K.vertices if u not in placed), key=score)
-        order.append(v)
-        placed.add(v)
-    return order
+    The lex-smallest facet's vertices come first, then always the vertex
+    completing the most facets whose other vertices are placed, the smallest
+    id winning a tie.  One pass counts each facet's unplaced vertices: at 1
+    the last one is credited, at 0 the vertex just placed closes the facet.
+    """
+    index = {f: fi for fi, f in enumerate(K.facets)}
+    unplaced = dict.fromkeys(K.facets, K.dimension + 1)
+    score = dict.fromkeys(K.vertices, 0)
+    heap = [(0, v) for v in K.vertices]  # (-score, vertex); stale entries are skipped
+    first = list(reversed(K.facets[0]))
+    plan: dict[int, list[tuple[int, bool]]] = {}
+    while len(plan) < len(score):
+        if first:
+            v = first.pop()
+        else:
+            s, v = heapq.heappop(heap)
+            if v in plan or -s != score[v]:
+                continue
+        plan[v] = []
+        for f in K.facets_at[v]:
+            unplaced[f] -= 1
+            if unplaced[f] == 1:
+                (u,) = (u for u in f if u not in plan)
+                score[u] += 1
+                heapq.heappush(heap, (-score[u], u))
+            plan[v].append((index[f], unplaced[f] == 0))
+    return list(plan), plan
 
 
 def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
@@ -167,67 +183,51 @@ def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
     ncolors = K.dimension + 2
     colors = range(1, ncolors + 1)
     eps = orient(K).signs
-    order = _order_vertices(K)
-    position = {v: i for i, v in enumerate(order)}
-    # per vertex: (facet index, whether the vertex is the facet's last in order)
-    touches: dict[int, list[tuple[int, bool]]] = {v: [] for v in order}
-    for fi, f in enumerate(K.facets):
-        last = max(f, key=position.__getitem__)
-        for v in f:
-            touches[v].append((fi, v == last))
-
+    order, plan = _search_plan(K)
     state = [0] * len(K.facets)  # bit mask of placed colors, or _DEGENERATE
     sums = [0] * (ncolors + 1)  # signed sum of the closed facets over each target
     live = len(K.facets)  # undecided facets without a repeated color
     color_of: dict[int, int] = {}
     accepted = (d,) if d == 0 else (d, -d)
     nodes = 0
-
-    def place(v: int, c: int) -> None:
-        nonlocal live
-        color_of[v] = c
-        bit = 1 << c
-        for fi, closes in touches[v]:
-            mask = state[fi]
-            if mask == _DEGENERATE:
-                continue
-            if mask & bit:
-                # a repeated color: the facet can no longer hit any target
-                state[fi] = _DEGENERATE
-                live -= 1
-                continue
-            state[fi] = mask | bit
-            if closes:
-                sign, target = _facet_sign(color_of, ncolors, eps[fi], K.facets[fi])
-                sums[target] += sign
-                live -= 1
-
-    def dfs(pos: int, max_used: int) -> Labeling | None:
-        nonlocal nodes, live
-        if pos == len(order):
-            if sums[1] == d:
-                return dict(color_of)
-            # every sum is -d by the counting bound; an odd swap flips it
-            return {v: (2 if c == 1 else 1 if c == 2 else c) for v, c in color_of.items()}
-        v = order[pos]
-        masks = [state[fi] for fi, _ in touches[v]]
-        saved_sums, saved_live = sums[:], live
-        for c in colors[: max_used + 1]:
-            place(v, c)
+    # per colored vertex: color, highest allowed color, and masks, sums, live before it
+    trail: list[tuple[int, int, list[int], list[int], int]] = []
+    c = top = 1  # next color to try at the next uncolored vertex, and its highest
+    while True:
+        if c <= top:
+            v = order[len(trail)]
+            trail.append((c, top, [state[fi] for fi, _ in plan[v]], sums[:], live))
+            color_of[v] = c
             nodes += 1
+            for fi, closes in plan[v]:
+                mask = state[fi]
+                if mask == _DEGENERATE:
+                    continue
+                if mask & 1 << c:
+                    # a repeated color: the facet can no longer hit any target
+                    state[fi] = _DEGENERATE
+                    live -= 1
+                    continue
+                state[fi] = mask | 1 << c
+                if closes:
+                    sign, target = _facet_sign(color_of, ncolors, eps[fi], K.facets[fi])
+                    sums[target] += sign
+                    live -= 1
             if any(sum(abs(D - sums[m]) for m in colors) <= live for D in accepted):
-                found = dfs(pos + 1, max(max_used, c))
-                if found is not None:
-                    return found
-            for (fi, _), mask in zip(touches[v], masks):
-                state[fi] = mask
-            sums[:] = saved_sums
-            live = saved_live
-        del color_of[v]
-        return None
-
-    witness = dfs(0, 0)
-    return witness, nodes
+                if len(trail) == len(order):
+                    # every sum is d, or -d by the counting bound and an odd swap flips it
+                    swap = {} if sums[1] == d else {1: 2, 2: 1}
+                    return {u: swap.get(k, k) for u, k in color_of.items()}, nodes
+                c, top = 1, min(top + (c == top), ncolors)
+                continue
+        elif not trail:
+            return None, nodes
+        # uncolor the last colored vertex and go on with its next color
+        c, top, masks, saved_sums, live = trail.pop()
+        for (fi, _), mask in zip(plan[order[len(trail)]], masks):
+            state[fi] = mask
+        sums[:] = saved_sums
+        c += 1
 
 
 def exists_labeling(K: Complex, d: int) -> Labeling | None:

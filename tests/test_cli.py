@@ -199,10 +199,25 @@ def test_table_rejects_bad_rows(tmp_path, capsys, spec):
     assert "Traceback" not in stdout + stderr
 
 
-@pytest.mark.parametrize("command", ["verify", "suspend", "insert", "table"])
-def test_non_utf8_input_exits_one(tmp_path, capsys, command):
+# unreadable input: bytes that are not UTF-8, or JSON nested past the parser's depth
+UNREADABLE = {
+    "": (b"\xff\xfe\x00", "not UTF-8"),
+    "-deep": (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        pytest.param(command, kind, id=command + kind)
+        for kind in UNREADABLE
+        for command in ["verify", "suspend", "insert", "table"]
+    ],
+)
+def test_non_utf8_input_exits_one(tmp_path, capsys, command, kind):
+    content, reason = UNREADABLE[kind]
     path = tmp_path / "bad.json"
-    path.write_bytes(b"\xff\xfe\x00")
+    path.write_bytes(content)
     argv = {
         "verify": ["verify", str(path)],
         "suspend": ["suspend", str(path)],
@@ -212,7 +227,7 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, command):
     code, stdout, stderr = run(capsys, *argv)
     assert code == 1
     assert stderr.startswith("FAIL: DocumentSyntaxError: ")
-    assert "not UTF-8" in stderr
+    assert reason in stderr
     assert "Traceback" not in stdout + stderr
 
 

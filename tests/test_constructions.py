@@ -487,6 +487,8 @@ def test_move_chains_keep_cached_invariants(seed, data):
         if move == "suspend" and n < 3:
             x = one_point_suspension(x, data.draw(st.sampled_from(ls.oriented.vertices)))
             law = before
+            # the link of the new apex gives back the input exactly
+            assert link_reduction(x.labeled, max(x.labeled.oriented.vertices)) == ls
         elif move == "insert":
             qualifying = sorted(f for f, s in degree(ls).per_target_facet[n + 2] if s == 1)
             if not qualifying:
@@ -573,3 +575,48 @@ def test_load_certificate_fuzz_raises_only_spheremap_errors(recipe, built):
         load_certificate(json.dumps(doc))
     except SpheremapError:
         pass
+
+
+def _edit(data, value):
+    """A small edit of a real JSON value: nudge an integer, or drop,
+    duplicate, replace with junk or edit in turn one item of a list or
+    object; any other value becomes junk."""
+    if type(value) is int:
+        return value + data.draw(st.sampled_from([-1, 1]))
+    if not isinstance(value, (list, dict)) or not value:
+        return data.draw(JSON_JUNK)
+    out = dict(value) if isinstance(value, dict) else list(value)
+    key = data.draw(st.sampled_from(sorted(out) if isinstance(out, dict) else range(len(out))))
+    how = data.draw(st.sampled_from(["drop", "duplicate", "junk", "edit"]))
+    if how == "drop":
+        del out[key]
+    elif how == "duplicate" and isinstance(out, list):
+        out.insert(key, out[key])
+    elif how == "junk":
+        out[key] = data.draw(JSON_JUNK)
+    else:
+        out[key] = _edit(data, out[key])
+    return out
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    built=st.sampled_from([cyclic_circle(2), construct(2, 3), construct(3, -2)]),
+    field=st.sampled_from(["dimension", "facets", "labels", "orientation", "metadata"]),
+    how=st.sampled_from(["remove", "junk", "edit"]),
+    data=st.data(),
+)
+def test_document_fuzz_raises_only_spheremap_errors(built, field, how, data):
+    doc = json.loads(serialize(built))
+    if how == "remove":
+        del doc[field]
+    elif how == "junk":
+        doc[field] = data.draw(JSON_JUNK)
+    else:
+        doc[field] = _edit(data, doc[field])
+    text = json.dumps(doc)
+    for load in (parse, load_certificate):
+        try:
+            load(text)
+        except SpheremapError:
+            pass

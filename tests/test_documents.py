@@ -174,6 +174,9 @@ def test_parse_rejects_bad_json():
         parse("{not json")
     with pytest.raises(DocumentSyntaxError):
         parse("[1, 2, 3]")
+    # nested past the JSON parser's depth: a syntax error, not a RecursionError
+    with pytest.raises(DocumentSyntaxError):
+        parse("[" * 100_000 + "]" * 100_000)
 
 
 def test_parse_rejects_missing_fields():

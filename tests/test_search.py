@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import spheremap.search
+from spheremap.search import _search_plan
 from spheremap import (
     BudgetExceeded,
     InvalidDimension,
@@ -14,6 +15,7 @@ from spheremap import (
     SpheremapError,
     UnsupportedDimension,
     build_complex,
+    construct,
     degree,
     enumerate_spheres,
     exists_labeling,
@@ -105,6 +107,52 @@ def test_exists_labeling_octahedron_degree_one():
     assert witness is not None
     assert degree(labeled_sphere(orient(OCTAHEDRON), witness)).degree == 1
     assert 1 in brute_force_degrees(OCTAHEDRON)
+
+
+def rescored_plan(K):
+    """The search plan by brute force: rescore every unplaced vertex at each
+    step, then mark each facet's vertex placed last as its closer."""
+    order = list(K.facets[0])
+    placed = set(order)
+
+    def score(v):
+        closes = sum(all(u in placed for u in f if u != v) for f in K.facets_at[v])
+        return closes, -v
+
+    while len(placed) < len(K.vertices):
+        v = max((u for u in K.vertices if u not in placed), key=score)
+        order.append(v)
+        placed.add(v)
+    position = {v: i for i, v in enumerate(order)}
+    touches = {v: [] for v in order}
+    for fi, f in enumerate(K.facets):
+        last = max(f, key=position.__getitem__)
+        for v in f:
+            touches[v].append((fi, v == last))
+    return order, touches
+
+
+def test_search_plan_matches_rescoring():
+    spheres = [K for v in range(4, 10) for K in enumerate_spheres(2, v)]
+    circles = [next(enumerate_spheres(1, v)) for v in range(3, 21)]
+    built = [construct(n, d).labeled.complex for n in (2, 3, 4) for d in (-3, 0, 2, 5)]
+    for K in spheres + circles + built:
+        order, plan = _search_plan(K)
+        assert (order, plan) == rescored_plan(K)
+        assert list(plan) == order
+
+
+@pytest.mark.parametrize(
+    "K, d",
+    [
+        pytest.param(build_complex([(i, i % 1020 + 1) for i in range(1, 1021)]), 340, id="circle"),
+        pytest.param(construct(2, 600).labeled.complex, 600, id="construct"),
+    ],
+)
+def test_exists_labeling_on_a_thousand_vertices(K, d):
+    # one loop, not one stack frame per vertex: no RecursionError
+    witness = exists_labeling(K, d)
+    assert degree(labeled_sphere(orient(K), witness)).degree == d
 
 
 def test_pruned_search_equals_brute_force():
