@@ -1,8 +1,11 @@
 """Exhaustive minimal-vertex search for prescribed-degree colorings.
 
 Dimension 1 and 2 only: circles are enumerated directly, 2-spheres by
-vertex splitting from the boundary tetrahedron with canonical-form
-deduplication.  One pass plans the vertex order and each facet's closing
+vertex splitting from the boundary tetrahedron.  Each split child is the
+parent's rotation system with the split's entries replaced, deduplicated by
+its planar code (an exact key up to mirror image); canonical_form runs once
+per new class, for its representative and its place in the class order.
+One pass plans the vertex order and each facet's closing
 (last) vertex; a depth-first loop over a trail of per-vertex frames, with
 no recursion, colors the vertices in that order with one state per facet:
 the bit mask of its placed colors, or a degenerate mark once a color
@@ -88,57 +91,130 @@ def _sphere_classes(v: int) -> tuple[Complex, ...]:
     if v == 4:
         tetra = build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
         return (canonical_form(tetra).canonical,)
+    seen: set[bytes] = set()
     classes: dict[bytes, Complex] = {}
     for parent in _sphere_classes(v - 1):
         for child in _vertex_splits(parent):
-            cf = canonical_form(child)
-            if cf.key not in classes:
-                classes[cf.key] = cf.canonical
+            code = _planar_key(child)
+            if code in seen:
+                continue
+            seen.add(code)
+            cf = canonical_form(_rotation_complex(child))
+            if cf.key in classes:
+                raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
+            classes[cf.key] = cf.canonical
     return tuple(classes[k] for k in sorted(classes))
 
 
-def _link_cycle(K: Complex, z: int) -> list[int]:
-    """Link of z in a triangulated surface, as a deterministic cycle walk."""
-    adj: dict[int, list[int]] = {}
-    for f in K.facets_at[z]:
-        a, b = (u for u in f if u != z)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = min(adj)
-    cycle = [start, min(adj[start])]
-    while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        if nxt == start:
-            return cycle
-        cycle.append(nxt)
+Rotation = dict[int, tuple[int, ...]]
+
+
+def _rotation(K: Complex) -> Rotation:
+    """Each vertex's link cycle, all turning the same way under orient(K):
+    w follows u around x exactly when (x, u, w) is a positive facet."""
+    after: dict[int, dict[int, int]] = {x: {} for x in K.vertices}
+    for (a, b, c), sign in zip(K.facets, orient(K).signs):
+        if sign < 0:
+            b, c = c, b
+        after[a][b], after[b][c], after[c][a] = c, a, b
+    rotation = {}
+    for x, nxt in after.items():
+        cycle = [min(nxt)]
+        while nxt[cycle[-1]] != cycle[0]:
+            cycle.append(nxt[cycle[-1]])
+        rotation[x] = tuple(cycle)
+    return rotation
+
+
+def _rotation_complex(rotation: Rotation) -> Complex:
+    """The 2-sphere whose facets are the triangles around each vertex."""
+    facets = {
+        tuple(sorted((x, u, w)))
+        for x, cycle in rotation.items()
+        for u, w in zip(cycle, cycle[1:] + cycle[:1])
+    }
+    return Complex(2, tuple(sorted(facets)))
 
 
 def _vertex_splits(K: Complex):
-    """All single-vertex splits of a triangulated 2-sphere.
+    """The rotation of every single-vertex split of a triangulated 2-sphere.
 
-    Splitting z along two cut vertices of its link cycle divides the star
-    into two fans, one kept by z and one taken by a new vertex; two facets
-    {z, new, cut} glue the fans back into a sphere with one more vertex.
-    Every triangulated 2-sphere with at least 5 vertices has a contractible
-    edge, so every class at v+1 arises from some class at v this way.
+    Splitting z at two vertices c_i, c_j of its link cycle keeps the fan
+    c_i..c_j at z and hands the fan c_j..c_i to a new vertex; the facets
+    {z, new, c_i} and {z, new, c_j} glue the fans back into a sphere with
+    one more vertex.  Every triangulated 2-sphere with at least 5 vertices
+    has a contractible edge, so every class at v+1 arises from some class
+    at v this way.  A split is local: only z, the new vertex and z's link
+    change their rotations, so each child is the parent's rotation with
+    those entries replaced.
     """
-    new = max(K.vertices) + 1
-    for z in K.vertices:
-        cycle = _link_cycle(K, z)
+    rotation = _rotation(K)
+    new = max(rotation) + 1
+    for z, cycle in rotation.items():
         k = len(cycle)
-        rest = [f for f in K.facets if z not in f]
+        # around each c_t: new instead of z, new inserted after z, or before it
+        moved, after_z, before_z = [], [], []
+        for c in cycle:
+            r = rotation[c]
+            p = r.index(z)
+            moved.append(r[:p] + (new,) + r[p + 1:])
+            after_z.append(r[:p + 1] + (new,) + r[p + 1:])
+            before_z.append(r[:p] + (new,) + r[p:])
         for i in range(k):
             for j in range(i + 1, k):
-                facets = list(rest)
-                for t in range(i, j):
-                    facets.append(tuple(sorted((z, cycle[t], cycle[t + 1]))))
-                for t in range(j, i + k):
-                    a, b = cycle[t % k], cycle[(t + 1) % k]
-                    facets.append(tuple(sorted((new, a, b))))
-                facets.append(tuple(sorted((z, new, cycle[i]))))
-                facets.append(tuple(sorted((z, new, cycle[j]))))
-                yield Complex(2, tuple(sorted(facets)))
+                child = dict(rotation)
+                child[z] = cycle[i:j + 1] + (new,)
+                child[new] = cycle[j:] + cycle[:i + 1] + (z,)
+                for t in chain(range(i), range(j + 1, k)):
+                    child[cycle[t]] = moved[t]
+                child[cycle[i]] = after_z[i]
+                child[cycle[j]] = before_z[j]
+                yield child
+
+
+def _planar_key(rotation: Rotation) -> bytes:
+    """Isomorphism key of a triangulated 2-sphere, mirror images included.
+
+    A triangulated 2-sphere is 3-connected, so its embedding is unique up
+    to reflection (Whitney) and two of them are isomorphic exactly when a
+    planar code of one, read from some start edge in some sense, equals one
+    of the other (Brinkmann & McKay, plantri).  The key is the smallest code
+    over both senses and the start edges x -> u with the smallest (deg x,
+    deg u, deg w), w following u around x in that sense.
+    """
+    deg = {x: len(cycle) for x, cycle in rotation.items()}
+    low = min(deg.values())
+    starts = []
+    for x, cycle in rotation.items():
+        if deg[x] == low:
+            for t, u in enumerate(cycle):
+                starts.append(((deg[u], deg[cycle[(t + 1) % low]]), x, u, 1))
+                starts.append(((deg[u], deg[cycle[t - 1]]), x, u, -1))
+    first = min(starts)[0]
+    return min(_planar_code(rotation, x, u, sense) for inv, x, u, sense in starts if inv == first)
+
+
+def _planar_code(rotation: Rotation, x: int, u: int, sense: int) -> bytes:
+    """Vertices numbered in breadth-first order from x; each vertex in turn
+    lists its neighbours' numbers around it, starting at the neighbour it
+    was reached from (u for x) and turning in sense, then a 0."""
+    number = {x: 1}
+    entry = {x: u}
+    order = [x]
+    code = bytearray()
+    for y in order:
+        r = rotation[y]
+        p = r.index(entry[y])
+        walk = r[p:] + r[:p] if sense > 0 else r[p::-1] + r[:p:-1]
+        for w in walk:
+            n = number.get(w)
+            if n is None:
+                n = number[w] = len(order) + 1
+                order.append(w)
+                entry[w] = y
+            code.append(n)
+        code.append(0)
+    return bytes(code)
 
 
 def _search_plan(K: Complex) -> tuple[list[int], dict[int, list[tuple[int, bool]]]]:
@@ -261,7 +337,9 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
 
     Scans vertex counts upward, streaming every isomorphism class at each
     count; the reported witness is the first in deterministic enumeration
-    order.
+    order.  A degree-d coloring needs (n+2)|d| nondegenerate facets, so
+    counts with fewer facets (v for a circle, 2v - 4 for a 2-sphere) are
+    skipped unexamined.
     """
     if n not in (1, 2):
         raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {n}")
@@ -270,7 +348,8 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
         raise BudgetExceeded(f"v_max {v_max} above the n={n} guard ({cap})")
     triangulations = labelings = 0
     witness = None
-    sizes = range(n + 2, v_max + 1)
+    smallest = 3 * abs(d) if n == 1 else 2 * abs(d) + 2
+    sizes = range(max(n + 2, smallest), v_max + 1)
     for K in chain.from_iterable(enumerate_spheres(n, v) for v in sizes):
         coloring, nodes = _search_labelings(K, d)
         triangulations += 1

@@ -5,7 +5,15 @@ from itertools import product
 import pytest
 
 import spheremap.search
-from spheremap.search import _search_plan
+from spheremap.search import (
+    _planar_code,
+    _planar_key,
+    _rotation,
+    _rotation_complex,
+    _search_plan,
+    _sphere_classes,
+    _vertex_splits,
+)
 from spheremap import (
     BudgetExceeded,
     InvalidDimension,
@@ -15,6 +23,7 @@ from spheremap import (
     SpheremapError,
     UnsupportedDimension,
     build_complex,
+    canonical_form,
     construct,
     degree,
     enumerate_spheres,
@@ -78,6 +87,49 @@ def test_enumerate_soundness_and_canonical_ids():
         for K in enumerate_spheres(2, v):
             assert K.vertices == tuple(range(1, v + 1))
             assert is_sphere(K).status is SphereStatus.SPHERE
+
+
+def test_enumerated_classes_are_pinned():
+    # representatives and class order, byte for byte
+    facets = [K.facets for v in range(4, 11) for K in enumerate_spheres(2, v)]
+    assert len(facets) == 306
+    assert hashlib.sha256(repr(facets).encode()).hexdigest() == (
+        "a43504f42023e81d1a5ca16360ed4a5ff04656ac1e339a24d96f7e8d395a6083"
+    )
+
+
+def test_planar_key_partitions_split_children_like_canonical_form():
+    for v in range(5, 11):
+        pairs = set()
+        for parent in _sphere_classes(v - 1):
+            for child in _vertex_splits(parent):
+                K = _rotation_complex(child)
+                assert len(K.facets) == 2 * v - 4 and K.vertices == tuple(range(1, v + 1))
+                key = _planar_key(child)
+                if v < 10:  # the rotation derived from the parent's is the child's own
+                    assert key == _planar_key(_rotation(K))
+                pairs.add((key, canonical_form(K).key))
+        planar, canonical = zip(*pairs)
+        assert len(set(planar)) == len(set(canonical)) == len(pairs)
+        assert len(pairs) == len(_sphere_classes(v))
+
+
+def test_planar_key_matches_mirror_images():
+    # a chiral class on 7 vertices: it and its mirror image differ as oriented
+    # maps, but are one unoriented class
+    K = build_complex([
+        (1, 2, 4), (1, 2, 6), (1, 4, 6), (2, 4, 5), (2, 5, 6),
+        (3, 4, 5), (3, 4, 6), (3, 5, 7), (3, 6, 7), (5, 6, 7),
+    ])
+    rotation = _rotation(K)
+    mirror = {x: cycle[::-1] for x, cycle in rotation.items()}
+
+    def oriented_key(rot):
+        return min(_planar_code(rot, x, u, 1) for x, cycle in rot.items() for u in cycle)
+
+    assert oriented_key(rotation) != oriented_key(mirror)
+    assert _planar_key(rotation) == _planar_key(mirror)
+    assert _rotation_complex(mirror) == K
 
 
 def test_enumerate_deterministic():
@@ -178,6 +230,21 @@ def test_lambda_circle_values():
     assert result.status == "NotFoundWithinBudget"
 
 
+def test_skipped_vertex_counts_have_no_witness():
+    # lambda_search skips counts with fewer than (n+2)|d| facets; no class
+    # there has a witness, and for d = 0 nothing is skipped
+    for n, sizes in ((1, range(3, 13)), (2, range(4, 10))):
+        for v in sizes:
+            facets = v if n == 1 else 2 * v - 4
+            for K in enumerate_spheres(n, v):
+                for d in range(-6, 7):
+                    if facets < (n + 2) * abs(d):
+                        assert exists_labeling(K, d) is None
+    for n in (1, 2):
+        result = lambda_search(n, 0, n + 2)
+        assert result.lambda_value == n + 2 and result.triangulations_examined == 1
+
+
 def test_lambda_small_sphere_values():
     result = lambda_search(2, 3, 10)
     assert result.lambda_value == 8
@@ -186,15 +253,18 @@ def test_lambda_small_sphere_values():
 
 
 # (n, d, v_max) -> (lambda, triangulations examined, labelings examined,
-# SHA-256 of the serialized witness); pins the search's output and its work
+# SHA-256 of the serialized witness); pins the search's output and its work.
+# Vertex counts with fewer than (n+2)|d| facets are skipped unexamined, so
+# (2, 5, 9) and (1, 3, 8) examine nothing.
 SEARCH_PINS = {
-    (2, 2, 8): (7, 5, 81, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
-    (2, 3, 9): (8, 10, 29, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
-    (2, 5, 9): (None, 73, 73, None),
-    (1, 3, 8): (None, 6, 6, None),
-    (1, 4, 12): (12, 10, 33, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
-    (1, 6, 18): (18, 16, 51, "29324a3c97a0190d84aab235d5734f884e39abeb666d9217c52f8242a1d60e4e"),
-    (1, 7, 21): (21, 19, 60, "8633f0dde5b7214de97070b90bdd3ca0009c8c7eb2dddb5682553d18e3752d42"),
+    (2, 2, 8): (7, 3, 79, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
+    (2, 3, 9): (8, 1, 20, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
+    (2, 4, 10): (10, 2, 40, "b0ff0813a3d193ab02a18e36491ecd22096fe11e14a8ab243586c6510075886f"),
+    (2, 5, 9): (None, 0, 0, None),
+    (1, 3, 8): (None, 0, 0, None),
+    (1, 4, 12): (12, 1, 24, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
+    (1, 6, 18): (18, 1, 36, "29324a3c97a0190d84aab235d5734f884e39abeb666d9217c52f8242a1d60e4e"),
+    (1, 7, 21): (21, 1, 42, "8633f0dde5b7214de97070b90bdd3ca0009c8c7eb2dddb5682553d18e3752d42"),
 }
 
 
