@@ -177,30 +177,33 @@ def _closedness(complex: Complex) -> ClosednessReport:
         for r, es in sorted(complex.ridge_entries.items())
         if len(es) != 2
     )
-    connected = _facet_graph_connected(complex)
+    connected = len(_facet_walk(complex)[0]) == len(complex.facets)
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
 
 
-def _facet_graph_connected(complex: Complex) -> bool:
-    facets = complex.facets
-    if len(facets) <= 1:
-        return True
-    index = {f: i for i, f in enumerate(facets)}
-    adj: list[list[int]] = [[] for _ in facets]
+def _facet_walk(complex: Complex) -> tuple[dict[Facet, int], tuple[Facet, Facet] | None]:
+    """Breadth-first walk from the first facet (sign +1) across every ridge,
+    whatever its multiplicity, giving each facet reached the sign coherent
+    with the facet it came from.  Returns those signs and the first pair
+    (f, g) where g's sign is not the one coherent with f's, or None."""
+    adjacent: dict[Facet, list[tuple[Facet, int]]] = {f: [] for f in complex.facets}
     for entries in complex.ridge_entries.values():
-        ids = [index[f] for f, _ in entries]
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    adj[a].append(b)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for b in adj[stack.pop()]:
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return len(seen) == len(facets)
+        for (f, pf), (g, pg) in combinations(entries, 2):
+            flip = 1 if (pf + pg) % 2 else -1
+            adjacent[f].append((g, flip))
+            adjacent[g].append((f, flip))
+    queue = list(complex.facets[:1])
+    signs = dict.fromkeys(queue, 1)
+    conflict = None
+    for f in queue:  # the queue grows as facets are reached
+        sf = signs[f]
+        for g, flip in adjacent[f]:
+            if g not in signs:
+                signs[g] = sf * flip
+                queue.append(g)
+            elif conflict is None and signs[g] != sf * flip:
+                conflict = (f, g)
+    return signs, conflict
 
 
 @dataclass(frozen=True)
@@ -251,9 +254,10 @@ class OrientedComplex:
 def orient(complex: Complex) -> OrientedComplex:
     """Assign a coherent orientation, or raise NonOrientable.
 
-    Deterministic: breadth-first propagation seeded with sign +1 on the
-    lexicographically smallest facet.  Requires a closed pseudomanifold.
-    The orientation is computed once per complex and cached on it.
+    Deterministic: the breadth-first facet walk that decides connectivity,
+    seeded with sign +1 on the lexicographically smallest facet.  Requires
+    a closed pseudomanifold.  The orientation is computed once per complex
+    and cached on it.
     """
     return complex.orientation
 
@@ -266,33 +270,10 @@ def _orient(complex: Complex) -> OrientedComplex:
         )
         raise NotClosed(f"cannot orient: {detail}")
 
-    position: dict[tuple[Facet, Facet], tuple[int, int]] = {}
-    neighbors: dict[Facet, list[Facet]] = {f: [] for f in complex.facets}
-    for entries in complex.ridge_entries.values():
-        (f, pf), (g, pg) = entries
-        neighbors[f].append(g)
-        neighbors[g].append(f)
-        position[(f, g)] = (pf, pg)
-        position[(g, f)] = (pg, pf)
-
-    signs: dict[Facet, int] = {}
-    seed = complex.facets[0]
-    signs[seed] = 1
-    queue = [seed]
-    while queue:
-        f = queue.pop(0)
-        sf = signs[f]
-        for g in neighbors[f]:
-            pf, pg = position[(f, g)]
-            expected = -sf if (pf + pg) % 2 == 0 else sf
-            if g in signs:
-                if signs[g] != expected:
-                    raise NonOrientable(
-                        f"conflicting signs at facet {g} (ridge shared with {f})"
-                    )
-            else:
-                signs[g] = expected
-                queue.append(g)
+    signs, conflict = _facet_walk(complex)
+    if conflict is not None:
+        f, g = conflict
+        raise NonOrientable(f"conflicting signs at facet {g} (ridge shared with {f})")
     return OrientedComplex(complex, tuple(signs[f] for f in complex.facets))
 
 
@@ -365,7 +346,8 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     closed pseudomanifold are closed (a ridge of lk(sigma) plus sigma is a
     ridge of K), links of an orientable complex are orientable, and the
     link of a ridge is two points, which always pass.  Link orientability
-    is therefore tested only when K itself is not orientable.
+    is therefore asked for only when K itself is not orientable; one facet
+    walk per link gives its connectivity and, when asked, orientability.
 
     Exact for dimension <= 2 (closed + connected + orientable + Euler
     characteristic + all vertex links single cycles pins down the sphere by
@@ -375,14 +357,6 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     The verdict is computed once per complex and cached on it.
     """
     return complex.sphere_verdict
-
-
-def _orientable(complex: Complex) -> bool:
-    try:
-        orient(complex)
-    except NonOrientable:
-        return False
-    return True
 
 
 def _sphere_verdict(complex: Complex) -> SphereVerdict:
@@ -395,7 +369,11 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     if not report.passed:
         return SphereVerdict(SphereStatus.NOT_SPHERE, tuple(checks))
 
-    orientable = _orientable(complex)
+    try:
+        orient(complex)
+        orientable = True
+    except NonOrientable:
+        orientable = False
     checks.append(("orientable", orientable))
 
     chi_ok = euler_characteristic(complex) == 1 + (-1) ** n
@@ -427,11 +405,10 @@ def _face_links_pass(complex: Complex, check_orientation: bool) -> bool:
                 )
     for sigma, link_facets in links.items():
         link = Complex(n - len(sigma), tuple(link_facets))
-        if not _facet_graph_connected(link):
+        signs, conflict = _facet_walk(link)
+        if len(signs) != len(link_facets) or (check_orientation and conflict is not None):
             return False
         if euler_characteristic(link) != 1 + (-1) ** link.dimension:
-            return False
-        if check_orientation and not _orientable(link):
             return False
     return True
 

@@ -65,10 +65,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabeledSphere:
-    """Oriented complex plus a coloring of its vertices by {1..n+2}."""
+    """Oriented complex plus a coloring of its vertices by {1..n+2}, checked
+    on every construction (else BadLabeling) and kept as a read-only copy."""
 
     oriented: OrientedComplex
     labels: Labeling
+
+    def __post_init__(self) -> None:
+        labels = self.labels
+        if not isinstance(labels, Mapping):
+            raise BadLabeling("labels must map vertex -> color")
+        verts = set(self.oriented.vertices)
+        if labels.keys() != verts:
+            missing = sorted(verts - set(labels))[:5]
+            extra = sorted(set(labels) - verts)[:5]
+            raise BadLabeling(f"label domain mismatch (missing {missing}, extra {extra})")
+        top = self.oriented.dimension + 2
+        for v, c in labels.items():
+            if not _is_int(c) or not 1 <= c <= top:
+                raise BadLabeling(f"vertex {v} has color {c!r}, expected 1..{top}")
+        object.__setattr__(self, "labels", MappingProxyType(dict(labels)))
 
     @property
     def dimension(self) -> int:
@@ -101,16 +117,7 @@ def _is_int(x) -> bool:
 
 def labeled_sphere(oriented: OrientedComplex, labels: Labeling) -> LabeledSphere:
     """Validated constructor: labels cover the vertex set, colors in range."""
-    verts = set(oriented.vertices)
-    if set(labels) != verts:
-        missing = sorted(verts - set(labels))[:5]
-        extra = sorted(set(labels) - verts)[:5]
-        raise BadLabeling(f"label domain mismatch (missing {missing}, extra {extra})")
-    top = oriented.dimension + 2
-    for v, c in labels.items():
-        if not _is_int(c) or not 1 <= c <= top:
-            raise BadLabeling(f"vertex {v} has color {c!r}, expected 1..{top}")
-    return LabeledSphere(oriented, MappingProxyType(dict(labels)))
+    return LabeledSphere(oriented, labels)
 
 
 def _facet_sign(labels: Labeling, full_colors: int, eps: int, facet: Facet):

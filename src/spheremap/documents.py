@@ -185,7 +185,9 @@ def _parse_document(doc) -> tuple[LabeledSphere, dict]:
         try:
             v = int(key)
         except (TypeError, ValueError):
-            raise ValidationError(f"label key {key!r} is not a vertex id") from None
+            v = None
+        if v is None or key != str(v):  # one spelling per vertex: "01" and "+1" are not 1
+            raise ValidationError(f"label key {key!r} is not a vertex id")
         if not _is_int(c):
             raise ValidationError(f"label of vertex {v} must be an integer")
         labels[v] = c
@@ -216,10 +218,13 @@ def _parse_document(doc) -> tuple[LabeledSphere, dict]:
                 f"metadata claims degree {claimed}, engine computes {rep.degree}"
             )
     claimed_v = metadata.get("claimed_vertex_count")
-    if claimed_v is not None and claimed_v != len(oriented.vertices):
-        raise ValidationError(
-            f"metadata claims {claimed_v} vertices, document has {len(oriented.vertices)}"
-        )
+    if claimed_v is not None:
+        if not _is_int(claimed_v):
+            raise ValidationError("metadata.claimed_vertex_count must be an integer")
+        if claimed_v != len(oriented.vertices):
+            raise ValidationError(
+                f"metadata claims {claimed_v} vertices, document has {len(oriented.vertices)}"
+            )
     return ls, metadata
 
 

@@ -28,6 +28,7 @@ from spheremap import (
 from spheremap.complexes import coherence_failures
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
 from spheremap.search import enumerate_spheres
+from orientation_oracle import bfs_orient
 from sphere_oracle import recursive_is_sphere
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
@@ -120,6 +121,17 @@ def test_closed_check_two_disjoint_circles():
     assert not rep.connected
 
 
+def test_closed_check_crosses_overloaded_ridges():
+    # two tetrahedron boundaries meeting along the edge (1, 2) are one piece,
+    # joined only through that ridge of multiplicity 4
+    K = build_complex(TETRA + [(1, 2, 5), (1, 2, 6), (1, 5, 6), (2, 5, 6)])
+    rep = check_closed_pseudomanifold(K)
+    assert rep.connected and not rep.passed
+    assert rep.bad_ridges == (((1, 2), 4),)
+    with pytest.raises(NotClosed, match="multiplicity"):
+        orient(K)
+
+
 def test_orient_boundary_tetrahedron():
     oc = orient(build_complex(TETRA))
     assert len(oc.signs) == 4 and set(oc.signs) <= {1, -1}
@@ -155,6 +167,53 @@ def test_orient_requires_closed():
 def test_orient_rejects_projective_plane():
     with pytest.raises(NonOrientable):
         orient(build_complex(RP2))
+
+
+def twisted_grid(m, k, twist=True):
+    """The m x k grid of squares, each cut along one diagonal, with its left
+    and right sides glued; the top is glued to the bottom reflected (a Klein
+    bottle) or straight (a torus)."""
+
+    def vid(x, y):
+        if y == k:
+            x, y = (-x if twist else x), 0
+        return y * m + x % m + 1
+
+    return [
+        f
+        for y in range(k)
+        for x in range(m)
+        for f in ((vid(x, y), vid(x + 1, y), vid(x + 1, y + 1)),
+                  (vid(x, y), vid(x, y + 1), vid(x + 1, y + 1)))
+    ]
+
+
+def test_orient_matches_bfs_reference():
+    complexes = [K for v in range(4, 10) for K in enumerate_spheres(2, v)]
+    complexes += [boundary_simplex(n).labeled.complex for n in range(1, 7)]
+    complexes += [
+        construct(n, d).labeled.complex
+        for n in range(1, 6)
+        for d in (-4, 1, 2, 3, 7)
+    ]
+    # the Klein bottle's grid glued straight is a torus, which orients
+    complexes += [build_complex(TORUS), build_complex(twisted_grid(3, 3, twist=False))]
+    assert len(complexes) == 73 + 6 + 25 + 2
+    for K in complexes:
+        assert orient(K).signs == bfs_orient(K)
+        assert coherence_failures(orient(K)) == ()
+
+
+@pytest.mark.parametrize("facets", [RP2, twisted_grid(3, 3)], ids=["rp2", "klein_bottle"])
+def test_orient_rejects_non_orientable_surfaces(facets):
+    K = build_complex(facets)
+    assert check_closed_pseudomanifold(K).passed and euler_characteristic(K) in (0, 1)
+    messages = []
+    for orientation in (orient, bfs_orient):
+        with pytest.raises(NonOrientable, match="conflicting signs at facet") as e:
+            orientation(K)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1]  # the walk meets the same first conflict
 
 
 def test_projective_plane_has_no_coherent_signs_brute_force():

@@ -10,6 +10,7 @@ from spheremap import (
     InvalidDimension,
     InvalidLink,
     FacetNotFound,
+    LabeledSphere,
     NotAPermutation,
     NotSingletonColor,
     OrientedComplex,
@@ -44,6 +45,27 @@ def labeled_tetra(labels=None):
 def labeled_hexagon(labels):
     oc = orient(build_complex([(i, i % 6 + 1) for i in range(1, 7)]))
     return labeled_sphere(oc, labels)
+
+
+def test_direct_construction_checks_labels():
+    # built without labeled_sphere, a bad coloring used to surface later as a
+    # bare KeyError from insertion_step, degree or serialize
+    oc = orient(build_complex(TETRA))
+    for labels in (
+        {1: 1, 2: 2, 3: 3, 4: 9},  # color out of range
+        {1: 1, 2: 2, 3: 3},  # vertex 4 unlabeled
+        {1: 1, 2: 2, 3: 3, 4: 4, 5: 1},  # extra vertex
+        {1: 1, 2: 2, 3: 3, 4: 4.0},  # not an integer color
+        [1, 2, 3, 4],  # not a mapping
+    ):
+        with pytest.raises(BadLabeling):
+            LabeledSphere(oc, labels)
+    labels = {v: v for v in range(1, 5)}
+    ls = LabeledSphere(oc, labels)
+    labels[4] = 1
+    assert ls.labels[4] == 4 and degree(ls).degree == 1
+    with pytest.raises(TypeError):
+        ls.labels[4] = 1
 
 
 def test_labeled_sphere_rejects_bad_domains():

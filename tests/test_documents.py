@@ -310,6 +310,28 @@ def test_parse_rejects_label_problems():
     with pytest.raises(ValidationError, match="labels"):
         parse(json.dumps(doc))
 
+    # a vertex id has one spelling, so no key can alias another vertex's
+    for spelling in ("01", " 1", "1 ", "+1", "0_1", "1.0", "None"):
+        doc = json.loads(json.dumps(base))
+        doc["labels"][spelling] = doc["labels"].pop("1")
+        with pytest.raises(ValidationError, match="vertex id"):
+            parse(json.dumps(doc))
+    for spelling in ("+4", "0_4", "04"):
+        doc = json.loads(json.dumps(base))
+        doc["labels"][spelling] = 1  # would overwrite vertex 4's color
+        del doc["metadata"]
+        with pytest.raises(ValidationError, match="vertex id"):
+            parse(json.dumps(doc))
+
+
+def test_claimed_vertex_count_must_be_an_integer():
+    for claimed in (4.0, "4", True, [4]):
+        doc = doc_of(boundary_simplex(2))
+        doc["metadata"]["claimed_vertex_count"] = claimed
+        for read in (parse, load_certificate):
+            with pytest.raises(ValidationError, match="claimed_vertex_count"):
+                read(json.dumps(doc))
+
 
 def test_parse_rejects_non_spheres():
     torus_doc = bare_sphere_doc(TORUS, {v: (v - 1) % 4 + 1 for v in range(1, 8)}, 2)
