@@ -1,9 +1,12 @@
 """Command-line surface: construct / verify / search / table / suspend / insert.
 
 Exit codes: 0 success, 1 validation or degree failure, 2 usage error.
-Commands that produce a document write it to --out when given; otherwise
-the document goes to stdout and the human-readable summary to stderr, so
-output stays pipeable.
+One output rule holds for the five commands that write a document
+(construct, suspend, insert, table, and search when it finds a witness):
+with --out the document goes to that file and the human-readable summary to
+stdout, ending in ``wrote: PATH``; without it the document goes alone to
+stdout and the summary to stderr, so output stays pipeable.  verify, and
+search without a witness, print only their summary, on stdout.
 """
 
 from __future__ import annotations
@@ -76,13 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_document(text: str, out: str | None) -> None:
-    """Document text to the --out file when given, else to stdout."""
+def _emit(text: str, summary: list[str], out: str | None) -> int:
+    """Write a document and its summary by the one output rule (see above)."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+        summary = [*summary, f"wrote: {out}"]
     else:
         sys.stdout.write(text)
+    print("\n".join(summary), file=sys.stdout if out else sys.stderr)
+    return 0
 
 
 def _read_text(path: str) -> str:
@@ -93,27 +99,16 @@ def _read_text(path: str) -> str:
         raise DocumentSyntaxError(f"{path} is not UTF-8 text: {e}") from None
 
 
-def _summary(lines, to_stderr: bool) -> None:
-    stream = sys.stderr if to_stderr else sys.stdout
-    for line in lines:
-        print(line, file=stream)
-
-
 def _cmd_construct(args) -> int:
     cert = construct(args.n, args.d)
     bound = vertex_bound(args.n, args.d)
-    text = serialize(cert)
-    _emit_document(text, args.out)
     lines = [
         f"vertices: {cert.vertex_count}",
         f"degree: {cert.claimed_degree}",
         f"vertex bound ((n+2)/n*|d| + 2n+2): {bound}",
         f"bound met: {'yes' if cert.vertex_count <= bound else 'no'}",
     ]
-    if args.out:
-        lines.append(f"wrote: {args.out}")
-    _summary(lines, to_stderr=not args.out)
-    return 0
+    return _emit(serialize(cert), lines, args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -144,20 +139,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     result = lambda_search(args.n, args.d, args.max_vertices)
-    print(f"n: {result.n}")
-    print(f"d: {result.d}")
-    print(f"max vertices: {result.v_max}")
-    print(f"triangulations examined: {result.triangulations_examined}")
-    print(f"partial colorings examined: {result.labelings_examined}")
+    lines = [
+        f"n: {result.n}",
+        f"d: {result.d}",
+        f"max vertices: {result.v_max}",
+        f"triangulations examined: {result.triangulations_examined}",
+        f"partial colorings examined: {result.labelings_examined}",
+    ]
     if result.found:
-        print(f"lambda: {result.lambda_value}")
-        if not args.out:
-            print("witness document:")
-        _emit_document(serialize(result.witness), args.out)
-        if args.out:
-            print(f"witness written to: {args.out}")
-    else:
-        print("lambda: NotFoundWithinBudget")
+        lines.append(f"lambda: {result.lambda_value}")
+        return _emit(serialize(result.witness), lines, args.out)
+    print("\n".join([*lines, "lambda: NotFoundWithinBudget"]))
     return 0
 
 
@@ -169,16 +161,15 @@ def _cmd_table(args) -> int:
     table = lambda_table(rows)
 
     header = f"{'n':>3} {'d':>4} {'lambda':>7} {'status':<24} {'l/|d|':>7} {'l/n':>7}  note"
-    print(header)
-    print("-" * len(header))
+    lines = [header, "-" * len(header)]
     for row in table.rows:
         lam = "-" if row.lambda_value is None else str(row.lambda_value)
         rd = "-" if row.ratio_over_d is None else str(row.ratio_over_d)
         rn = "-" if row.ratio_over_n is None else str(row.ratio_over_n)
-        print(
+        lines.append(
             f"{row.n:>3} {row.d:>4} {lam:>7} {row.status:<24} {rd:>7} {rn:>7}  {row.note}"
         )
-    print("(ratios are finite-sample values from the rows above, not limits)")
+    lines.append("(ratios are finite-sample values from the rows above, not limits)")
 
     payload = {
         "rows": [
@@ -198,27 +189,17 @@ def _cmd_table(args) -> int:
             for row in table.rows
         ]
     }
-    if not args.out:
-        print()
-    _emit_document(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    if args.out:
-        print(f"json written to: {args.out}")
-    return 0
+    return _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", lines, args.out)
 
 
 def _emit_move(new, out: str | None) -> int:
     """Document and summary of a suspend or insert result."""
-    _emit_document(serialize(new), out)
-    _summary(
-        [
-            f"dimension: {new.dimension}",
-            f"vertices: {new.vertex_count}",
-            f"degree: {new.claimed_degree}",
-        ]
-        + ([f"wrote: {out}"] if out else []),
-        to_stderr=not out,
-    )
-    return 0
+    lines = [
+        f"dimension: {new.dimension}",
+        f"vertices: {new.vertex_count}",
+        f"degree: {new.claimed_degree}",
+    ]
+    return _emit(serialize(new), lines, out)
 
 
 def _cmd_suspend(args) -> int:

@@ -111,6 +111,11 @@ class Complex:
         return MappingProxyType({r: tuple(es) for r, es in out.items()})
 
     @cached_property
+    def _walk(self) -> tuple[dict[Facet, int], tuple[Facet, Facet] | None]:
+        """``_facet_walk`` of this complex, shared by closedness and orientation."""
+        return _facet_walk(self)
+
+    @cached_property
     def closedness(self) -> "ClosednessReport":
         """The report of ``check_closed_pseudomanifold``, computed once."""
         return _closedness(self)
@@ -177,7 +182,7 @@ def _closedness(complex: Complex) -> ClosednessReport:
         for r, es in sorted(complex.ridge_entries.items())
         if len(es) != 2
     )
-    connected = len(_facet_walk(complex)[0]) == len(complex.facets)
+    connected = len(complex._walk[0]) == len(complex.facets)
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
 
 
@@ -270,7 +275,7 @@ def _orient(complex: Complex) -> OrientedComplex:
         )
         raise NotClosed(f"cannot orient: {detail}")
 
-    signs, conflict = _facet_walk(complex)
+    signs, conflict = complex._walk
     if conflict is not None:
         f, g = conflict
         raise NonOrientable(f"conflicting signs at facet {g} (ridge shared with {f})")
@@ -341,13 +346,13 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     own links.  A link of a link is the link of a larger face (the link of
     u in lk(v) is lk({u, v})), so ``vertex_links`` is decided in one pass
     over the faces sigma of K with 1 <= |sigma| <= n - 1, each visited
-    once, checking lk(sigma) is connected with Euler characteristic
-    1 + (-1)**dim.  The remaining checks are inherited from K: links of a
-    closed pseudomanifold are closed (a ridge of lk(sigma) plus sigma is a
-    ridge of K), links of an orientable complex are orientable, and the
-    link of a ridge is two points, which always pass.  Link orientability
-    is therefore asked for only when K itself is not orientable; one facet
-    walk per link gives its connectivity and, when asked, orientability.
+    once, checking lk(sigma) is connected and orientable with Euler
+    characteristic 1 + (-1)**dim, by one facet walk and a fresh enumeration
+    of the link's faces (about 3**(n+1) work per facet).  The remaining
+    checks are inherited from K: links of a closed pseudomanifold are closed
+    (a ridge of lk(sigma) plus sigma is a ridge of K), and the link of a
+    ridge is two points, which always pass.  Links of an orientable K are
+    orientable, so link orientability matters only when K is not.
 
     Exact for dimension <= 2 (closed + connected + orientable + Euler
     characteristic + all vertex links single cycles pins down the sphere by
@@ -381,7 +386,7 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
 
     links_ok = True
     if n >= 1:
-        links_ok = _face_links_pass(complex, check_orientation=not orientable)
+        links_ok = _face_links_pass(complex)
         checks.append(("vertex_links", links_ok))
 
     if not (orientable and chi_ok and links_ok):
@@ -391,10 +396,10 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     return SphereVerdict(SphereStatus.NECESSARY_CONDITIONS_ONLY, tuple(checks))
 
 
-def _face_links_pass(complex: Complex, check_orientation: bool) -> bool:
-    """Every lk(sigma), 1 <= |sigma| <= n - 1, is connected with Euler
-    characteristic 1 + (-1)**dim, and orientable if asked.  K must be a
-    closed pseudomanifold."""
+def _face_links_pass(complex: Complex) -> bool:
+    """Every lk(sigma), 1 <= |sigma| <= n - 1, is connected and orientable
+    with Euler characteristic 1 + (-1)**dim.  K must be a closed
+    pseudomanifold."""
     n = complex.dimension
     links: dict[Facet, list[Facet]] = {}
     for f in complex.facets:
@@ -406,11 +411,24 @@ def _face_links_pass(complex: Complex, check_orientation: bool) -> bool:
     for sigma, link_facets in links.items():
         link = Complex(n - len(sigma), tuple(link_facets))
         signs, conflict = _facet_walk(link)
-        if len(signs) != len(link_facets) or (check_orientation and conflict is not None):
+        if len(signs) != len(link_facets) or conflict is not None:
             return False
         if euler_characteristic(link) != 1 + (-1) ** link.dimension:
             return False
     return True
+
+
+def _sphere_failure(oriented: OrientedComplex) -> str | None:
+    """Why a sphere from outside the package is not one, or None: it must
+    pass ``is_sphere`` and be coherently oriented.  Documents, literal seeds
+    and link reductions all pass this one gate."""
+    verdict = is_sphere(oriented.base)
+    if not verdict.passed:
+        return f"fails sphere checks: {[name for name, ok in verdict.checks if not ok]}"
+    bad = coherence_failures(oriented)
+    if bad:
+        return f"orientation not coherent across ridge {list(bad[0])}"
+    return None
 
 
 def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet, int]:

@@ -33,11 +33,9 @@ from itertools import combinations, count, groupby
 from .complexes import (
     Facet,
     OrientedComplex,
-    SphereStatus,
+    _sphere_failure,
     _stellar_pairs,
     build_complex,
-    coherence_failures,
-    is_sphere,
     orient,
 )
 from .degree import (
@@ -125,15 +123,9 @@ def _as_labeled(x) -> tuple[LabeledSphere, Recipe]:
     if isinstance(x, ConstructionCertificate):
         return x.labeled, x.recipe
     if isinstance(x, LabeledSphere):
-        verdict = is_sphere(x.complex)
-        if verdict.status is SphereStatus.NOT_SPHERE:
-            failing = [name for name, ok in verdict.checks if not ok]
-            raise ValidationError(f"literal seed fails sphere checks: {failing}")
-        bad = coherence_failures(x.oriented)
-        if bad:
-            raise ValidationError(
-                f"literal seed orientation not coherent across ridge {list(bad[0])}"
-            )
+        failure = _sphere_failure(x.oriented)
+        if failure:
+            raise ValidationError(f"literal seed {failure}")
         return x, (("literal", x),)
     raise TypeError(f"expected LabeledSphere or ConstructionCertificate, got {type(x)!r}")
 
@@ -188,8 +180,8 @@ def one_point_suspension(x, pivot: int | None = None) -> ConstructionCertificate
     verts = ls.oriented.vertices
     if pivot is None:
         pivot = min(verts)
-    elif pivot not in ls.labels:
-        raise PivotNotFound(f"pivot {pivot} is not a vertex")
+    elif not _is_int(pivot) or pivot not in ls.labels:  # True and 1.0 would find vertex 1
+        raise PivotNotFound(f"pivot {pivot!r} is not a vertex")
     n = ls.dimension
     _check_budget(n + 1, len(verts) + 1)
     apex = max(verts) + 1
@@ -236,6 +228,8 @@ def _insert(x, facets) -> ConstructionCertificate:
                 raise FacetNotFound("no facet with sign +1 and colors {1..n+1}")
             facet = heapq.heappop(heap)
         else:
+            if not isinstance(facet, (tuple, list)) or not all(map(_is_int, facet)):
+                raise FacetNotFound(f"{facet!r} is not a facet of vertex ids")
             facet = tuple(sorted(facet))
             if facet not in signs:
                 raise FacetNotFound(f"{facet} is not a facet of the complex")

@@ -31,8 +31,7 @@ from .complexes import (
     Complex,
     Facet,
     OrientedComplex,
-    SphereStatus,
-    is_sphere,
+    _sphere_failure,
     parity_to_sorted,
 )
 from .errors import (
@@ -265,10 +264,9 @@ def link_reduction(ls: LabeledSphere, v: int) -> LabeledSphere:
         pairs.append((link_facet, kappa * eps * (-1 if p % 2 else 1)))
     oriented = OrientedComplex.from_pairs(n - 1, pairs)
 
-    verdict = is_sphere(oriented.base)
-    if verdict.status is SphereStatus.NOT_SPHERE:
-        failing = [name for name, ok in verdict.checks if not ok]
-        raise InvalidLink(f"link of {v} fails sphere checks: {failing}")
+    failure = _sphere_failure(oriented)
+    if failure:
+        raise InvalidLink(f"link of {v} {failure}")
 
     # only the link's vertices keep a color, so v and every vertex off the link go
     link_vertices = set(oriented.vertices)

@@ -5,10 +5,10 @@ optional.  Serialization is canonical -- sorted keys, facets sorted
 lexicographically, integers only -- so equal objects produce byte-equal
 text and documents double as regression fixtures.
 
-Parsing fully re-validates: complex invariants, closedness, orientation
-coherence (or a fresh orientation when the field is absent), labeling
-range, sphere necessary conditions, and the degree engine; a mismatch with
-``metadata.claimed_degree`` raises DegreeMismatch.
+Parsing fully re-validates: complex invariants, closedness, the
+orientation field (or a fresh orientation when it is absent), labeling
+range, the sphere checks and orientation coherence, and the degree engine;
+a mismatch with ``metadata.claimed_degree`` raises DegreeMismatch.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ import json
 
 from .complexes import (
     OrientedComplex,
+    _sphere_failure,
     build_complex,
     check_closed_pseudomanifold,
-    coherence_failures,
-    is_sphere,
     orient,
     parity_to_sorted,
-    SphereStatus,
 )
 from .constructions import (
     ConstructionCertificate,
@@ -196,10 +194,9 @@ def _parse_document(doc) -> tuple[LabeledSphere, dict]:
     except SpheremapError as e:
         raise ValidationError(f"labels: {e}") from None
 
-    verdict = is_sphere(complex)
-    if verdict.status is SphereStatus.NOT_SPHERE:
-        failing = [name for name, ok in verdict.checks if not ok]
-        raise ValidationError(f"sphere checks failed: {failing}")
+    failure = _sphere_failure(oriented)
+    if failure:
+        raise ValidationError(f"document {failure}")
 
     try:
         rep = degree(ls)
@@ -247,13 +244,7 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
     missing = [f for f in complex.facets if f not in signs]
     if missing:
         raise ValidationError(f"orientation missing facet {list(missing[0])}")
-    oriented = OrientedComplex(complex, tuple(signs[f] for f in complex.facets))
-    bad = coherence_failures(oriented)
-    if bad:
-        raise ValidationError(
-            f"orientation not coherent across ridge {list(bad[0])}"
-        )
-    return oriented
+    return OrientedComplex(complex, tuple(signs[f] for f in complex.facets))
 
 
 def load_certificate(text: str) -> ConstructionCertificate:

@@ -73,7 +73,7 @@ class NotSingletonColor(SpheremapError):
 
 
 class InvalidLink(SpheremapError):
-    """A vertex link fails the sphere necessary-condition checks."""
+    """A vertex link fails the sphere checks or is not coherently oriented."""
 
 
 # -- generators -------------------------------------------------------------

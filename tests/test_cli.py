@@ -265,6 +265,51 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
     assert calls == {"closedness": 1, "orientation": 1, "degree": 1}
 
 
+@pytest.mark.parametrize("with_orientation", [True, False])
+def test_verify_walks_the_facet_graph_once(tmp_path, capsys, monkeypatch, with_orientation):
+    # closedness and orientation share one walk of the document's complex
+    complexes_mod = importlib.import_module("spheremap.complexes")
+    out = tmp_path / "c.json"
+    run(capsys, "construct", "--n", "3", "--d", "5", "--out", str(out))
+    doc = json.loads(out.read_text())
+    if not with_orientation:
+        del doc["orientation"], doc["metadata"]
+        out.write_text(json.dumps(doc))
+    facets = tuple(tuple(f) for f in doc["facets"])
+    walked = []
+    original = complexes_mod._facet_walk
+
+    def counting(complex):
+        walked.append(complex.facets == facets)
+        return original(complex)
+
+    monkeypatch.setattr(complexes_mod, "_facet_walk", counting)
+    code, stdout, _ = run(capsys, "verify", str(out))
+    assert code == 0 and "PASS" in stdout
+    assert walked.count(True) == 1
+
+
+def test_documents_on_stdout_stand_alone(tmp_path, capsys):
+    # without --out a document is all of stdout and its summary goes to
+    # stderr; with --out the summary is on stdout and ends in "wrote:"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"rows": [{"n": 1, "d": 2, "v_max": 6}]}))
+    out = tmp_path / "out.json"
+    for argv, summary in (
+        (["search", "--n", "1", "--d", "2", "--max-vertices", "6"], "lambda: 6"),
+        (["table", "--spec", str(spec)], "not limits"),
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 0
+        document = json.loads(stdout)
+        assert summary in stderr
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 0 and stderr == ""
+        assert json.loads(out.read_text()) == document
+        assert summary in stdout
+        assert stdout.endswith(f"wrote: {out}\n")
+
+
 def test_suspend_round_trip(tmp_path, capsys):
     base = tmp_path / "base.json"
     lifted = tmp_path / "lifted.json"

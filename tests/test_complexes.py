@@ -243,6 +243,20 @@ def test_coherence_failures_flags_flipped_sign():
     assert set(coherence_failures(bad)) == {(1, 2), (1, 3), (2, 3)}
 
 
+def test_coherence_failures_flags_overloaded_ridges():
+    # a coherent 4-cycle plus the chord (1, 2): vertices 1 and 2 lie in three edges
+    square = orient(build_complex([(1, 3), (2, 3), (2, 4), (1, 4)]))
+    from spheremap import OrientedComplex
+
+    theta = OrientedComplex.from_pairs(1, [*zip(square.facets, square.signs), ((1, 2), 1)])
+    assert coherence_failures(theta) == ((1,), (2,))
+
+
+def test_sign_of_unknown_facet():
+    with pytest.raises(FacetNotFound):
+        orient(build_complex(TETRA)).sign_of((1, 2, 5))
+
+
 def test_euler_boundary_tetrahedron():
     assert euler_characteristic(build_complex(TETRA)) == 2
 

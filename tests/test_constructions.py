@@ -15,6 +15,7 @@ from spheremap import (
     BudgetExceeded,
     FacetNotFound,
     InvalidDimension,
+    InvalidLink,
     Complex,
     ConstructionCertificate,
     OrientedComplex,
@@ -405,6 +406,40 @@ def _oriented_union(*blocks) -> OrientedComplex:
         oriented[0].dimension,
         [pair for oc in oriented for pair in zip(oc.facets, oc.signs)],
     )
+
+
+def test_one_gate_names_the_first_incoherent_ridge():
+    # documents, literal seeds and link reductions pass one sphere gate
+    ls = boundary_simplex(2).labeled
+    signs = ls.oriented.signs
+    flipped = labeled_sphere(OrientedComplex(ls.complex, (-signs[0],) + signs[1:]), ls.labels)
+    doc = json.loads(serialize(ls))
+    assert doc["orientation"][0][1:] == [1, 2, 3]
+    doc["orientation"][0][0] *= -1
+    with pytest.raises(ValidationError) as caught:
+        parse(json.dumps(doc))
+    assert str(caught.value) == "document orientation not coherent across ridge [1, 2]"
+    with pytest.raises(ValidationError) as caught:
+        replay([("literal", flipped)])
+    assert str(caught.value) == "literal seed orientation not coherent across ridge [1, 2]"
+    # the link of vertex 1 carries the flipped sign onto its edge (2, 3)
+    with pytest.raises(InvalidLink) as caught:
+        link_reduction(flipped, 1)
+    assert str(caught.value) == "link of 1 orientation not coherent across ridge [2]"
+
+
+def test_moves_reject_vertex_ids_that_are_not_integers():
+    # True and 1.0 hash like vertex 1; taken as vertex ids they would enter
+    # the recipe and leave a result that neither loads nor replays
+    cert = construct(2, 1)
+    for pivot in (True, 1.0, "1"):
+        with pytest.raises(PivotNotFound):
+            one_point_suspension(cert, pivot)
+    for facet in ((True, 2, 3), (1.0, 2, 3), ("a", 1, 2), 5):
+        with pytest.raises(FacetNotFound):
+            insertion_step(cert, facet)
+    for out in (one_point_suspension(cert, 1), insertion_step(cert, [3, 2, 1])):
+        assert load_certificate(serialize(out)) == out
 
 
 def test_replay_rejects_bad_literal_seeds():

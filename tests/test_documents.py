@@ -342,6 +342,13 @@ def test_parse_rejects_non_spheres():
         parse(rp2_doc)
 
 
+def test_parse_names_the_failing_sphere_checks():
+    torus_doc = bare_sphere_doc(TORUS, {v: (v - 1) % 4 + 1 for v in range(1, 8)}, 2)
+    with pytest.raises(ValidationError) as caught:
+        parse(torus_doc)
+    assert str(caught.value) == "document fails sphere checks: ['euler_characteristic']"
+
+
 def test_parse_rejects_claim_mismatches():
     doc = doc_of(degree_four_witness())
     doc["metadata"]["claimed_degree"] = 5

@@ -358,6 +358,15 @@ def test_lambda_table_search_row_for_degree_four():
     assert row.ratio_over_n == Fraction(5, 1)
 
 
+def test_lambda_row_ratios_need_a_value_and_a_degree():
+    empty = lambda_table([{"n": 1, "d": 2, "v_max": 5}]).rows[0]
+    assert empty.lambda_value is None
+    assert empty.ratio_over_d is None and empty.ratio_over_n is None
+    zero = lambda_table([{"n": 2, "d": 0}]).rows[0]
+    assert zero.lambda_value == 4
+    assert zero.ratio_over_d is None and zero.ratio_over_n == 2
+
+
 def test_lambda_table_circle_ratios():
     table = lambda_table(
         [{"n": 1, "d": d, "v_max": 3 * d} for d in range(1, 5)]
