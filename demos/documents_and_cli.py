@@ -5,6 +5,7 @@ Run:  python3 demos/documents_and_cli.py
 
 import argparse
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from spheremap import (
     DegreeMismatch,
     ValidationError,
     construct,
+    degree,
     load_certificate,
     parse,
     serialize,
@@ -46,12 +48,15 @@ def main() -> None:
     print()
 
     print("-- the same flows through the CLI ---------------------------------")
+    # insertion needs a positively signed facet on the last target
+    facet = min(f for f, sign in degree(cert.labeled).per_target_facet[4] if sign == 1)
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sphere.json"
         for argv in (
             ["construct", "--n", "2", "--d", "3", "--out", str(path)],
             ["verify", str(path)],
-            ["insert", str(path), "--facet", "1,2,3", "--out", str(path)],
+            ["insert", str(path), "--facet", ",".join(map(str, facet)), "--out", str(path)],
             ["verify", str(path)],
             ["search", "--n", "1", "--d", "2", "--max-vertices", "6"],
         ):
@@ -59,6 +64,10 @@ def main() -> None:
             code = cli(argv)
             print(f"(exit {code})")
             print()
+            if code != 0:
+                failed.append(argv[0])
+    if failed:
+        sys.exit(f"CLI steps failed: {failed}")
 
 
 if __name__ == "__main__":

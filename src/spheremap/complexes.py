@@ -490,39 +490,53 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     """Canonical key under vertex relabeling bijections.
 
     Invariant-refined backtracking: vertices are partitioned by iterated
-    structural signatures, then non-singleton classes are split by
+    structural signatures, then the first non-singleton class is split by
     individualizing each member in turn; the key is the lexicographically
-    smallest relabeled facet list over all resulting discrete orderings.
-    Two complexes get equal keys iff they differ by a vertex bijection.
+    smallest relabeled facet list over all resulting discrete orderings,
+    the first leaf reaching it giving the relabeling.  Two complexes get
+    equal keys iff they differ by a vertex bijection.
+
+    Automorphism pruning (McKay & Piperno, J. Symb. Comput. 60, 2014): a
+    leaf whose relabeled facets equal the best leaf's yields the
+    automorphism mapping one labeling onto the other.  A member of a
+    class is skipped when its orbit under the recorded automorphisms that
+    fix the vertices individualized so far holds a member already
+    explored: its subtree is that member's image, with the same relabeled
+    facet lists met later, so the first minimal leaf never lies in it.
     """
     verts = complex.vertices
     index = {v: i for i, v in enumerate(verts)}
     facets_idx = [tuple(index[v] for v in f) for f in complex.facets]
-    incident: list[list[int]] = [[] for _ in verts]
-    for fi, f in enumerate(facets_idx):
+    # per vertex, the other vertices of each facet containing it
+    others: list[list[tuple[int, ...]]] = [[] for _ in verts]
+    for f in facets_idx:
         for vi in f:
-            incident[vi].append(fi)
+            others[vi].append(tuple(u for u in f if u != vi))
 
     nv = len(verts)
 
     def refine(colors: list[int]) -> list[int]:
         while True:
-            sigs = []
-            for vi in range(nv):
-                rows = sorted(
-                    tuple(sorted(colors[u] for u in facets_idx[fi] if u != vi))
-                    for fi in incident[vi]
-                )
-                sigs.append((colors[vi], tuple(rows)))
-            rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-            new = [rank[s] for s in sigs]
+            color = colors.__getitem__
+            sigs = [
+                (c, sorted([sorted(map(color, o)) for o in rows]))
+                for c, rows in zip(colors, others)
+            ]
+            # rank each vertex among the distinct signatures, in sorted order
+            new = [0] * nv
+            r, last = -1, None
+            for vi in sorted(range(nv), key=sigs.__getitem__):
+                if sigs[vi] != last:
+                    r, last = r + 1, sigs[vi]
+                new[vi] = r
             if new == colors:
                 return colors
             colors = new
 
     best: list[tuple[tuple[Facet, ...], list[int]]] = []
+    automorphisms: list[list[int]] = []  # vertex index -> its image
 
-    def descend(colors: list[int]) -> None:
+    def descend(colors: list[int], path: list[int]) -> None:
         colors = refine(colors)
         classes: dict[int, list[int]] = {}
         for vi, c in enumerate(colors):
@@ -538,13 +552,31 @@ def canonical_form(complex: Complex) -> CanonicalForm:
             )
             if not best or relabeled < best[0][0]:
                 best[:] = [(relabeled, colors)]
+            elif relabeled == best[0][0]:
+                at_label = [0] * nv
+                for vi, c in enumerate(best[0][1]):
+                    at_label[c] = vi
+                automorphisms.append([at_label[c] for c in colors])
             return
+        explored: set[int] = set()
         for vi in target:
+            if explored:
+                fixing = [g for g in automorphisms if all(g[p] == p for p in path)]
+                orbit, stack = {vi}, [vi]
+                while stack:
+                    x = stack.pop()
+                    for g in fixing:
+                        if g[x] not in orbit:
+                            orbit.add(g[x])
+                            stack.append(g[x])
+                if orbit & explored:
+                    continue
             child = list(colors)
             child[vi] = nv  # fresh color above every current rank
-            descend(child)
+            descend(child, path + [vi])
+            explored.add(vi)
 
-    descend([len(incident[vi]) for vi in range(nv)])
+    descend([len(others[vi]) for vi in range(nv)], [])
     relabeled, colors = best[0]
     key = (
         f"{complex.dimension};{nv};"

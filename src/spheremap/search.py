@@ -2,15 +2,20 @@
 
 Dimension 1 and 2 only: circles are enumerated directly, 2-spheres by
 vertex splitting from the boundary tetrahedron.  Each split child is the
-parent's rotation system with the split's entries replaced, deduplicated by
-its planar code (an exact key up to mirror image); canonical_form runs once
-per new class, for its representative and its place in the class order.
-One pass plans the vertex order and each facet's closing
-(last) vertex; a depth-first loop over a trail of per-vertex frames, with
-no recursion, colors the vertices in that order with one state per facet:
-the bit mask of its placed colors, or a degenerate mark once a color
-repeats.  A facet is decided at its closing vertex by the degree module's
-sign rule.  Two reductions never lose witnesses:
+parent's rotation system with the split's entries replaced.  A child is
+kept only when its new edge is its canonical contractible edge (McKay's
+canonical construction path): lowest in a degree rank, which settles most
+children without any code, then lowest in planar code.  Kept children are
+deduplicated by that code, an exact key up to mirror image, since parent
+automorphisms repeat them; canonical_form runs once per new class, for
+its representative and its place in the class order.
+
+One pass plans the vertex order and each facet's closing (last) vertex;
+a depth-first loop over a trail of per-vertex frames, with no recursion,
+colors the vertices in that order with one state per facet: the bit mask
+of its placed colors, or a degenerate mark once a color repeats.  A facet
+is decided at its closing vertex by the degree module's sign rule.  Two
+reductions never lose witnesses:
 
 * color-permutation quotient: colors are forced to appear in first-use
   order along the vertex order, and both degrees d and -d are accepted
@@ -91,14 +96,18 @@ def _sphere_classes(v: int) -> tuple[Complex, ...]:
     if v == 4:
         tetra = build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
         return (canonical_form(tetra).canonical,)
-    seen: set[bytes] = set()
+    accepted: set[bytes] = set()
     classes: dict[bytes, Complex] = {}
     for parent in _sphere_classes(v - 1):
         for child in _vertex_splits(parent):
-            code = _planar_key(child)
-            if code in seen:
+            ranked = _new_edge_key(child)
+            if ranked is None:
                 continue
-            seen.add(code)
+            key, rivals = ranked
+            # parent automorphisms repeat children, so keys repeat too
+            if key in accepted or any(_edge_code(child, a, b, key) for a, b in rivals):
+                continue
+            accepted.add(key)
             cf = canonical_form(_rotation_complex(child))
             if cf.key in classes:
                 raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
@@ -172,32 +181,70 @@ def _vertex_splits(K: Complex):
                 yield child
 
 
-def _planar_key(rotation: Rotation) -> bytes:
-    """Isomorphism key of a triangulated 2-sphere, mirror images included.
+def _new_edge_key(rotation: Rotation) -> tuple[bytes, list[tuple[int, int]]] | None:
+    """The new edge's key and its rivals, or None when a contractible edge
+    ranks below it.
 
-    A triangulated 2-sphere is 3-connected, so its embedding is unique up
-    to reflection (Whitney) and two of them are isomorphic exactly when a
-    planar code of one, read from some start edge in some sense, equals one
-    of the other (Brinkmann & McKay, plantri).  The key is the smallest code
-    over both senses and the start edges x -> u with the smallest (deg x,
-    deg u, deg w), w following u around x in that sense.
+    In a split child the new vertex is the largest id, and the split vertex
+    z closes its cycle.  An edge {a, b} is contractible when a and b have
+    exactly two common neighbours, the vertices c, c' opposite it; the new
+    edge {z, new} always is.  Contractible edges are ranked by (deg a +
+    deg b, min deg, deg c + deg c', min(deg c, deg c')), then by
+    ``_edge_code``; a child is kept only when {z, new} ranks first, so the
+    caller drops it when a rival (a contractible edge of equal rank) has a
+    smaller code.  The key is the new edge's code.  A triangulated 2-sphere
+    is 3-connected, so its embedding is unique up to reflection (Whitney),
+    and kept children with equal keys are isomorphic, mirror images
+    included (Brinkmann & McKay, plantri).  Every contractible edge of a
+    class at v+1 contracts to a class at v, and splitting that class's
+    representative at the matching link pair gives the child back with
+    that edge as {z, new}, so every class is kept at least once (McKay's
+    canonical construction path, J. Algorithms 26, 1998).
     """
     deg = {x: len(cycle) for x, cycle in rotation.items()}
-    low = min(deg.values())
-    starts = []
-    for x, cycle in rotation.items():
-        if deg[x] == low:
-            for t, u in enumerate(cycle):
-                starts.append(((deg[u], deg[cycle[(t + 1) % low]]), x, u, 1))
-                starts.append(((deg[u], deg[cycle[t - 1]]), x, u, -1))
-    first = min(starts)[0]
-    return min(_planar_code(rotation, x, u, sense) for inv, x, u, sense in starts if inv == first)
+    new = max(rotation)
+    z = rotation[new][-1]
+
+    def rank(a: int, b: int, c: int, c2: int) -> tuple[int, int, int, int]:
+        return (deg[a] + deg[b], min(deg[a], deg[b]), deg[c] + deg[c2], min(deg[c], deg[c2]))
+
+    cycle = rotation[z]
+    p = cycle.index(new)
+    mine = rank(z, new, cycle[p - 1], cycle[(p + 1) % len(cycle)])
+    rivals = []
+    for a, cycle in rotation.items():
+        k = len(cycle)
+        for p, b in enumerate(cycle):
+            if b <= a or deg[a] + deg[b] > mine[0] or (a, b) == (z, new):
+                continue
+            r = rank(a, b, cycle[p - 1], cycle[(p + 1) % k])
+            if r <= mine and len(set(rotation[a]).intersection(rotation[b])) == 2:
+                if r < mine:
+                    return None
+                rivals.append((a, b))
+    return _edge_code(rotation, z, new), rivals
 
 
-def _planar_code(rotation: Rotation, x: int, u: int, sense: int) -> bytes:
+def _edge_code(rotation: Rotation, a: int, b: int, below: bytes | None = None) -> bytes | None:
+    """Smallest planar code read from edge {a, b}, from either end in either
+    sense; with ``below``, None unless that code is smaller."""
+    best = None
+    for x, u in ((a, b), (b, a)):
+        for sense in (1, -1):
+            code = _planar_code(rotation, x, u, sense, best or below)
+            if code is not None:
+                best = code
+    return best
+
+
+def _planar_code(
+    rotation: Rotation, x: int, u: int, sense: int, below: bytes | None = None
+) -> bytes | None:
     """Vertices numbered in breadth-first order from x; each vertex in turn
     lists its neighbours' numbers around it, starting at the neighbour it
-    was reached from (u for x) and turning in sense, then a 0."""
+    was reached from (u for x) and turning in sense, then a 0.  With
+    ``below``, None unless the code is smaller, given up at the first row
+    that makes it larger."""
     number = {x: 1}
     entry = {x: u}
     order = [x]
@@ -214,7 +261,9 @@ def _planar_code(rotation: Rotation, x: int, u: int, sense: int) -> bytes:
                 entry[w] = y
             code.append(n)
         code.append(0)
-    return bytes(code)
+        if below is not None and code > below[:len(code)]:
+            return None
+    return None if code == below else bytes(code)
 
 
 def _search_plan(K: Complex) -> tuple[list[int], dict[int, list[tuple[int, bool]]]]:

@@ -28,6 +28,7 @@ from spheremap import (
 from spheremap.complexes import coherence_failures
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
 from spheremap.search import enumerate_spheres
+from canonical_oracle import full_canonical_form
 from orientation_oracle import bfs_orient
 from sphere_oracle import recursive_is_sphere
 
@@ -548,6 +549,44 @@ def test_canonical_form_idempotent():
     again = canonical_form(cf.canonical)
     assert again.key == cf.key
     assert again.canonical.facets == cf.canonical.facets
+
+
+def relabeled_copy(K, rng):
+    """K under a random injection of its vertices into 1..99."""
+    m = dict(zip(K.vertices, rng.sample(range(1, 100), len(K.vertices))))
+    return build_complex([tuple(m[v] for v in f) for f in K.facets])
+
+
+def canonical_oracle_corpus():
+    rng = random.Random(1998)
+    spheres = [K for v in range(4, 11) for K in enumerate_spheres(2, v)]
+    assert len(spheres) == 306
+    yield from (relabeled_copy(K, rng) for K in spheres for _ in range(2))
+    yield from (boundary_simplex(n).labeled.complex for n in range(1, 6))
+    for n in (2, 3, 4):
+        for d in (-3, 0, 2, 5):
+            yield relabeled_copy(construct(n, d).labeled.complex, rng)
+    for facets in (TORUS, RP2, OCTAHEDRON):
+        K = build_complex(facets)
+        yield from (K, relabeled_copy(K, rng))
+
+
+def test_canonical_form_matches_unpruned_oracle():
+    # pruning skips only repeated leaves: key, relabeling and canonical
+    # complex are exactly those of the search over every leaf
+    for K in canonical_oracle_corpus():
+        assert canonical_form(K) == full_canonical_form(K), K.facets
+
+
+def test_canonical_form_of_boundary_seven_simplex():
+    # 8! leaves without pruning; the oracle cannot finish this in a test run
+    K = boundary_simplex(6).labeled.complex
+    copy = relabeled_copy(K, random.Random(7))
+    cf = canonical_form(copy)
+    assert cf.key == canonical_form(K).key
+    assert cf.canonical == K
+    image = build_complex([tuple(cf.relabeling[v] for v in f) for f in copy.facets])
+    assert image == K
 
 
 def test_parity_to_sorted():

@@ -6,8 +6,9 @@ import pytest
 
 import spheremap.search
 from spheremap.search import (
+    _edge_code,
+    _new_edge_key,
     _planar_code,
-    _planar_key,
     _rotation,
     _rotation_complex,
     _search_plan,
@@ -98,23 +99,62 @@ def test_enumerated_classes_are_pinned():
     )
 
 
-def test_planar_key_partitions_split_children_like_canonical_form():
+def accepted_key(child):
+    """The split key of a child kept by the canonical-edge rule, or None."""
+    ranked = _new_edge_key(child)
+    if ranked is None:
+        return None
+    key, rivals = ranked
+    if any(_edge_code(child, a, b, key) for a, b in rivals):
+        return None
+    return key
+
+
+def normalized(rotation):
+    """Each cycle started at its smallest entry, as ``_rotation`` starts it."""
+    out = {}
+    for x, cycle in rotation.items():
+        p = cycle.index(min(cycle))
+        out[x] = cycle[p:] + cycle[:p]
+    return out
+
+
+def test_split_keys_partition_children_like_canonical_form():
     for v in range(5, 11):
         pairs = set()
         for parent in _sphere_classes(v - 1):
             for child in _vertex_splits(parent):
                 K = _rotation_complex(child)
                 assert len(K.facets) == 2 * v - 4 and K.vertices == tuple(range(1, v + 1))
-                key = _planar_key(child)
                 if v < 10:  # the rotation derived from the parent's is the child's own
-                    assert key == _planar_key(_rotation(K))
-                pairs.add((key, canonical_form(K).key))
-        planar, canonical = zip(*pairs)
-        assert len(set(planar)) == len(set(canonical)) == len(pairs)
-        assert len(pairs) == len(_sphere_classes(v))
+                    mirror = {x: cycle[::-1] for x, cycle in child.items()}
+                    assert _rotation(K) in (normalized(child), normalized(mirror))
+                key = accepted_key(child)
+                if key is not None:
+                    pairs.add((key, canonical_form(K).key))
+        keys, canonical = zip(*pairs)
+        assert len(set(keys)) == len(set(canonical)) == len(pairs)
+        # every class is kept at least once
+        assert set(canonical) == {canonical_form(K).key for K in _sphere_classes(v)}
 
 
-def test_planar_key_matches_mirror_images():
+def split_children_of(rotation):
+    """The rotation relabeled as a split child at each directed edge z -> x:
+    x becomes the largest id, with z closing its cycle."""
+    top = max(rotation)
+    for x, cycle in rotation.items():
+        for z in cycle:
+            swap = {x: top, top: x}
+            child = {
+                swap.get(y, y): tuple(swap.get(w, w) for w in c) for y, c in rotation.items()
+            }
+            c = child[top]
+            p = c.index(swap.get(z, z))
+            child[top] = c[p + 1:] + c[:p + 1]
+            yield child
+
+
+def test_split_key_matches_mirror_images():
     # a chiral class on 7 vertices: it and its mirror image differ as oriented
     # maps, but are one unoriented class
     K = build_complex([
@@ -127,8 +167,12 @@ def test_planar_key_matches_mirror_images():
     def oriented_key(rot):
         return min(_planar_code(rot, x, u, 1) for x, cycle in rot.items() for u in cycle)
 
+    def accepted_keys(rot):
+        return {accepted_key(child) for child in split_children_of(rot)} - {None}
+
     assert oriented_key(rotation) != oriented_key(mirror)
-    assert _planar_key(rotation) == _planar_key(mirror)
+    assert len(accepted_keys(rotation)) == 1
+    assert accepted_keys(rotation) == accepted_keys(mirror)
     assert _rotation_complex(mirror) == K
 
 
