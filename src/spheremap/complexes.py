@@ -18,6 +18,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -112,8 +114,8 @@ class Complex:
 
     @cached_property
     def _walk(self) -> tuple[dict[Facet, int], tuple[Facet, Facet] | None]:
-        """``_facet_walk`` of this complex, shared by closedness and orientation."""
-        return _facet_walk(self)
+        """The star walk of the empty face, shared by closedness and orientation."""
+        return next(_star_walks(self, 0))[:2]
 
     @cached_property
     def closedness(self) -> "ClosednessReport":
@@ -186,29 +188,39 @@ def _closedness(complex: Complex) -> ClosednessReport:
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
 
 
-def _facet_walk(complex: Complex) -> tuple[dict[Facet, int], tuple[Facet, Facet] | None]:
-    """Breadth-first walk from the first facet (sign +1) across every ridge,
-    whatever its multiplicity, giving each facet reached the sign coherent
-    with the facet it came from.  Returns those signs and the first pair
-    (f, g) where g's sign is not the one coherent with f's, or None."""
-    adjacent: dict[Facet, list[tuple[Facet, int]]] = {f: [] for f in complex.facets}
+def _star_walks(complex: Complex, k: int) -> Iterator[tuple]:
+    """Walk the star of each face sigma of k vertices breadth-first, from
+    the first facet containing sigma (sign +1) across the ridges containing
+    sigma, giving each facet reached K's coherent sign relative to the one
+    it came from.  Yields the signs, the first pair (f, g) whose signs
+    conflict or None, and the number of facets containing sigma; k = 0
+    walks all of K.  So lk(sigma) is connected when the walk reaches every
+    facet containing sigma, and orientable when it meets no conflict: the
+    link's flip across a ridge of f and g is K's times the parities of
+    moving sigma to the front of f and of g, a fixed sign change per facet."""
+    adjacent: dict[Facet, list[tuple[Facet, int, int]]] = {f: [] for f in complex.facets}
     for entries in complex.ridge_entries.values():
         for (f, pf), (g, pg) in combinations(entries, 2):
             flip = 1 if (pf + pg) % 2 else -1
-            adjacent[f].append((g, flip))
-            adjacent[g].append((f, flip))
-    queue = list(complex.facets[:1])
-    signs = dict.fromkeys(queue, 1)
-    conflict = None
-    for f in queue:  # the queue grows as facets are reached
-        sf = signs[f]
-        for g, flip in adjacent[f]:
-            if g not in signs:
-                signs[g] = sf * flip
-                queue.append(g)
-            elif conflict is None and signs[g] != sf * flip:
-                conflict = (f, g)
-    return signs, conflict
+            adjacent[f].append((g, flip, f[pf]))  # with f's vertex off the ridge
+            adjacent[g].append((f, flip, g[pg]))
+    stars: dict[Facet, list] = {}  # sigma -> [first facet, facet count]
+    for f in complex.facets:
+        for sigma in combinations(f, k):
+            stars.setdefault(sigma, [f, 0])[1] += 1
+    for sigma, (start, size) in stars.items():
+        queue, signs, conflict = [start], {start: 1}, None
+        for f in queue:  # the queue grows as facets are reached
+            sf = signs[f]
+            for g, flip, off in adjacent[f]:
+                if off in sigma:  # the ridge misses sigma
+                    continue
+                if g not in signs:
+                    signs[g] = sf * flip
+                    queue.append(g)
+                elif conflict is None and signs[g] != sf * flip:
+                    conflict = (f, g)
+        yield signs, conflict, size
 
 
 @dataclass(frozen=True)
@@ -299,14 +311,19 @@ def coherence_failures(oriented: OrientedComplex) -> tuple[Facet, ...]:
 
 def euler_characteristic(complex: Complex) -> int:
     """Alternating sum of face counts across all dimensions 0..n."""
-    faces: list[set[Facet]] = [set() for _ in range(complex.dimension + 1)]
-    for f in complex.facets:
-        for k in range(1, len(f) + 1):
-            faces[k - 1].update(combinations(f, k))
-    chi = 0
-    for k, level in enumerate(faces):
-        chi += len(level) if k % 2 == 0 else -len(level)
-    return chi
+    return _link_characteristics(complex, 0)[()]
+
+
+def _link_characteristics(complex: Complex, k: int) -> dict[Facet, int]:
+    """chi(lk sigma) for every face sigma of k vertices: the sum over faces
+    tau of K containing sigma of (-1)**(|tau| - k - 1), as tau minus sigma
+    is a face of lk(sigma).  The empty face's link is K itself."""
+    faces = {tau for f in complex.facets for size in range(k + 1, len(f) + 1)
+             for tau in combinations(f, size)}
+    odd, even = Counter(), Counter()  # by the parity of |tau| - k
+    for tau in faces:
+        (odd if (len(tau) - k) % 2 else even).update(combinations(tau, k))
+    return {sigma: count - even[sigma] for sigma, count in odd.items()}
 
 
 def vertex_link(complex: Complex, v: int) -> Complex:
@@ -344,15 +361,13 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     characteristic 1 + (-1)**n, and ``vertex_links``, which holds when
     every vertex link passes the same battery, applied recursively to its
     own links.  A link of a link is the link of a larger face (the link of
-    u in lk(v) is lk({u, v})), so ``vertex_links`` is decided in one pass
-    over the faces sigma of K with 1 <= |sigma| <= n - 1, each visited
-    once, checking lk(sigma) is connected and orientable with Euler
-    characteristic 1 + (-1)**dim, by one facet walk and a fresh enumeration
-    of the link's faces (about 3**(n+1) work per facet).  The remaining
-    checks are inherited from K: links of a closed pseudomanifold are closed
-    (a ridge of lk(sigma) plus sigma is a ridge of K), and the link of a
-    ridge is two points, which always pass.  Links of an orientable K are
-    orientable, so link orientability matters only when K is not.
+    u in lk(v) is lk({u, v})), so ``vertex_links`` checks each face sigma
+    of K with 1 <= |sigma| <= n - 1 once, one size at a time, building no
+    link: a walk of sigma's star in K's facet graph decides whether
+    lk(sigma) is connected and orientable, and one count over K's faces
+    gives its Euler characteristic.  Links of a closed pseudomanifold are
+    closed (a ridge of lk(sigma) plus sigma is a ridge of K), and a ridge's
+    link is two points.
 
     Exact for dimension <= 2 (closed + connected + orientable + Euler
     characteristic + all vertex links single cycles pins down the sphere by
@@ -384,9 +399,14 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     chi_ok = euler_characteristic(complex) == 1 + (-1) ** n
     checks.append(("euler_characteristic", chi_ok))
 
-    links_ok = True
+    # one face size at a time: each star walk reaches the whole star with no
+    # conflict, and each link has the Euler characteristic of a sphere
+    links_ok = all(
+        all(len(s) == size and c is None for s, c, size in _star_walks(complex, k))
+        and set(_link_characteristics(complex, k).values()) == {1 + (-1) ** (n - k)}
+        for k in range(1, n)
+    )
     if n >= 1:
-        links_ok = _face_links_pass(complex)
         checks.append(("vertex_links", links_ok))
 
     if not (orientable and chi_ok and links_ok):
@@ -394,28 +414,6 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     if n <= 2:
         return SphereVerdict(SphereStatus.SPHERE, tuple(checks))
     return SphereVerdict(SphereStatus.NECESSARY_CONDITIONS_ONLY, tuple(checks))
-
-
-def _face_links_pass(complex: Complex) -> bool:
-    """Every lk(sigma), 1 <= |sigma| <= n - 1, is connected and orientable
-    with Euler characteristic 1 + (-1)**dim.  K must be a closed
-    pseudomanifold."""
-    n = complex.dimension
-    links: dict[Facet, list[Facet]] = {}
-    for f in complex.facets:
-        for k in range(1, n):
-            for sigma in combinations(f, k):
-                links.setdefault(sigma, []).append(
-                    tuple(u for u in f if u not in sigma)
-                )
-    for sigma, link_facets in links.items():
-        link = Complex(n - len(sigma), tuple(link_facets))
-        signs, conflict = _facet_walk(link)
-        if len(signs) != len(link_facets) or conflict is not None:
-            return False
-        if euler_characteristic(link) != 1 + (-1) ** link.dimension:
-            return False
-    return True
 
 
 def _sphere_failure(oriented: OrientedComplex) -> str | None:
@@ -577,6 +575,7 @@ def canonical_form(complex: Complex) -> CanonicalForm:
             explored.add(vi)
 
     descend([len(others[vi]) for vi in range(nv)], [])
+    del descend  # it holds itself: free the search state without the cyclic GC
     relabeled, colors = best[0]
     key = (
         f"{complex.dimension};{nv};"

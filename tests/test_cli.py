@@ -233,8 +233,8 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, command, kind):
 
 @pytest.mark.parametrize("with_orientation", [True, False])
 def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with_orientation):
-    # count the passes themselves, not the cached public wrappers; link
-    # complexes checked inside the sphere verdict are not counted
+    # count the passes themselves, not the cached public wrappers, on the
+    # document's own complex
     complexes_mod = importlib.import_module("spheremap.complexes")
     degree_mod = importlib.import_module("spheremap.degree")  # not the function
 
@@ -267,7 +267,8 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
 
 @pytest.mark.parametrize("with_orientation", [True, False])
 def test_verify_walks_the_facet_graph_once(tmp_path, capsys, monkeypatch, with_orientation):
-    # closedness and orientation share one walk of the document's complex
+    # closedness and orientation share one walk of the document's facet
+    # graph: the star walk of the empty face
     complexes_mod = importlib.import_module("spheremap.complexes")
     out = tmp_path / "c.json"
     run(capsys, "construct", "--n", "3", "--d", "5", "--out", str(out))
@@ -277,13 +278,13 @@ def test_verify_walks_the_facet_graph_once(tmp_path, capsys, monkeypatch, with_o
         out.write_text(json.dumps(doc))
     facets = tuple(tuple(f) for f in doc["facets"])
     walked = []
-    original = complexes_mod._facet_walk
+    original = complexes_mod._star_walks
 
-    def counting(complex):
-        walked.append(complex.facets == facets)
-        return original(complex)
+    def counting(complex, k):
+        walked.append(complex.facets == facets and k == 0)
+        return original(complex, k)
 
-    monkeypatch.setattr(complexes_mod, "_facet_walk", counting)
+    monkeypatch.setattr(complexes_mod, "_star_walks", counting)
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 0 and "PASS" in stdout
     assert walked.count(True) == 1

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, product
 
@@ -14,6 +15,7 @@ from spheremap import (
     UnknownVertex,
     VertexAlreadyPresent,
     FacetNotFound,
+    Complex,
     build_complex,
     canonical_form,
     check_closed_pseudomanifold,
@@ -414,6 +416,12 @@ def test_is_sphere_matches_oracle_on_constructions(n):
         assert is_sphere(K).passed
 
 
+def relabeled_copy(K, rng):
+    """K under a random injection of its vertices into 1..99."""
+    m = dict(zip(K.vertices, rng.sample(range(1, 100), len(K.vertices))))
+    return build_complex([tuple(m[v] for v in f) for f in K.facets])
+
+
 NON_SPHERES = {
     "torus": TORUS,
     "rp2": RP2,
@@ -427,6 +435,12 @@ NON_SPHERES = {
     # of the link checks, only orientability fails (at the apexes)
     "twisted_sphere_bundle": twisted_sphere_bundle(),
     "suspended_twisted_sphere_bundle": suspension(twisted_sphere_bundle()),
+    # apexes among the other ids, so the faces sigma whose links fail to be
+    # orientable sit inside their facets rather than at their ends
+    "relabeled_double_suspended_twisted_sphere_bundle": relabeled_copy(
+        build_complex(suspension(suspension(twisted_sphere_bundle()))), random.Random(13)
+    ).facets,
+    "three_points": [(1,), (2,), (3,)],
 }
 
 
@@ -435,6 +449,36 @@ def test_is_sphere_matches_oracle_on_non_spheres(name):
     K = build_complex(NON_SPHERES[name])
     assert is_sphere(K) == recursive_is_sphere(K)
     assert is_sphere(K).status is SphereStatus.NOT_SPHERE
+
+
+def test_relabeled_bundle_fails_only_at_orientability():
+    K = build_complex(NON_SPHERES["relabeled_double_suspended_twisted_sphere_bundle"])
+    assert (len(K.facets), K.dimension) == (144, 5)
+    apexes = [v for v in K.vertices if len(K.facets_at[v]) == len(K.facets) // 2]
+    assert len(apexes) == 4 and apexes != list(K.vertices[-4:])
+    failed = [name for name, ok in is_sphere(K).checks if not ok]
+    assert failed == ["orientable", "vertex_links"]
+
+
+def test_is_sphere_matches_oracle_on_the_zero_sphere():
+    K = build_complex([(1,), (2,)])
+    assert is_sphere(K) == recursive_is_sphere(K)
+    assert is_sphere(K).status is SphereStatus.SPHERE
+
+
+def test_is_sphere_builds_no_complex_but_its_own(monkeypatch):
+    # the links are walked and counted inside K's own facet graph and faces
+    K = build_complex(construct(4, 6).labeled.complex.facets)
+    built = []
+    original = Complex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "__init__", counting)
+    assert is_sphere(K).passed
+    assert built == []
 
 
 def test_subdivide_facet_counts():
@@ -551,12 +595,6 @@ def test_canonical_form_idempotent():
     assert again.canonical.facets == cf.canonical.facets
 
 
-def relabeled_copy(K, rng):
-    """K under a random injection of its vertices into 1..99."""
-    m = dict(zip(K.vertices, rng.sample(range(1, 100), len(K.vertices))))
-    return build_complex([tuple(m[v] for v in f) for f in K.facets])
-
-
 def canonical_oracle_corpus():
     rng = random.Random(1998)
     spheres = [K for v in range(4, 11) for K in enumerate_spheres(2, v)]
@@ -576,6 +614,20 @@ def test_canonical_form_matches_unpruned_oracle():
     # complex are exactly those of the search over every leaf
     for K in canonical_oracle_corpus():
         assert canonical_form(K) == full_canonical_form(K), K.facets
+
+
+def test_canonical_form_leaves_no_cyclic_garbage():
+    # the search state is freed by reference counting alone
+    rng = random.Random(5)
+    for K in (relabeled_copy(boundary_simplex(4).labeled.complex, rng), build_complex(OCTAHEDRON)):
+        gc.collect()
+        gc.disable()
+        try:
+            cf = canonical_form(K)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert cf == full_canonical_form(K)
 
 
 def test_canonical_form_of_boundary_seven_simplex():

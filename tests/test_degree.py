@@ -226,12 +226,15 @@ def test_singleton_colors():
 
 
 def test_link_reduction_boundary_simplex():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         ls = boundary_simplex(n).labeled
         for v in ls.oriented.vertices:
             red = link_reduction(ls, v)
             assert red.dimension == n - 1
             assert degree(red).degree == 1
+            if n == 1:  # two points; there is no boundary_simplex(0)
+                assert len(red.complex.facets) == 2
+                continue
             assert (
                 canonical_form(red.complex).key
                 == canonical_form(boundary_simplex(n - 1).labeled.complex).key
