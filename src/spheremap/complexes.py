@@ -22,7 +22,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 
 from .errors import (
@@ -311,18 +311,29 @@ def coherence_failures(oriented: OrientedComplex) -> tuple[Facet, ...]:
 
 def euler_characteristic(complex: Complex) -> int:
     """Alternating sum of face counts across all dimensions 0..n."""
-    return _link_characteristics(complex, 0)[()]
+    return _link_characteristics(_faces(complex), 0)[()]
 
 
-def _link_characteristics(complex: Complex, k: int) -> dict[Facet, int]:
-    """chi(lk sigma) for every face sigma of k vertices: the sum over faces
-    tau of K containing sigma of (-1)**(|tau| - k - 1), as tau minus sigma
-    is a face of lk(sigma).  The empty face's link is K itself."""
-    faces = {tau for f in complex.facets for size in range(k + 1, len(f) + 1)
-             for tau in combinations(f, size)}
+def _faces(complex: Complex) -> list[set[Facet]]:
+    """K's faces by size: entry s holds the faces of s vertices, each a
+    sorted tuple."""
+    faces: list[set[Facet]] = [set() for _ in range(complex.dimension + 2)]
+    for f in complex.facets:
+        for size in range(1, len(f) + 1):
+            faces[size].update(combinations(f, size))
+    return faces
+
+
+def _link_characteristics(faces: list[set[Facet]], k: int) -> dict[Facet, int]:
+    """chi(lk sigma) for every face sigma of k vertices, given K's faces by
+    size: the sum over faces tau of K containing sigma of
+    (-1)**(|tau| - k - 1), as tau minus sigma is a face of lk(sigma).  The
+    empty face's link is K itself."""
     odd, even = Counter(), Counter()  # by the parity of |tau| - k
-    for tau in faces:
-        (odd if (len(tau) - k) % 2 else even).update(combinations(tau, k))
+    for size in range(k + 1, len(faces)):
+        (odd if (size - k) % 2 else even).update(
+            chain.from_iterable(combinations(tau, k) for tau in faces[size])
+        )
     return {sigma: count - even[sigma] for sigma, count in odd.items()}
 
 
@@ -396,14 +407,17 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
         orientable = False
     checks.append(("orientable", orientable))
 
-    chi_ok = euler_characteristic(complex) == 1 + (-1) ** n
+    faces = _faces(complex)  # built once: K's chi and every link's count it
+    chi_ok = _link_characteristics(faces, 0)[()] == 1 + (-1) ** n
     checks.append(("euler_characteristic", chi_ok))
 
-    # one face size at a time: each star walk reaches the whole star with no
-    # conflict, and each link has the Euler characteristic of a sphere
-    links_ok = all(
+    # every link has a sphere's Euler characteristic, and then, one face size
+    # at a time, each star walk reaches the whole star with no conflict; the
+    # faces are freed before the walks build their facet graphs
+    links_ok = _links_have_sphere_chi(faces, n)
+    del faces
+    links_ok = links_ok and all(
         all(len(s) == size and c is None for s, c, size in _star_walks(complex, k))
-        and set(_link_characteristics(complex, k).values()) == {1 + (-1) ** (n - k)}
         for k in range(1, n)
     )
     if n >= 1:
@@ -414,6 +428,18 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     if n <= 2:
         return SphereVerdict(SphereStatus.SPHERE, tuple(checks))
     return SphereVerdict(SphereStatus.NECESSARY_CONDITIONS_ONLY, tuple(checks))
+
+
+def _links_have_sphere_chi(faces: list[set[Facet]], n: int) -> bool:
+    """Whether every link of a face of 1..n-1 vertices has the Euler
+    characteristic of a sphere.  The links of faces of k or more vertices
+    never count the faces of k vertices, so those are freed before the
+    count for k."""
+    for k in range(1, n):
+        faces[k].clear()
+        if set(_link_characteristics(faces, k).values()) != {1 + (-1) ** (n - k)}:
+            return False
+    return True
 
 
 def _sphere_failure(oriented: OrientedComplex) -> str | None:
@@ -494,6 +520,18 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     the first leaf reaching it giving the relabeling.  Two complexes get
     equal keys iff they differ by a vertex bijection.
 
+    The partition is an ordered list of cells, a vertex's color being its
+    cell's place, refined in synchronous rounds: a round re-sorts, by
+    signatures over the colors at its start, only the cells holding a
+    neighbour of a vertex whose cell split in the round before (at the
+    root, every cell), and a cell's parts take its place, in signature
+    order.  A cell with no such neighbour sees its members' signatures
+    change only by an order-preserving renumbering of colors, so it would
+    not split; the ranks are those of re-sorting every vertex each round.
+    Individualizing a vertex moves it to a new last cell, above every
+    other, not to the front of its cell: the order of the cells decides
+    the labels, so the key depends on it.
+
     Automorphism pruning (McKay & Piperno, J. Symb. Comput. 60, 2014): a
     leaf whose relabeled facets equal the best leaf's yields the
     automorphism mapping one labeling onto the other.  A member of a
@@ -504,50 +542,60 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     """
     verts = complex.vertices
     index = {v: i for i, v in enumerate(verts)}
-    facets_idx = [tuple(index[v] for v in f) for f in complex.facets]
+    facets_idx = [tuple(map(index.__getitem__, f)) for f in complex.facets]
     # per vertex, the other vertices of each facet containing it
     others: list[list[tuple[int, ...]]] = [[] for _ in verts]
     for f in facets_idx:
-        for vi in f:
-            others[vi].append(tuple(u for u in f if u != vi))
+        for p, vi in enumerate(f):
+            others[vi].append(f[:p] + f[p + 1:])
 
     nv = len(verts)
+    # per vertex, the vertices sharing a facet with it
+    neighbours = [{u for o in rows for u in o} for rows in others]
 
-    def refine(colors: list[int]) -> list[int]:
-        while True:
+    def refine(
+        cells: list[list[int]], colors: list[int], moved: list[int]
+    ) -> tuple[list[list[int]], list[int]]:
+        # colors[vi] is the place of vi's cell; a round re-sorts only the
+        # cells holding a neighbour of a vertex in a cell that just split
+        while moved:
             color = colors.__getitem__
-            sigs = [
-                (c, sorted([sorted(map(color, o)) for o in rows]))
-                for c, rows in zip(colors, others)
-            ]
-            # rank each vertex among the distinct signatures, in sorted order
-            new = [0] * nv
-            r, last = -1, None
-            for vi in sorted(range(nv), key=sigs.__getitem__):
-                if sigs[vi] != last:
-                    r, last = r + 1, sigs[vi]
-                new[vi] = r
-            if new == colors:
-                return colors
-            colors = new
+            touched = {colors[u] for vi in moved for u in neighbours[vi]}
+            split: list[list[int]] = []
+            moved = []
+            for c, cell in enumerate(cells):
+                if len(cell) == 1 or c not in touched:
+                    split.append(cell)
+                    continue
+                sigs = {vi: sorted([sorted(map(color, o)) for o in others[vi]]) for vi in cell}
+                cell = sorted(cell, key=sigs.__getitem__)
+                first, last = len(split), None
+                for vi in cell:
+                    if sigs[vi] != last:
+                        last = sigs[vi]
+                        split.append([])
+                    split[-1].append(vi)
+                if len(split) - first > 1:
+                    moved.extend(cell)
+            if moved:
+                colors = [0] * nv
+                for c, cell in enumerate(split):
+                    for vi in cell:
+                        colors[vi] = c
+            cells = split
+        return cells, colors
 
     best: list[tuple[tuple[Facet, ...], list[int]]] = []
     automorphisms: list[list[int]] = []  # vertex index -> its image
 
-    def descend(colors: list[int], path: list[int]) -> None:
-        colors = refine(colors)
-        classes: dict[int, list[int]] = {}
-        for vi, c in enumerate(colors):
-            classes.setdefault(c, []).append(vi)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
-                break
-        if target is None:
-            relabeled = tuple(
-                sorted(tuple(sorted(colors[vi] + 1 for vi in f)) for f in facets_idx)
-            )
+    def descend(
+        cells: list[list[int]], colors: list[int], path: list[int], moved: list[int]
+    ) -> None:
+        cells, colors = refine(cells, colors, moved)
+        t = next((t for t, cell in enumerate(cells) if len(cell) > 1), None)
+        if t is None:
+            label = [c + 1 for c in colors].__getitem__
+            relabeled = tuple(sorted([tuple(sorted(map(label, f))) for f in facets_idx]))
             if not best or relabeled < best[0][0]:
                 best[:] = [(relabeled, colors)]
             elif relabeled == best[0][0]:
@@ -556,6 +604,7 @@ def canonical_form(complex: Complex) -> CanonicalForm:
                     at_label[c] = vi
                 automorphisms.append([at_label[c] for c in colors])
             return
+        target = cells[t]
         explored: set[int] = set()
         for vi in target:
             if explored:
@@ -569,12 +618,17 @@ def canonical_form(complex: Complex) -> CanonicalForm:
                             stack.append(g[x])
                 if orbit & explored:
                     continue
+            # vi alone in a new last cell, above every other cell
             child = list(colors)
-            child[vi] = nv  # fresh color above every current rank
-            descend(child, path + [vi])
+            child[vi] = len(cells)
+            rest = [u for u in target if u != vi]
+            descend(cells[:t] + [rest] + cells[t + 1:] + [[vi]], child, path + [vi], [vi])
             explored.add(vi)
 
-    descend([len(others[vi]) for vi in range(nv)], [])
+    degrees = sorted({len(rows) for rows in others})
+    cells = [[vi for vi in range(nv) if len(others[vi]) == d] for d in degrees]
+    colors = [degrees.index(len(rows)) for rows in others]
+    descend(cells, colors, [], list(range(nv)))
     del descend  # it holds itself: free the search state without the cyclic GC
     relabeled, colors = best[0]
     key = (

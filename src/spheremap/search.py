@@ -5,7 +5,10 @@ vertex splitting from the boundary tetrahedron.  Each split child is the
 parent's rotation system with the split's entries replaced.  A child is
 kept only when its new edge is its canonical contractible edge (McKay's
 canonical construction path): lowest in a degree rank, which settles most
-children without any code, then lowest in planar code.  Kept children are
+children without any code, then lowest in planar code.  A split vertex is
+not split at all when a contractible parent edge, with at most one end in
+its link, outranks the new edge in every child on degrees alone, so most
+children dropped by the rank are never built.  Kept children are
 deduplicated by that code, an exact key up to mirror image, since parent
 automorphisms repeat them; canonical_form runs once per new class, for
 its representative and its place in the class order.
@@ -156,11 +159,36 @@ def _vertex_splits(K: Complex):
     at v this way.  A split is local: only z, the new vertex and z's link
     change their rotations, so each child is the parent's rotation with
     those entries replaced.
+
+    A split vertex z is skipped, before any child is built, when
+    ``_new_edge_key`` would drop all its children on degrees alone.  Every
+    child's new edge {z, new} has degree sum deg z + 4.  Take a contractible
+    parent edge {a, b} (exactly two common neighbours) with z not in it and
+    an end b outside lk(z): b's rotation is the same in every child and
+    holds neither z nor new, so a and b keep their two common neighbours,
+    and each end gains at most one neighbour, and only if it lies in lk(z).
+    If deg a + deg b plus its ends in lk(z) is below deg z + 4, that edge
+    outranks {z, new} in every child.  (A chord of lk(z), with both ends in
+    it, may gain a common neighbour, so it does not count.)
     """
     rotation = _rotation(K)
     new = max(rotation) + 1
+    # contractible edges with their degree sums
+    contractible = [
+        (len(cycle) + len(rotation[b]), a, b)
+        for a, cycle in rotation.items()
+        for b in cycle
+        if a < b and len(set(cycle).intersection(rotation[b])) == 2
+    ]
     for z, cycle in rotation.items():
         k = len(cycle)
+        link = set(cycle)
+        if any(
+            s + (a in link) + (b in link) < k + 4
+            for s, a, b in contractible
+            if z != a and z != b and not (a in link and b in link)
+        ):
+            continue
         # around each c_t: new instead of z, new inserted after z, or before it
         moved, after_z, before_z = [], [], []
         for c in cycle:

@@ -3,6 +3,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap import (
     DegenerateFacet,
@@ -29,7 +31,7 @@ from spheremap import (
 )
 from spheremap.complexes import coherence_failures
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
-from spheremap.search import enumerate_spheres
+from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
 from canonical_oracle import full_canonical_form
 from orientation_oracle import bfs_orient
 from sphere_oracle import recursive_is_sphere
@@ -614,6 +616,35 @@ def test_canonical_form_matches_unpruned_oracle():
     # complex are exactly those of the search over every leaf
     for K in canonical_oracle_corpus():
         assert canonical_form(K) == full_canonical_form(K), K.facets
+
+
+def relabeled(K, ids):
+    """K with its i-th vertex renamed ids[i]."""
+    m = dict(zip(K.vertices, ids))
+    return build_complex([tuple(m[v] for v in f) for f in K.facets])
+
+
+# the complexes the enumeration hands to canonical_form: every child that
+# _vertex_splits yields up to 9 vertices, kept or not
+SPLIT_CHILDREN = [
+    _rotation_complex(child)
+    for v in range(5, 10)
+    for parent in _sphere_classes(v - 1)
+    for child in _vertex_splits(parent)
+]
+SMALL_CONSTRUCTS = [construct(n, d).labeled.complex for n in (1, 2, 3) for d in range(-5, 6)]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    K=st.sampled_from(SPLIT_CHILDREN) | st.sampled_from(SMALL_CONSTRUCTS),
+    data=st.data(),
+)
+def test_canonical_form_matches_unpruned_oracle_when_relabeled(K, data):
+    size = len(K.vertices)
+    ids = data.draw(st.lists(st.integers(1, 200), min_size=size, max_size=size, unique=True))
+    copy = relabeled(K, ids)
+    assert canonical_form(copy) == full_canonical_form(copy)
 
 
 def test_canonical_form_leaves_no_cyclic_garbage():

@@ -15,6 +15,7 @@ from spheremap.search import (
     _sphere_classes,
     _vertex_splits,
 )
+from split_oracle import all_vertex_splits
 from spheremap import (
     BudgetExceeded,
     InvalidDimension,
@@ -176,6 +177,23 @@ def test_split_key_matches_mirror_images():
     assert _rotation_complex(mirror) == K
 
 
+def test_split_vertex_skip_keeps_every_kept_child():
+    # a split vertex is skipped only when a parent edge outranks the new edge
+    # in all of its children: the skip drops only children the degree rank
+    # drops, and the canonical-edge rule keeps the unskipped splitter's
+    def kept(children):
+        return [child for child in children if accepted_key(child) is not None]
+
+    for v in range(5, 11):
+        for parent in _sphere_classes(v - 1):
+            children = list(_vertex_splits(parent))
+            unskipped = list(all_vertex_splits(parent))
+            skipped = [child for child in unskipped if child not in children]
+            assert len(children) + len(skipped) == len(unskipped)
+            assert all(_new_edge_key(child) is None for child in skipped)
+            assert kept(children) == kept(unskipped)
+
+
 def test_enumerate_deterministic():
     first = list(enumerate_spheres(2, 7))
     second = list(enumerate_spheres(2, 7))
@@ -310,6 +328,20 @@ SEARCH_PINS = {
     (1, 6, 18): (18, 1, 36, "29324a3c97a0190d84aab235d5734f884e39abeb666d9217c52f8242a1d60e4e"),
     (1, 7, 21): (21, 1, 42, "8633f0dde5b7214de97070b90bdd3ca0009c8c7eb2dddb5682553d18e3752d42"),
 }
+
+
+# split children yielded by _vertex_splits on the way to 10 vertices, and by
+# the unskipped splitter (tests/split_oracle.py); pins the enumeration's work
+SPLIT_CHILDREN_PINS = {"_vertex_splits": 2136, "all_vertex_splits": 5587}
+
+
+def test_split_children_counted():
+    parents = [parent for v in range(5, 11) for parent in _sphere_classes(v - 1)]
+    got = {
+        splits.__name__: sum(1 for parent in parents for _ in splits(parent))
+        for splits in (_vertex_splits, all_vertex_splits)
+    }
+    assert got == SPLIT_CHILDREN_PINS
 
 
 def test_lambda_counts_examined():
