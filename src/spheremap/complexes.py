@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from types import MappingProxyType
@@ -503,11 +503,19 @@ def stellar_subdivide_oriented(
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Isomorphism-invariant key plus a relabeling realizing it."""
+    """Isomorphism-invariant key plus a relabeling realizing it, and
+    generators of the canonical complex's automorphism group.
+
+    Each automorphism maps a canonical id to its image; together they
+    generate every automorphism of ``canonical``, mirror images included.
+    They are left out of comparisons: another search may find another
+    generating set of the same group.
+    """
 
     key: bytes
     relabeling: dict[int, int]  # original vertex id -> canonical id (1-based)
     canonical: Complex
+    automorphisms: tuple[dict[int, int], ...] = field(compare=False)
 
 
 def canonical_form(complex: Complex) -> CanonicalForm:
@@ -539,6 +547,20 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     fix the vertices individualized so far holds a member already
     explored: its subtree is that member's image, with the same relabeled
     facet lists met later, so the first minimal leaf never lies in it.
+
+    The recorded automorphisms generate the whole group Aut(K).  The
+    minimal leaves of the unpruned tree are the images of the first one,
+    L, one per automorphism, since refinement commutes with relabeling.
+    Were some minimal leaf M not the image of L under the group H they
+    generate, take the first such M in the unpruned tree's order.  M is
+    not visited before L, which is the first minimal leaf visited.  A
+    minimal leaf visited after L records the automorphism taking L onto
+    it, so M is not visited at all: it lies under a member vi skipped at
+    a node reached by individualizing path, with some h in H fixing path
+    mapping vi onto a member explored before it.  h maps the node onto
+    itself and vi's subtree onto that member's, so h(M) is a minimal leaf
+    before M, hence in H(L), and so is M.  Thus H(L) holds every minimal
+    leaf and H = Aut(K).
     """
     verts = complex.vertices
     index = {v: i for i, v in enumerate(verts)}
@@ -640,4 +662,7 @@ def canonical_form(complex: Complex) -> CanonicalForm:
         key=key,
         relabeling=relabeling,
         canonical=Complex(complex.dimension, relabeled),
+        automorphisms=tuple(
+            {colors[vi] + 1: colors[g[vi]] + 1 for vi in range(nv)} for g in automorphisms
+        ),
     )

@@ -40,6 +40,7 @@ from .complexes import (
 )
 from .degree import (
     LabeledSphere,
+    _check_ints,
     _facet_sign,
     _is_int,
     degree,
@@ -135,6 +136,7 @@ def boundary_simplex(n: int) -> ConstructionCertificate:
 
     Degree +1 with the minimum possible n+2 vertices.
     """
+    _check_ints(n=n)
     if n < 1:
         raise InvalidDimension(f"boundary_simplex needs n >= 1, got {n}")
     complex = build_complex(combinations(range(1, n + 3), n + 1))
@@ -144,6 +146,7 @@ def boundary_simplex(n: int) -> ConstructionCertificate:
 
 def cyclic_circle(d: int) -> ConstructionCertificate:
     """Circle on 3|d| vertices colored 1,2,3 repeating cyclically: degree d."""
+    _check_ints(d=d)
     if d == 0:
         raise ZeroDegree("cyclic_circle needs d != 0")
     m = 3 * abs(d)
@@ -156,6 +159,7 @@ def cyclic_circle(d: int) -> ConstructionCertificate:
 
 def degree_zero_sphere(n: int) -> ConstructionCertificate:
     """Boundary simplex with two vertices sharing a color: degree 0, n+2 vertices."""
+    _check_ints(n=n)
     if n < 1:
         raise InvalidDimension(f"degree_zero_sphere needs n >= 1, got {n}")
     complex = build_complex(combinations(range(1, n + 3), n + 1))
@@ -279,6 +283,9 @@ def degree_four_witness(raw: bool = False) -> ConstructionCertificate:
 
 def vertex_bound(n: int, d: int) -> int:
     """Guaranteed vertex budget for construct: floor(((n+2)/n)*|d|) + 2n+2."""
+    _check_ints(n=n, d=d)
+    if n < 1:
+        raise InvalidDimension(f"vertex_bound needs n >= 1, got {n}")
     return ((n + 2) * abs(d)) // n + 2 * n + 2
 
 
@@ -291,6 +298,7 @@ def construct(n: int, d: int) -> ConstructionCertificate:
     the boundary simplex of dimension l-1), suspended up to dimension n,
     then k insertion steps.  Negative d reverses the final orientation.
     """
+    _check_ints(n=n, d=d)
     if n < 1:
         raise InvalidDimension(f"construct needs n >= 1, got {n}")
     _check_budget(n, vertex_bound(n, d))

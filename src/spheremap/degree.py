@@ -43,6 +43,7 @@ from .errors import (
     NotAPermutation,
     NotSingletonColor,
     UnknownVertex,
+    ValidationError,
 )
 
 Labeling = Mapping[int, int]
@@ -112,6 +113,14 @@ class LabeledSphere:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_ints(**values) -> None:
+    """ValidationError naming the first value that is not an int; a bool
+    is not one here, although Python counts it as one."""
+    for name, value in values.items():
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an int, got {value!r}")
 
 
 def labeled_sphere(oriented: OrientedComplex, labels: Labeling) -> LabeledSphere:

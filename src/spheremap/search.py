@@ -1,17 +1,19 @@
 """Exhaustive minimal-vertex search for prescribed-degree colorings.
 
 Dimension 1 and 2 only: circles are enumerated directly, 2-spheres by
-vertex splitting from the boundary tetrahedron.  Each split child is the
+vertex splitting from the boundary tetrahedron, by McKay's canonical
+construction path.  Each parent is split once per orbit of its
+automorphisms, which canonical_form finds, and each split child is the
 parent's rotation system with the split's entries replaced.  A child is
-kept only when its new edge is its canonical contractible edge (McKay's
-canonical construction path): lowest in a degree rank, which settles most
-children without any code, then lowest in planar code.  A split vertex is
-not split at all when a contractible parent edge, with at most one end in
-its link, outranks the new edge in every child on degrees alone, so most
-children dropped by the rank are never built.  Kept children are
-deduplicated by that code, an exact key up to mirror image, since parent
-automorphisms repeat them; canonical_form runs once per new class, for
-its representative and its place in the class order.
+kept only when its new edge is its canonical contractible edge: lowest
+in a degree rank, which settles most children without any code, then
+lowest in planar code, read only to break a tie in the rank.  A split
+vertex is not split at all when a contractible parent edge, with at most
+one end in its link, outranks the new edge in every child on degrees
+alone, so most children dropped by the rank are never built.  Kept
+children are pairwise non-isomorphic, so canonical_form runs once per
+class, for its representative, its place in the class order and its
+automorphisms.
 
 One pass plans the vertex order and each facet's closing (last) vertex;
 a depth-first loop over a trail of per-vertex frames, with no recursion,
@@ -40,9 +42,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .complexes import Complex, build_complex, canonical_form, orient
+from .complexes import CanonicalForm, Complex, build_complex, canonical_form, orient
 from .constructions import construct
-from .degree import LabeledSphere, Labeling, _facet_sign, _is_int, degree, labeled_sphere
+from .degree import (
+    LabeledSphere,
+    Labeling,
+    _check_ints,
+    _facet_sign,
+    _is_int,
+    degree,
+    labeled_sphere,
+)
 from .errors import (
     BudgetExceeded,
     InvalidDimension,
@@ -80,6 +90,7 @@ def enumerate_spheres(n: int, v: int):
     n=1 yields the single v-cycle; n=2 yields all triangulated 2-spheres on
     v vertices, canonically relabeled and ordered by canonical key.
     """
+    _check_ints(n=n, v=v)
     if n not in (1, 2):
         raise UnsupportedDimension(f"enumeration covers n in {{1, 2}}, got {n}")
     if v < n + 2:
@@ -91,30 +102,27 @@ def enumerate_spheres(n: int, v: int):
         raise BudgetExceeded(
             f"2-sphere enumeration is capped at {MAX_SPLIT_VERTICES} vertices"
         )
-    yield from _sphere_classes(v)
+    for cf in _sphere_classes(v):
+        yield cf.canonical
 
 
 @lru_cache(maxsize=None)
-def _sphere_classes(v: int) -> tuple[Complex, ...]:
+def _sphere_classes(v: int) -> tuple[CanonicalForm, ...]:
+    """The canonical forms of the 2-sphere classes on v vertices, in key
+    order.  Each kept child is a class not met before: parents are split
+    once per orbit of their automorphisms (``_vertex_splits``)."""
     if v == 4:
         tetra = build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
-        return (canonical_form(tetra).canonical,)
-    accepted: set[bytes] = set()
-    classes: dict[bytes, Complex] = {}
+        return (canonical_form(tetra),)
+    classes: dict[bytes, CanonicalForm] = {}
     for parent in _sphere_classes(v - 1):
-        for child in _vertex_splits(parent):
-            ranked = _new_edge_key(child)
-            if ranked is None:
+        for child in _vertex_splits(parent.canonical, parent.automorphisms):
+            if not _new_edge_is_canonical(child):
                 continue
-            key, rivals = ranked
-            # parent automorphisms repeat children, so keys repeat too
-            if key in accepted or any(_edge_code(child, a, b, key) for a, b in rivals):
-                continue
-            accepted.add(key)
             cf = canonical_form(_rotation_complex(child))
             if cf.key in classes:
                 raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
-            classes[cf.key] = cf.canonical
+            classes[cf.key] = cf
     return tuple(classes[k] for k in sorted(classes))
 
 
@@ -148,8 +156,9 @@ def _rotation_complex(rotation: Rotation) -> Complex:
     return Complex(2, tuple(sorted(facets)))
 
 
-def _vertex_splits(K: Complex):
-    """The rotation of every single-vertex split of a triangulated 2-sphere.
+def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
+    """The rotation of the single-vertex splits of a triangulated 2-sphere,
+    one per orbit of the given automorphisms of K.
 
     Splitting z at two vertices c_i, c_j of its link cycle keeps the fan
     c_i..c_j at z and hands the fan c_j..c_i to a new vertex; the facets
@@ -160,18 +169,31 @@ def _vertex_splits(K: Complex):
     change their rotations, so each child is the parent's rotation with
     those entries replaced.
 
+    The split (z, {c_i, c_j}) is yielded only when it is the first of its
+    orbit under ``automorphisms``; with none, every split is.  An
+    automorphism g of K maps it to the split (g z, {g c_i, g c_j}), whose
+    child is isomorphic to its own.  Conversely, two children kept by
+    ``_new_edge_is_canonical`` are isomorphic only through a map taking
+    one's new edge onto the other's, since that edge is lowest in rank and
+    code and equal codes are related by an automorphism; contracting that
+    edge gives back K, so the map is an automorphism of K taking one split
+    to the other.  One split per orbit thus keeps each class once.
+
     A split vertex z is skipped, before any child is built, when
-    ``_new_edge_key`` would drop all its children on degrees alone.  Every
-    child's new edge {z, new} has degree sum deg z + 4.  Take a contractible
-    parent edge {a, b} (exactly two common neighbours) with z not in it and
-    an end b outside lk(z): b's rotation is the same in every child and
-    holds neither z nor new, so a and b keep their two common neighbours,
-    and each end gains at most one neighbour, and only if it lies in lk(z).
+    ``_new_edge_is_canonical`` would drop all its children on degrees
+    alone.  Every child's new edge {z, new} has degree sum deg z + 4.  Take
+    a contractible parent edge {a, b} (exactly two common neighbours) with
+    z not in it and an end b outside lk(z): b's rotation is the same in
+    every child and holds neither z nor new, so a and b keep their two
+    common neighbours, and each end gains at most one neighbour, and only
+    if it lies in lk(z).
     If deg a + deg b plus its ends in lk(z) is below deg z + 4, that edge
     outranks {z, new} in every child.  (A chord of lk(z), with both ends in
-    it, may gain a common neighbour, so it does not count.)
+    it, may gain a common neighbour, so it does not count.)  The skip reads
+    only degrees, contractibility and links, so it skips whole orbits.
     """
     rotation = _rotation(K)
+    seen: set[tuple[int, int, int]] = set()  # orbits of the splits yielded
     new = max(rotation) + 1
     # contractible edges with their degree sums
     contractible = [
@@ -199,6 +221,11 @@ def _vertex_splits(K: Complex):
             before_z.append(r[:p] + (new,) + r[p:])
         for i in range(k):
             for j in range(i + 1, k):
+                if automorphisms:
+                    split = (z, *sorted((cycle[i], cycle[j])))
+                    if split in seen:
+                        continue
+                    seen |= _split_orbit(split, automorphisms)
                 child = dict(rotation)
                 child[z] = cycle[i:j + 1] + (new,)
                 child[new] = cycle[j:] + cycle[:i + 1] + (z,)
@@ -209,25 +236,42 @@ def _vertex_splits(K: Complex):
                 yield child
 
 
-def _new_edge_key(rotation: Rotation) -> tuple[bytes, list[tuple[int, int]]] | None:
-    """The new edge's key and its rivals, or None when a contractible edge
-    ranks below it.
+def _split_orbit(
+    split: tuple[int, int, int], automorphisms: tuple[dict[int, int], ...]
+) -> set[tuple[int, int, int]]:
+    """The splits (z, c, c') with c < c' that the group generated by
+    automorphisms maps split onto."""
+    orbit = {split}
+    stack = [split]
+    while stack:
+        z, c, c2 = stack.pop()
+        for g in automorphisms:
+            image = (g[z], *sorted((g[c], g[c2])))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
+def _new_edge_is_canonical(rotation: Rotation) -> bool:
+    """Whether a split child's new edge is its canonical contractible edge.
 
     In a split child the new vertex is the largest id, and the split vertex
     z closes its cycle.  An edge {a, b} is contractible when a and b have
     exactly two common neighbours, the vertices c, c' opposite it; the new
     edge {z, new} always is.  Contractible edges are ranked by (deg a +
     deg b, min deg, deg c + deg c', min(deg c, deg c')), then by
-    ``_edge_code``; a child is kept only when {z, new} ranks first, so the
-    caller drops it when a rival (a contractible edge of equal rank) has a
-    smaller code.  The key is the new edge's code.  A triangulated 2-sphere
-    is 3-connected, so its embedding is unique up to reflection (Whitney),
-    and kept children with equal keys are isomorphic, mirror images
-    included (Brinkmann & McKay, plantri).  Every contractible edge of a
-    class at v+1 contracts to a class at v, and splitting that class's
-    representative at the matching link pair gives the child back with
-    that edge as {z, new}, so every class is kept at least once (McKay's
-    canonical construction path, J. Algorithms 26, 1998).
+    ``_edge_code``, read only when a rival (a contractible edge of equal
+    rank) is left; the new edge is canonical when it ranks first, ties in
+    code included.  A triangulated 2-sphere is 3-connected, so its
+    embedding is unique up to reflection (Whitney), and edges with equal
+    codes are related by an automorphism, mirror images included
+    (Brinkmann & McKay, plantri): both rank and code are invariants.  Every
+    contractible edge of a class at v+1 contracts to a class at v, and
+    splitting that class's representative at the matching link pair gives
+    the child back with that edge as {z, new}, so every class is kept at
+    least once (McKay's canonical construction path, J. Algorithms 26,
+    1998).
     """
     deg = {x: len(cycle) for x, cycle in rotation.items()}
     new = max(rotation)
@@ -248,9 +292,12 @@ def _new_edge_key(rotation: Rotation) -> tuple[bytes, list[tuple[int, int]]] | N
             r = rank(a, b, cycle[p - 1], cycle[(p + 1) % k])
             if r <= mine and len(set(rotation[a]).intersection(rotation[b])) == 2:
                 if r < mine:
-                    return None
+                    return False
                 rivals.append((a, b))
-    return _edge_code(rotation, z, new), rivals
+    if not rivals:
+        return True
+    code = _edge_code(rotation, z, new)
+    return not any(_edge_code(rotation, a, b, code) for a, b in rivals)
 
 
 def _edge_code(rotation: Rotation, a: int, b: int, below: bytes | None = None) -> bytes | None:
@@ -385,6 +432,7 @@ def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
 
 def exists_labeling(K: Complex, d: int) -> Labeling | None:
     """Witness coloring of degree exactly d, or None if none exists."""
+    _check_ints(d=d)
     return _search_labelings(K, d)[0]
 
 
@@ -418,6 +466,7 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
     counts with fewer facets (v for a circle, 2v - 4 for a 2-sphere) are
     skipped unexamined.
     """
+    _check_ints(n=n, d=d, v_max=v_max)
     if n not in (1, 2):
         raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {n}")
     cap = MAX_CIRCLE_VERTICES if n == 1 else MAX_SPLIT_VERTICES
@@ -453,6 +502,7 @@ def known_lambda(n: int, d: int) -> tuple[int, str] | None:
     Covers: circles (3|d|), degree 0 and +-1 (n+2), and degrees 2..4 at
     n >= |d|-1 (n+|d|+3).  Returns None when no exact value is known.
     """
+    _check_ints(n=n, d=d)
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
     a = abs(d)

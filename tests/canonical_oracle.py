@@ -4,9 +4,11 @@ discrete ordering, with no automorphism pruning.
 The key is the lexicographically smallest relabeled facet list over all
 leaves, and the relabeling is the first leaf reaching it.  Pruning may
 skip only subtrees whose leaves repeat ones already seen, so
-``canonical_form`` must return exactly this.  Kept as the differential
-oracle for the package's pruned search; it visits every leaf, so it is
-factorial on highly symmetric complexes.
+``canonical_form`` must return exactly this.  Every other labeling
+reaching the key is one automorphism, so the automorphisms returned are
+the whole group but the identity.  Kept as the differential oracle for
+the package's pruned search; it visits every leaf, so it is factorial on
+highly symmetric complexes.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ def full_canonical_form(complex: Complex) -> CanonicalForm:
             )
             if not best or relabeled < best[0][0]:
                 best[:] = [(relabeled, colors)]
+            elif relabeled == best[0][0]:
+                best.append((relabeled, colors))
             return
         for vi in target:
             child = list(colors)
@@ -65,7 +69,7 @@ def full_canonical_form(complex: Complex) -> CanonicalForm:
             descend(child)
 
     descend([len(incident[vi]) for vi in range(nv)])
-    relabeled, colors = best[0]
+    (relabeled, colors), *others = best
     key = (
         f"{complex.dimension};{nv};"
         + "|".join(",".join(map(str, f)) for f in relabeled)
@@ -75,4 +79,24 @@ def full_canonical_form(complex: Complex) -> CanonicalForm:
         key=key,
         relabeling=relabeling,
         canonical=Complex(complex.dimension, relabeled),
+        # every automorphism but the identity: one per other minimal labeling
+        automorphisms=tuple(
+            {colors[vi] + 1: other[vi] + 1 for vi in range(nv)}
+            for other in sorted({tuple(other) for _, other in others} - {tuple(colors)})
+        ),
     )
+
+
+def group_order(complex: Complex, automorphisms) -> int:
+    """Order of the group the automorphisms generate, each a dict from a
+    vertex to its image: the size of their closure under composition."""
+    group = {complex.vertices}
+    frontier = [complex.vertices]
+    while frontier:
+        h = frontier.pop()
+        for g in automorphisms:
+            gh = tuple(g[x] for x in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return len(group)

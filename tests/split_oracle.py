@@ -1,10 +1,11 @@
 """Reference vertex splitter: every single-vertex split of a triangulated
 2-sphere, with no split vertex skipped.
 
-``_vertex_splits`` skips a split vertex when ``_new_edge_key`` would drop
-all of its children on degrees alone, so the children it yields and that
-the canonical-edge rule keeps must be exactly those kept from this one, in
-the same order.  Kept as the differential oracle for that skip.
+``_vertex_splits`` skips a split vertex when ``_new_edge_is_canonical``
+would drop all of its children on degrees alone, so the children it
+yields, given no automorphisms, and that the canonical-edge rule keeps
+must be exactly those kept from this one, in the same order.  Kept as the
+differential oracle for that skip.
 """
 
 from __future__ import annotations

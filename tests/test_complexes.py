@@ -1,6 +1,6 @@
 import gc
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +32,7 @@ from spheremap import (
 from spheremap.complexes import coherence_failures
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
 from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
-from canonical_oracle import full_canonical_form
+from canonical_oracle import full_canonical_form, group_order
 from orientation_oracle import bfs_orient
 from sphere_oracle import recursive_is_sphere
 
@@ -613,9 +613,28 @@ def canonical_oracle_corpus():
 
 def test_canonical_form_matches_unpruned_oracle():
     # pruning skips only repeated leaves: key, relabeling and canonical
-    # complex are exactly those of the search over every leaf
+    # complex are exactly those of the search over every leaf, and the
+    # automorphisms recorded generate the whole group the oracle lists
     for K in canonical_oracle_corpus():
-        assert canonical_form(K) == full_canonical_form(K), K.facets
+        cf, full = canonical_form(K), full_canonical_form(K)
+        assert cf == full, K.facets
+        assert group_order(cf.canonical, cf.automorphisms) == len(full.automorphisms) + 1
+
+
+def test_canonical_form_automorphisms_against_brute_force():
+    # every permutation of the vertices that maps facets onto facets
+    def preserves_facets(g, K):
+        return {tuple(sorted(g[x] for x in f)) for f in K.facets} == K.facet_set
+
+    for K, order in ((build_complex(OCTAHEDRON), 48), (boundary_simplex(3).labeled.complex, 120)):
+        K = relabeled_copy(K, random.Random(order))
+        images = (dict(zip(K.vertices, p)) for p in permutations(K.vertices))
+        assert sum(preserves_facets(g, K) for g in images) == order
+        cf = canonical_form(K)
+        for g in cf.automorphisms:
+            assert sorted(g) == sorted(g.values()) == list(cf.canonical.vertices)
+            assert preserves_facets(g, cf.canonical)
+        assert group_order(cf.canonical, cf.automorphisms) == order
 
 
 def relabeled(K, ids):
@@ -630,7 +649,7 @@ SPLIT_CHILDREN = [
     _rotation_complex(child)
     for v in range(5, 10)
     for parent in _sphere_classes(v - 1)
-    for child in _vertex_splits(parent)
+    for child in _vertex_splits(parent.canonical)
 ]
 SMALL_CONSTRUCTS = [construct(n, d).labeled.complex for n in (1, 2, 3) for d in range(-5, 6)]
 

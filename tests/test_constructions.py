@@ -195,6 +195,8 @@ def test_vertex_bound_values():
     assert vertex_bound(3, 100) == 174
     assert vertex_bound(2, -4) == 14
     assert vertex_bound(6, 2) == 16
+    with pytest.raises(InvalidDimension):
+        vertex_bound(0, 3)
 
 
 def test_construct_small_sphere():
@@ -235,6 +237,18 @@ def test_construct_negative_and_zero_degree():
 def test_construct_guard():
     with pytest.raises(InvalidDimension):
         construct(0, 5)
+
+
+def test_construct_rejects_bools_and_floats():
+    # True would build degree 1, and a float fails deep inside with TypeError
+    for n, d in ((2, 4.0), (2, True), (2.0, 4), (False, 3)):
+        for build in (construct, vertex_bound):
+            with pytest.raises(ValidationError, match="must be an int"):
+                build(n, d)
+    for build in (boundary_simplex, cyclic_circle, degree_zero_sphere):
+        for arg in (True, 2.0):
+            with pytest.raises(ValidationError, match="must be an int"):
+                build(arg)
 
 
 def test_construct_bound_random_sample():

@@ -7,7 +7,7 @@ import pytest
 import spheremap.search
 from spheremap.search import (
     _edge_code,
-    _new_edge_key,
+    _new_edge_is_canonical,
     _planar_code,
     _rotation,
     _rotation_complex,
@@ -15,6 +15,7 @@ from spheremap.search import (
     _sphere_classes,
     _vertex_splits,
 )
+from canonical_oracle import group_order
 from split_oracle import all_vertex_splits
 from spheremap import (
     BudgetExceeded,
@@ -24,6 +25,7 @@ from spheremap import (
     SphereStatus,
     SpheremapError,
     UnsupportedDimension,
+    ValidationError,
     build_complex,
     canonical_form,
     construct,
@@ -101,14 +103,12 @@ def test_enumerated_classes_are_pinned():
 
 
 def accepted_key(child):
-    """The split key of a child kept by the canonical-edge rule, or None."""
-    ranked = _new_edge_key(child)
-    if ranked is None:
+    """The planar code of the new edge of a child kept by the
+    canonical-edge rule, or None."""
+    if not _new_edge_is_canonical(child):
         return None
-    key, rivals = ranked
-    if any(_edge_code(child, a, b, key) for a, b in rivals):
-        return None
-    return key
+    new = max(child)
+    return _edge_code(child, child[new][-1], new)
 
 
 def normalized(rotation):
@@ -124,7 +124,7 @@ def test_split_keys_partition_children_like_canonical_form():
     for v in range(5, 11):
         pairs = set()
         for parent in _sphere_classes(v - 1):
-            for child in _vertex_splits(parent):
+            for child in _vertex_splits(parent.canonical):
                 K = _rotation_complex(child)
                 assert len(K.facets) == 2 * v - 4 and K.vertices == tuple(range(1, v + 1))
                 if v < 10:  # the rotation derived from the parent's is the child's own
@@ -136,7 +136,7 @@ def test_split_keys_partition_children_like_canonical_form():
         keys, canonical = zip(*pairs)
         assert len(set(keys)) == len(set(canonical)) == len(pairs)
         # every class is kept at least once
-        assert set(canonical) == {canonical_form(K).key for K in _sphere_classes(v)}
+        assert set(canonical) == {cf.key for cf in _sphere_classes(v)}
 
 
 def split_children_of(rotation):
@@ -177,21 +177,64 @@ def test_split_key_matches_mirror_images():
     assert _rotation_complex(mirror) == K
 
 
-def test_split_vertex_skip_keeps_every_kept_child():
+def test_split_vertex_skip_keeps_every_kept_child(monkeypatch):
     # a split vertex is skipped only when a parent edge outranks the new edge
     # in all of its children: the skip drops only children the degree rank
     # drops, and the canonical-edge rule keeps the unskipped splitter's
     def kept(children):
         return [child for child in children if accepted_key(child) is not None]
 
+    def no_code(*args):
+        raise AssertionError("a skipped child needed a planar code")
+
     for v in range(5, 11):
         for parent in _sphere_classes(v - 1):
-            children = list(_vertex_splits(parent))
-            unskipped = list(all_vertex_splits(parent))
+            children = list(_vertex_splits(parent.canonical))
+            unskipped = list(all_vertex_splits(parent.canonical))
             skipped = [child for child in unskipped if child not in children]
             assert len(children) + len(skipped) == len(unskipped)
-            assert all(_new_edge_key(child) is None for child in skipped)
+            with monkeypatch.context() as m:
+                # dropped on degrees alone, with no code read
+                m.setattr(spheremap.search, "_edge_code", no_code)
+                assert not any(_new_edge_is_canonical(child) for child in skipped)
             assert kept(children) == kept(unskipped)
+
+
+def test_orbit_pruning_keeps_each_class_once():
+    # one split per orbit of the parent's automorphisms keeps exactly the
+    # classes that splitting every orbit member keeps, and each only once
+    def kept_keys(children):
+        return [
+            canonical_form(_rotation_complex(child)).key
+            for child in children
+            if _new_edge_is_canonical(child)
+        ]
+
+    for v in range(5, 11):
+        every, pruned = set(), []
+        for parent in _sphere_classes(v - 1):
+            every.update(kept_keys(_vertex_splits(parent.canonical)))
+            pruned.extend(kept_keys(_vertex_splits(parent.canonical, parent.automorphisms)))
+        assert len(pruned) == len(set(pruned)) == len(_sphere_classes(v))
+        assert set(pruned) == every
+
+
+def test_automorphism_generators_give_the_whole_group():
+    # a 3-connected planar map has one embedding up to reflection, so each
+    # automorphism takes one start (x, u, sense) of the smallest planar code
+    # to another: Aut(K) has as many elements as such starts
+    for v in range(4, 10):
+        for cf in _sphere_classes(v):
+            K, rotation = cf.canonical, _rotation(cf.canonical)
+            for g in cf.automorphisms:
+                assert {tuple(sorted(g[x] for x in f)) for f in K.facets} == K.facet_set
+            codes = [
+                _planar_code(rotation, x, u, sense)
+                for x, cycle in rotation.items()
+                for u in cycle
+                for sense in (1, -1)
+            ]
+            assert group_order(K, cf.automorphisms) == codes.count(min(codes))
 
 
 def test_enumerate_deterministic():
@@ -333,15 +376,22 @@ SEARCH_PINS = {
 # split children yielded by _vertex_splits on the way to 10 vertices, and by
 # the unskipped splitter (tests/split_oracle.py); pins the enumeration's work
 SPLIT_CHILDREN_PINS = {"_vertex_splits": 2136, "all_vertex_splits": 5587}
+# and by _vertex_splits given each parent's automorphisms, as the enumeration
+# calls it: one split per orbit
+ORBIT_SPLIT_CHILDREN_PIN = 995
 
 
 def test_split_children_counted():
     parents = [parent for v in range(5, 11) for parent in _sphere_classes(v - 1)]
     got = {
-        splits.__name__: sum(1 for parent in parents for _ in splits(parent))
+        splits.__name__: sum(1 for parent in parents for _ in splits(parent.canonical))
         for splits in (_vertex_splits, all_vertex_splits)
     }
     assert got == SPLIT_CHILDREN_PINS
+    orbit_children = sum(
+        1 for parent in parents for _ in _vertex_splits(parent.canonical, parent.automorphisms)
+    )
+    assert orbit_children == ORBIT_SPLIT_CHILDREN_PIN
 
 
 def test_lambda_counts_examined():
@@ -395,6 +445,31 @@ def test_lambda_guards():
     with pytest.raises(BudgetExceeded):
         lambda_table([{"n": 1, "d": 400, "v_max": 1_200}])
     assert lambda_search(1, 33, MAX_CIRCLE_VERTICES).lambda_value == MAX_CIRCLE_VERTICES
+
+
+def test_enumerate_spheres_rejects_bools_and_floats():
+    for n, v in ((2, 4.0), (1, 3.0), (True, 4), (2, True)):
+        with pytest.raises(ValidationError, match="must be an int"):
+            list(enumerate_spheres(n, v))
+
+
+def test_lambda_search_rejects_bools_and_floats():
+    # True would search degree 1 and report lambda = 4
+    for n, d, v_max in ((2, True, 9), (2, 3, 9.5), (2.0, 3, 9), (1, 2.0, 9)):
+        with pytest.raises(ValidationError, match="must be an int"):
+            lambda_search(n, d, v_max)
+
+
+def test_known_lambda_rejects_bools_and_floats():
+    for n, d in ((2.0, 3), (2, 3.0), (True, 0), (3, False)):
+        with pytest.raises(ValidationError, match="must be an int"):
+            known_lambda(n, d)
+
+
+def test_exists_labeling_rejects_bools_and_floats():
+    for d in (1.0, True, None):
+        with pytest.raises(ValidationError, match="must be an int"):
+            exists_labeling(OCTAHEDRON, d)
 
 
 def test_known_lambda_values():
