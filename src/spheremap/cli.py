@@ -12,7 +12,6 @@ search without a witness, print only their summary, on stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .complexes import is_sphere
@@ -23,7 +22,7 @@ from .constructions import (
     vertex_bound,
 )
 from .degree import degree
-from .documents import _read_json, load_certificate, parse_with_metadata, serialize
+from .documents import _dump, _read_json, load_certificate, parse_with_metadata, serialize
 from .errors import DocumentSyntaxError, SpheremapError
 from .search import lambda_search, lambda_table
 
@@ -189,7 +188,7 @@ def _cmd_table(args) -> int:
             for row in table.rows
         ]
     }
-    return _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", lines, args.out)
+    return _emit(_dump(payload, "") + "\n", lines, args.out)
 
 
 def _emit_move(new, out: str | None) -> int:

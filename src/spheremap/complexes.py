@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+from bisect import bisect
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -468,10 +469,22 @@ def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet,
 
 def _stellar_pairs(facet: Facet, sign: int, w: int) -> list[tuple[Facet, int]]:
     """The n+1 (facet, sign) pairs replacing ``facet``, of stored sign
-    ``sign``, when a new vertex w subdivides it: each keeps ``sign`` read
-    along ``facet`` with w in place of one vertex, whatever w's size."""
-    subs = [facet[:i] + (w,) + facet[i + 1:] for i in range(len(facet))]
-    return [(tuple(sorted(sub)), sign * parity_to_sorted(sub)) for sub in subs]
+    ``sign``, when a new vertex w not in it subdivides it.
+
+    ``facet`` must be sorted; every caller passes a facet of a complex or a
+    key of a facet -> sign dict.  Replacing vertex i by w and sorting moves
+    w from index i to p = bisect(rest, w), where ``rest`` is the facet
+    without vertex i.  That move is a cycle of length |p - i| + 1, so the
+    new facet keeps ``sign`` when p - i is even and flips it otherwise,
+    wherever w falls: below, between or above the facet's vertices.
+    """
+    q = bisect(facet, w)
+    pairs = []
+    for i in range(len(facet)):
+        rest = facet[:i] + facet[i + 1:]
+        p = q - 1 if i < q else q  # bisect(rest, w)
+        pairs.append((rest[:p] + (w,) + rest[p:], -sign if (p - i) % 2 else sign))
+    return pairs
 
 
 def stellar_subdivide_facet(complex: Complex, facet, new_vertex: int | None = None) -> Complex:

@@ -3,7 +3,8 @@
 One format serves both: certificate fields ride in ``metadata`` and are
 optional.  Serialization is canonical -- sorted keys, facets sorted
 lexicographically, integers only -- so equal objects produce byte-equal
-text and documents double as regression fixtures.
+text and documents double as regression fixtures.  The text is exactly
+json's ``sort_keys=True, indent=2`` rendering, and a test checks that.
 
 Parsing fully re-validates: complex invariants, closedness, the
 orientation field (or a fresh orientation when it is absent), labeling
@@ -14,6 +15,8 @@ a mismatch with ``metadata.claimed_degree`` raises DegreeMismatch.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     OrientedComplex,
@@ -109,9 +112,46 @@ def _document_dict(obj) -> dict:
     return {"format_version": FORMAT_VERSION, **_core_dict(ls), "metadata": metadata}
 
 
+def _dump(x, indent: str) -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)`` for any JSON value x,
+    written as if nested at ``indent``.
+
+    json.dumps with indent skips json's C encoder, so this writes the
+    document's ints, strings, lists and str-keyed dicts itself, with one
+    join per flat int list and per row of a list of non-empty int lists.
+    Any other value (bool, None, float, empty container, int subclass,
+    dict with a non-str key) is left to json.dumps for its subtree.
+    """
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if (t is list or t is tuple) and x:
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, x))
+        elif kinds == {list} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
+            row_sep = sep + "  "
+            body = sep.join(
+                [f"[\n{inner}  {row_sep.join(map(int.__repr__, r))}\n{inner}]" for r in x]
+            )
+        else:
+            body = sep.join([_dump(v, inner) for v in x])
+        return f"[\n{inner}{body}\n{indent}]"
+    if t is dict and set(map(type, x)) == {str}:
+        body = sep.join(
+            [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in sorted(x.items())]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def serialize(obj) -> str:
     """Canonical JSON text for a LabeledSphere or ConstructionCertificate."""
-    return json.dumps(_document_dict(obj), sort_keys=True, indent=2) + "\n"
+    return _dump(_document_dict(obj), "") + "\n"
 
 
 def parse(text: str) -> LabeledSphere:

@@ -165,7 +165,9 @@ def test_table_text_and_json(tmp_path, capsys):
     assert "exact_formula" in stdout
     assert "upper_bound" in stdout
     assert "not limits" in stdout
-    payload = json.loads(out.read_text())
+    text = out.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     by_status = {row["status"]: row for row in payload["rows"]}
     assert by_status["exact_search"]["lambda"] == 3
     assert by_status["exact_formula"]["lambda"] == 8

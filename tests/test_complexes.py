@@ -29,7 +29,9 @@ from spheremap import (
     stellar_subdivide_oriented,
     vertex_link,
 )
-from spheremap.complexes import coherence_failures
+from spheremap import complexes, constructions
+from spheremap.complexes import _stellar_pairs, coherence_failures
+from spheremap.constructions import insertion_step
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
 from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
 from canonical_oracle import full_canonical_form, group_order
@@ -539,6 +541,51 @@ def test_subdivide_oriented_with_any_fresh_vertex(n):
         out, got = stellar_subdivide_oriented(oc, facet, new_vertex=w)
         assert got == w and len(out.facets) == len(oc.facets) + n
         assert coherence_failures(out) == ()
+
+
+def sorting_stellar_pairs(facet, sign, w):
+    """The rule _stellar_pairs replaced: sort each substituted facet and
+    count its inversions."""
+    subs = [facet[:i] + (w,) + facet[i + 1:] for i in range(len(facet))]
+    return [(tuple(sorted(sub)), sign * parity_to_sorted(sub)) for sub in subs]
+
+
+def test_stellar_pairs_match_sorting_oracle():
+    rng = random.Random(16)
+    for _ in range(400):
+        size = rng.randint(2, 13)
+        facet = tuple(sorted(rng.sample(range(0, 60, 2), size)))
+        # odd ids never meet the even facet: below, between and above it
+        for w in (-1, facet[0] + 1, rng.randrange(facet[0] + 1, facet[-1], 2), facet[-1] + 1, 99):
+            for sign in (1, -1):
+                assert _stellar_pairs(facet, sign, w) == sorting_stellar_pairs(facet, sign, w)
+
+
+def test_stellar_pairs_callers_pass_sorted_facets(monkeypatch):
+    seen = []
+
+    def checked(facet, sign, w):
+        assert list(facet) == sorted(facet) and w not in facet
+        seen.append(facet)
+        return _stellar_pairs(facet, sign, w)
+
+    monkeypatch.setattr(complexes, "_stellar_pairs", checked)
+    monkeypatch.setattr(constructions, "_stellar_pairs", checked)
+    stellar_subdivide_facet(build_complex(TETRA), (3, 1, 2), new_vertex=0)
+    stellar_subdivide_oriented(orient(build_complex(TETRA)), (4, 2, 1), new_vertex=9)
+    assert seen == [(1, 2, 3), (1, 2, 4)]
+    degree_four_witness()
+    assert len(seen) == 2 + 5
+    # construct(2, 3) and the step make one insertion each, of 1 + (n + 1) calls
+    insertion_step(construct(2, 3), (8, 2, 1))
+    assert len(seen) == 2 + 5 + 4 + 4
+    construct(3, 7)
+    assert len(seen) > 2 + 5 + 4 + 4
+    # the substituted order is what the stored sign is read along
+    oc = orient(build_complex(TETRA))
+    out, _ = stellar_subdivide_oriented(oc, (1, 2, 3), new_vertex=0)
+    assert out.sign_of((0, 2, 3)) == oc.sign_of((1, 2, 3))
+    assert out.sign_of((0, 1, 3)) == -oc.sign_of((1, 2, 3))
 
 
 def test_canonical_hexagon_relabeling_invariance():

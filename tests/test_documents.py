@@ -1,7 +1,10 @@
+import enum
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremap import (
     DegreeMismatch,
@@ -12,6 +15,7 @@ from spheremap import (
     cyclic_circle,
     degree,
     degree_four_witness,
+    insertion_step,
     load_certificate,
     one_point_suspension,
     parse,
@@ -19,6 +23,7 @@ from spheremap import (
     replay,
     serialize,
 )
+from spheremap.documents import _document_dict, _dump
 
 TORUS = [
     tuple(sorted((i + k) % 7 + 1 for k in off))
@@ -167,6 +172,62 @@ def test_document_bytes_are_pinned():
     assert digest.hexdigest() == (
         "31da6f3c830308f34dd305de62a387b30b43ae03eafa6d890023a5fa1be871c5"
     )
+
+
+def json_oracle(x) -> str:
+    return json.dumps(x, sort_keys=True, indent=2)
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    BLUE = -2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.sampled_from(Color)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4)
+    | st.lists(st.lists(st.integers(), max_size=3), max_size=4)
+    | st.lists(st.lists(st.integers(), min_size=1, max_size=3).map(tuple), max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(value=JSON_VALUES)
+def test_dump_equals_json_dumps(value):
+    assert _dump(value, "") == json_oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], [[], [1]], [[1, 2], [3]], [[1], (2,)], [[1], [True]], [1, Color.RED],
+    {"é\n\"\\": "ü\u2028\x00"}, {"a": {2: [{"b": [1]}], 10: None}}, {1: "x"},
+    {"rows": [{"lambda": None, "ratio": "3/2", "ok": True, "x": 1.5}]},
+])
+def test_dump_equals_json_dumps_on_edge_cases(value):
+    assert _dump(value, "") == json_oracle(value)
+
+
+def test_serialize_equals_json_dumps_on_every_move():
+    def check(obj):
+        assert serialize(obj) == json_oracle(_document_dict(obj)) + "\n"
+
+    for n in range(1, 7):
+        for d in range(-12, 13):
+            cert = construct(n, d)
+            check(cert)
+            check(cert.labeled)
+            if d:
+                check(one_point_suspension(cert))
+            if d > 0:
+                check(insertion_step(cert))
+    seeded = load_certificate(serialize(construct(2, 3).labeled))
+    assert seeded.recipe[0][0] == "literal"
+    for cert in (seeded, one_point_suspension(seeded), insertion_step(seeded)):
+        check(cert)
 
 
 def test_parse_rejects_bad_json():
