@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -514,6 +514,21 @@ def stellar_subdivide_oriented(
     return OrientedComplex.from_pairs(oriented.base.dimension, pairs), w
 
 
+def _orbit(point: Hashable, generators: Sequence, act: Callable) -> set:
+    """The orbit of point under the group the generators generate, each
+    generator g sending a point x to act(g, x).  With no generators the
+    orbit is point alone."""
+    orbit, stack = {point}, [point]
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = act(g, x)
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Isomorphism-invariant key plus a relabeling realizing it, and
@@ -644,14 +659,7 @@ def canonical_form(complex: Complex) -> CanonicalForm:
         for vi in target:
             if explored:
                 fixing = [g for g in automorphisms if all(g[p] == p for p in path)]
-                orbit, stack = {vi}, [vi]
-                while stack:
-                    x = stack.pop()
-                    for g in fixing:
-                        if g[x] not in orbit:
-                            orbit.add(g[x])
-                            stack.append(g[x])
-                if orbit & explored:
+                if _orbit(vi, fixing, list.__getitem__) & explored:
                     continue
             # vi alone in a new last cell, above every other cell
             child = list(colors)

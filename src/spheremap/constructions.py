@@ -246,13 +246,14 @@ def _insert(x, facets) -> ConstructionCertificate:
                 raise BadFacetSign(f"facet {facet} has map sign {s}, need +1")
         new = dict(_stellar_pairs(facet, signs.pop(facet), w))
         labels[w] = n + 2
+        # facet - u + (w + i) is facet with u replaced in place by a vertex of
+        # u's color, so it maps with facet's sign +1; every other new facet
+        # holds w, of color n+2.  w lies above every id: these are sorted
         for i, u in enumerate(facet, 1):  # sorted order: deterministic ids
-            a = tuple(sorted(tuple(z for z in facet if z != u) + (w,)))
-            new.update(_stellar_pairs(a, new.pop(a), w + i))
+            rest = tuple(z for z in facet if z != u)
+            new.update(_stellar_pairs(rest + (w,), new.pop(rest + (w,)), w + i))
             labels[w + i] = labels[u]
-        for f, eps in new.items():
-            if _facet_sign(labels, n + 2, eps, f) == (1, n + 2):
-                heapq.heappush(heap, f)
+            heapq.heappush(heap, rest + (w + i,))
         signs.update(new)
         steps.append(("insert", facet))
     out = labeled_sphere(OrientedComplex.from_pairs(n, signs.items()), labels)

@@ -5,15 +5,19 @@ vertex splitting from the boundary tetrahedron, by McKay's canonical
 construction path.  Each parent is split once per orbit of its
 automorphisms, which canonical_form finds, and each split child is the
 parent's rotation system with the split's entries replaced.  A child is
-kept only when its new edge is its canonical contractible edge: lowest
-in a degree rank, which settles most children without any code, then
-lowest in planar code, read only to break a tie in the rank.  A split
-vertex is not split at all when a contractible parent edge, with at most
-one end in its link, outranks the new edge in every child on degrees
-alone, so most children dropped by the rank are never built.  Kept
-children are pairwise non-isomorphic, so canonical_form runs once per
-class, for its representative, its place in the class order and its
-automorphisms.
+kept only when its new edge lies in the orbit of its canonical edge.  A
+degree rank on contractible edges settles most children before any
+canonical form: a child whose new edge is not lowest is dropped.  For
+the rest, the child's canonical form picks, among the lowest-ranked
+edges, the one with the smallest canonical labels, and gives the
+automorphisms whose orbit of it is tested (``_canonical_child``).  A
+split vertex is not split at all when a contractible parent edge, with
+at most one end in its link, outranks the new edge in every child on
+degrees alone, so most children dropped by the rank are never built.
+Kept children are pairwise non-isomorphic, so each class's canonical
+form is computed once it is kept, giving its representative, its place in
+the class order and its automorphisms; the few children tied in rank and
+then dropped cost one canonical form each.
 
 One pass plans the vertex order and each facet's closing (last) vertex;
 a depth-first loop over a trail of per-vertex frames, with no recursion,
@@ -42,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .complexes import CanonicalForm, Complex, build_complex, canonical_form, orient
+from .complexes import CanonicalForm, Complex, _orbit, build_complex, canonical_form, orient
 from .constructions import construct
 from .degree import (
     LabeledSphere,
@@ -106,23 +110,33 @@ def enumerate_spheres(n: int, v: int):
         yield cf.canonical
 
 
+@dataclass(frozen=True)
+class _SphereClass:
+    """A 2-sphere class as the enumeration keeps it: its canonical
+    representative and generators of its automorphism group, in canonical
+    ids."""
+
+    canonical: Complex
+    automorphisms: tuple[dict[int, int], ...]
+
+
 @lru_cache(maxsize=None)
-def _sphere_classes(v: int) -> tuple[CanonicalForm, ...]:
-    """The canonical forms of the 2-sphere classes on v vertices, in key
-    order.  Each kept child is a class not met before: parents are split
-    once per orbit of their automorphisms (``_vertex_splits``)."""
+def _sphere_classes(v: int) -> tuple[_SphereClass, ...]:
+    """The 2-sphere classes on v vertices, in canonical key order.  Each
+    kept child is a class not met before: parents are split once per orbit
+    of their automorphisms (``_vertex_splits``)."""
     if v == 4:
-        tetra = build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
-        return (canonical_form(tetra),)
-    classes: dict[bytes, CanonicalForm] = {}
+        tetra = canonical_form(build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]))
+        return (_SphereClass(tetra.canonical, tetra.automorphisms),)
+    classes: dict[bytes, _SphereClass] = {}
     for parent in _sphere_classes(v - 1):
         for child in _vertex_splits(parent.canonical, parent.automorphisms):
-            if not _new_edge_is_canonical(child):
+            cf = _canonical_child(child)
+            if cf is None:
                 continue
-            cf = canonical_form(_rotation_complex(child))
             if cf.key in classes:
                 raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
-            classes[cf.key] = cf
+            classes[cf.key] = _SphereClass(cf.canonical, cf.automorphisms)
     return tuple(classes[k] for k in sorted(classes))
 
 
@@ -172,17 +186,20 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
     The split (z, {c_i, c_j}) is yielded only when it is the first of its
     orbit under ``automorphisms``; with none, every split is.  An
     automorphism g of K maps it to the split (g z, {g c_i, g c_j}), whose
-    child is isomorphic to its own.  Conversely, two children kept by
-    ``_new_edge_is_canonical`` are isomorphic only through a map taking
-    one's new edge onto the other's, since that edge is lowest in rank and
-    code and equal codes are related by an automorphism; contracting that
-    edge gives back K, so the map is an automorphism of K taking one split
-    to the other.  One split per orbit thus keeps each class once.
+    child is isomorphic to its own.  Conversely, let two children kept by
+    ``_canonical_child`` be isomorphic, with canonical complex C.  Each
+    canonical labeling takes its child's new edge into the orbit, under
+    Aut(C), of the edge that C's labels pick, so composing one labeling
+    with an automorphism of C and the other labeling's inverse gives an
+    isomorphism taking one new edge onto the other.  Contracting that edge
+    gives back each child's parent, so both come from one class K and the
+    map is an automorphism of K taking one split to the other.  One split
+    per orbit thus keeps each class once.
 
     A split vertex z is skipped, before any child is built, when
-    ``_new_edge_is_canonical`` would drop all its children on degrees
-    alone.  Every child's new edge {z, new} has degree sum deg z + 4.  Take
-    a contractible parent edge {a, b} (exactly two common neighbours) with
+    ``_canonical_child`` would drop all its children on degrees alone.
+    Every child's new edge {z, new} has degree sum deg z + 4.  Take a
+    contractible parent edge {a, b} (exactly two common neighbours) with
     z not in it and an end b outside lk(z): b's rotation is the same in
     every child and holds neither z nor new, so a and b keep their two
     common neighbours, and each end gains at most one neighbour, and only
@@ -221,11 +238,10 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
             before_z.append(r[:p] + (new,) + r[p:])
         for i in range(k):
             for j in range(i + 1, k):
-                if automorphisms:
-                    split = (z, *sorted((cycle[i], cycle[j])))
-                    if split in seen:
-                        continue
-                    seen |= _split_orbit(split, automorphisms)
+                split = (z, *sorted((cycle[i], cycle[j])))
+                if split in seen:
+                    continue
+                seen |= _orbit(split, automorphisms, _split_image)
                 child = dict(rotation)
                 child[z] = cycle[i:j + 1] + (new,)
                 child[new] = cycle[j:] + cycle[:i + 1] + (z,)
@@ -236,42 +252,28 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
                 yield child
 
 
-def _split_orbit(
-    split: tuple[int, int, int], automorphisms: tuple[dict[int, int], ...]
-) -> set[tuple[int, int, int]]:
-    """The splits (z, c, c') with c < c' that the group generated by
-    automorphisms maps split onto."""
-    orbit = {split}
-    stack = [split]
-    while stack:
-        z, c, c2 = stack.pop()
-        for g in automorphisms:
-            image = (g[z], *sorted((g[c], g[c2])))
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return orbit
-
-
-def _new_edge_is_canonical(rotation: Rotation) -> bool:
-    """Whether a split child's new edge is its canonical contractible edge.
+def _canonical_child(rotation: Rotation) -> CanonicalForm | None:
+    """The canonical form of a split child whose new edge is canonical, or
+    None when the new edge is not.
 
     In a split child the new vertex is the largest id, and the split vertex
     z closes its cycle.  An edge {a, b} is contractible when a and b have
     exactly two common neighbours, the vertices c, c' opposite it; the new
     edge {z, new} always is.  Contractible edges are ranked by (deg a +
-    deg b, min deg, deg c + deg c', min(deg c, deg c')), then by
-    ``_edge_code``, read only when a rival (a contractible edge of equal
-    rank) is left; the new edge is canonical when it ranks first, ties in
-    code included.  A triangulated 2-sphere is 3-connected, so its
-    embedding is unique up to reflection (Whitney), and edges with equal
-    codes are related by an automorphism, mirror images included
-    (Brinkmann & McKay, plantri): both rank and code are invariants.  Every
-    contractible edge of a class at v+1 contracts to a class at v, and
-    splitting that class's representative at the matching link pair gives
-    the child back with that edge as {z, new}, so every class is kept at
-    least once (McKay's canonical construction path, J. Algorithms 26,
-    1998).
+    deg b, min deg, deg c + deg c', min(deg c, deg c')), and a child with a
+    contractible edge ranked below its new edge is dropped before any
+    canonical form is computed.  Otherwise the canonical edge is, among the
+    new edge and its rivals (the contractible edges of equal rank), the one
+    whose sorted pair of canonical labels is smallest, and the child is
+    kept when its new edge lies in that edge's orbit under the recorded
+    automorphisms.  The rank is an invariant, so the labels pick the
+    canonical edge in the canonical complex alone, and two canonical
+    labelings of one child differ by an automorphism of it: whether the new
+    edge lies in that orbit is an isomorphism invariant.  Every contractible
+    edge of a class at v+1 contracts to a class at v, and splitting that
+    class's representative at the matching link pair gives the child back
+    with that edge as {z, new}, so every class is kept at least once
+    (McKay's canonical construction path, J. Algorithms 26, 1998).
     """
     deg = {x: len(cycle) for x, cycle in rotation.items()}
     new = max(rotation)
@@ -292,53 +294,20 @@ def _new_edge_is_canonical(rotation: Rotation) -> bool:
             r = rank(a, b, cycle[p - 1], cycle[(p + 1) % k])
             if r <= mine and len(set(rotation[a]).intersection(rotation[b])) == 2:
                 if r < mine:
-                    return False
+                    return None
                 rivals.append((a, b))
-    if not rivals:
-        return True
-    code = _edge_code(rotation, z, new)
-    return not any(_edge_code(rotation, a, b, code) for a, b in rivals)
+    cf = canonical_form(_rotation_complex(rotation))
+    label = cf.relabeling
+    edges = [tuple(sorted((label[a], label[b]))) for a, b in [(z, new), *rivals]]
+    return cf if edges[0] in _orbit(min(edges), cf.automorphisms, _edge_image) else None
 
 
-def _edge_code(rotation: Rotation, a: int, b: int, below: bytes | None = None) -> bytes | None:
-    """Smallest planar code read from edge {a, b}, from either end in either
-    sense; with ``below``, None unless that code is smaller."""
-    best = None
-    for x, u in ((a, b), (b, a)):
-        for sense in (1, -1):
-            code = _planar_code(rotation, x, u, sense, best or below)
-            if code is not None:
-                best = code
-    return best
+def _edge_image(g: dict[int, int], edge: tuple[int, int]) -> tuple[int, int]:
+    return tuple(sorted((g[edge[0]], g[edge[1]])))
 
 
-def _planar_code(
-    rotation: Rotation, x: int, u: int, sense: int, below: bytes | None = None
-) -> bytes | None:
-    """Vertices numbered in breadth-first order from x; each vertex in turn
-    lists its neighbours' numbers around it, starting at the neighbour it
-    was reached from (u for x) and turning in sense, then a 0.  With
-    ``below``, None unless the code is smaller, given up at the first row
-    that makes it larger."""
-    number = {x: 1}
-    entry = {x: u}
-    order = [x]
-    code = bytearray()
-    for y in order:
-        r = rotation[y]
-        p = r.index(entry[y])
-        walk = r[p:] + r[:p] if sense > 0 else r[p::-1] + r[:p:-1]
-        for w in walk:
-            n = number.get(w)
-            if n is None:
-                n = number[w] = len(order) + 1
-                order.append(w)
-                entry[w] = y
-            code.append(n)
-        code.append(0)
-        if below is not None and code > below[:len(code)]:
-            return None
-    return None if code == below else bytes(code)
+def _split_image(g: dict[int, int], split: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (g[split[0]], *_edge_image(g, split[1:]))
 
 
 def _search_plan(K: Complex) -> tuple[list[int], dict[int, list[tuple[int, bool]]]]:

@@ -1,7 +1,7 @@
 """Reference vertex splitter: every single-vertex split of a triangulated
 2-sphere, with no split vertex skipped.
 
-``_vertex_splits`` skips a split vertex when ``_new_edge_is_canonical``
+``_vertex_splits`` skips a split vertex when ``_canonical_child``
 would drop all of its children on degrees alone, so the children it
 yields, given no automorphisms, and that the canonical-edge rule keeps
 must be exactly those kept from this one, in the same order.  Kept as the

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import importlib
 import json
 import random
@@ -50,6 +51,7 @@ from spheremap import (
     vertex_bound,
     vertex_link,
 )
+from spheremap.degree import _facet_sign
 
 
 def test_boundary_simplex_triangle():
@@ -353,6 +355,41 @@ def test_insertion_run_matches_single_steps():
     steps = insertion_step(insertion_step(insertion_step(base, smallest)))
     assert run.labeled == steps.labeled and run.recipe == steps.recipe
     assert run.claimed_degree == 16
+
+
+def test_insert_pushes_exactly_the_new_qualifying_facets(monkeypatch):
+    # the rule the heap pushes replace: a facet new in an insertion step
+    # qualifies for a later one when it maps with sign +1 onto target n+2
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    pushed = []
+
+    class RecordingHeapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, facet):
+            pushed.append(facet)
+            heapq.heappush(heap, facet)
+
+    for n, d in [(2, 9), (2, -14), (3, 13), (3, -8), (4, 11), (5, 17), (6, -20)]:
+        with monkeypatch.context() as m:
+            m.setattr(constructions_mod, "heapq", RecordingHeapq)
+            pushed.clear()
+            recipe = construct(n, d).recipe
+            got = list(pushed)
+        expected = []
+        for k, step in enumerate(recipe):
+            if step[0] != "insert":
+                continue
+            before = replay(recipe[:k]).labeled.complex.facet_set
+            after = replay(recipe[:k + 1]).labeled
+            top = after.dimension + 2
+            expected.extend(
+                f for f, eps in zip(after.complex.facets, after.oriented.signs)
+                if f not in before and _facet_sign(after.labels, top, eps, f) == (1, top)
+            )
+        assert expected and len(got) == len(set(got))
+        assert set(got) == set(expected)
 
 
 # the second insertion of a run names a facet the first one consumed, a

@@ -6,9 +6,7 @@ import pytest
 
 import spheremap.search
 from spheremap.search import (
-    _edge_code,
-    _new_edge_is_canonical,
-    _planar_code,
+    _canonical_child,
     _rotation,
     _rotation_complex,
     _search_plan,
@@ -16,6 +14,7 @@ from spheremap.search import (
     _vertex_splits,
 )
 from canonical_oracle import group_order
+from planar_code_oracle import new_edge_is_canonical, planar_code
 from split_oracle import all_vertex_splits
 from spheremap import (
     BudgetExceeded,
@@ -103,12 +102,10 @@ def test_enumerated_classes_are_pinned():
 
 
 def accepted_key(child):
-    """The planar code of the new edge of a child kept by the
-    canonical-edge rule, or None."""
-    if not _new_edge_is_canonical(child):
-        return None
-    new = max(child)
-    return _edge_code(child, child[new][-1], new)
+    """The canonical key of a child kept by the canonical-edge rule, or
+    None."""
+    cf = _canonical_child(child)
+    return None if cf is None else cf.key
 
 
 def normalized(rotation):
@@ -122,7 +119,7 @@ def normalized(rotation):
 
 def test_split_keys_partition_children_like_canonical_form():
     for v in range(5, 11):
-        pairs = set()
+        kept = set()
         for parent in _sphere_classes(v - 1):
             for child in _vertex_splits(parent.canonical):
                 K = _rotation_complex(child)
@@ -132,11 +129,10 @@ def test_split_keys_partition_children_like_canonical_form():
                     assert _rotation(K) in (normalized(child), normalized(mirror))
                 key = accepted_key(child)
                 if key is not None:
-                    pairs.add((key, canonical_form(K).key))
-        keys, canonical = zip(*pairs)
-        assert len(set(keys)) == len(set(canonical)) == len(pairs)
+                    assert key == canonical_form(K).key
+                    kept.add(key)
         # every class is kept at least once
-        assert set(canonical) == {cf.key for cf in _sphere_classes(v)}
+        assert kept == {canonical_form(cf.canonical).key for cf in _sphere_classes(v)}
 
 
 def split_children_of(rotation):
@@ -166,7 +162,7 @@ def test_split_key_matches_mirror_images():
     mirror = {x: cycle[::-1] for x, cycle in rotation.items()}
 
     def oriented_key(rot):
-        return min(_planar_code(rot, x, u, 1) for x, cycle in rot.items() for u in cycle)
+        return min(planar_code(rot, x, u, 1) for x, cycle in rot.items() for u in cycle)
 
     def accepted_keys(rot):
         return {accepted_key(child) for child in split_children_of(rot)} - {None}
@@ -174,6 +170,7 @@ def test_split_key_matches_mirror_images():
     assert oriented_key(rotation) != oriented_key(mirror)
     assert len(accepted_keys(rotation)) == 1
     assert accepted_keys(rotation) == accepted_keys(mirror)
+    assert all(any(map(new_edge_is_canonical, split_children_of(r))) for r in (rotation, mirror))
     assert _rotation_complex(mirror) == K
 
 
@@ -184,8 +181,8 @@ def test_split_vertex_skip_keeps_every_kept_child(monkeypatch):
     def kept(children):
         return [child for child in children if accepted_key(child) is not None]
 
-    def no_code(*args):
-        raise AssertionError("a skipped child needed a planar code")
+    def no_form(*args):
+        raise AssertionError("a skipped child needed a canonical form")
 
     for v in range(5, 11):
         for parent in _sphere_classes(v - 1):
@@ -194,9 +191,9 @@ def test_split_vertex_skip_keeps_every_kept_child(monkeypatch):
             skipped = [child for child in unskipped if child not in children]
             assert len(children) + len(skipped) == len(unskipped)
             with monkeypatch.context() as m:
-                # dropped on degrees alone, with no code read
-                m.setattr(spheremap.search, "_edge_code", no_code)
-                assert not any(_new_edge_is_canonical(child) for child in skipped)
+                # dropped on degrees alone, with no canonical form computed
+                m.setattr(spheremap.search, "canonical_form", no_form)
+                assert not any(_canonical_child(child) for child in skipped)
             assert kept(children) == kept(unskipped)
 
 
@@ -204,11 +201,7 @@ def test_orbit_pruning_keeps_each_class_once():
     # one split per orbit of the parent's automorphisms keeps exactly the
     # classes that splitting every orbit member keeps, and each only once
     def kept_keys(children):
-        return [
-            canonical_form(_rotation_complex(child)).key
-            for child in children
-            if _new_edge_is_canonical(child)
-        ]
+        return [key for key in map(accepted_key, children) if key is not None]
 
     for v in range(5, 11):
         every, pruned = set(), []
@@ -217,6 +210,21 @@ def test_orbit_pruning_keeps_each_class_once():
             pruned.extend(kept_keys(_vertex_splits(parent.canonical, parent.automorphisms)))
         assert len(pruned) == len(set(pruned)) == len(_sphere_classes(v))
         assert set(pruned) == every
+
+
+def test_canonical_child_keeps_the_classes_the_planar_code_rule_keeps():
+    # the rank-then-planar-code rule and the canonical-labels rule pick the
+    # canonical edge differently, but each keeps every class at each v,
+    # judged on all unpruned children of every parent
+    for v in range(5, 11):
+        by_code, by_labels = set(), set()
+        for parent in _sphere_classes(v - 1):
+            for child in all_vertex_splits(parent.canonical):
+                if new_edge_is_canonical(child):
+                    by_code.add(canonical_form(_rotation_complex(child)).key)
+                by_labels.add(accepted_key(child))
+        assert by_code == by_labels - {None}
+        assert len(by_code) == len(_sphere_classes(v))
 
 
 def test_automorphism_generators_give_the_whole_group():
@@ -229,7 +237,7 @@ def test_automorphism_generators_give_the_whole_group():
             for g in cf.automorphisms:
                 assert {tuple(sorted(g[x] for x in f)) for f in K.facets} == K.facet_set
             codes = [
-                _planar_code(rotation, x, u, sense)
+                planar_code(rotation, x, u, sense)
                 for x, cycle in rotation.items()
                 for u in cycle
                 for sense in (1, -1)
