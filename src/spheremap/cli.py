@@ -161,34 +161,27 @@ def _cmd_table(args) -> int:
 
     header = f"{'n':>3} {'d':>4} {'lambda':>7} {'status':<24} {'l/|d|':>7} {'l/n':>7}  note"
     lines = [header, "-" * len(header)]
+    payload_rows = []
     for row in table.rows:
-        lam = "-" if row.lambda_value is None else str(row.lambda_value)
-        rd = "-" if row.ratio_over_d is None else str(row.ratio_over_d)
-        rn = "-" if row.ratio_over_n is None else str(row.ratio_over_n)
-        lines.append(
-            f"{row.n:>3} {row.d:>4} {lam:>7} {row.status:<24} {rd:>7} {rn:>7}  {row.note}"
+        lam, rd, rn = (
+            None if x is None else str(x)
+            for x in (row.lambda_value, row.ratio_over_d, row.ratio_over_n)
         )
+        lines.append(
+            f"{row.n:>3} {row.d:>4} {lam or '-':>7} {row.status:<24} "
+            f"{rd or '-':>7} {rn or '-':>7}  {row.note}"
+        )
+        payload_rows.append({
+            "n": row.n,
+            "d": row.d,
+            "lambda": row.lambda_value,
+            "status": row.status,
+            "note": row.note,
+            "ratio_lambda_over_abs_d": rd,
+            "ratio_lambda_over_n": rn,
+        })
     lines.append("(ratios are finite-sample values from the rows above, not limits)")
-
-    payload = {
-        "rows": [
-            {
-                "n": row.n,
-                "d": row.d,
-                "lambda": row.lambda_value,
-                "status": row.status,
-                "note": row.note,
-                "ratio_lambda_over_abs_d": None
-                if row.ratio_over_d is None
-                else str(row.ratio_over_d),
-                "ratio_lambda_over_n": None
-                if row.ratio_over_n is None
-                else str(row.ratio_over_n),
-            }
-            for row in table.rows
-        ]
-    }
-    return _emit(_dump(payload, "") + "\n", lines, args.out)
+    return _emit(_dump({"rows": payload_rows}, "") + "\n", lines, args.out)
 
 
 def _emit_move(new, out: str | None) -> int:

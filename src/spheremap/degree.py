@@ -162,18 +162,13 @@ class DegreeReport:
     degree: int | None
     per_target_facet: Mapping[int, tuple[tuple[Facet, int], ...]]
     consistent: bool
+    degenerate_facet_count: int
 
     @cached_property
     def per_target_sums(self) -> Mapping[int, int]:
         return MappingProxyType(
             {i: sum(s for _, s in es) for i, es in self.per_target_facet.items()}
         )
-
-    @property
-    def degenerate_facet_count(self) -> int:
-        return self._degenerate
-
-    _degenerate: int = 0
 
 
 def degree(ls: LabeledSphere) -> DegreeReport:
@@ -204,7 +199,7 @@ def _degree_report(ls: LabeledSphere) -> DegreeReport:
         degree=sums.pop() if consistent else None,
         per_target_facet=MappingProxyType({i: tuple(es) for i, es in per.items()}),
         consistent=consistent,
-        _degenerate=degenerate,
+        degenerate_facet_count=degenerate,
     )
     if not consistent:
         raise InconsistentDegree(

@@ -6,10 +6,13 @@ lexicographically, integers only -- so equal objects produce byte-equal
 text and documents double as regression fixtures.  The text is exactly
 json's ``sort_keys=True, indent=2`` rendering, and a test checks that.
 
-Parsing fully re-validates: complex invariants, closedness, the
-orientation field (or a fresh orientation when it is absent), labeling
-range, the sphere checks and orientation coherence, and the degree engine;
-a mismatch with ``metadata.claimed_degree`` raises DegreeMismatch.
+Every reader (parse, parse_with_metadata, load_certificate) fully
+re-validates: the build caps (BudgetExceeded, before any sphere check),
+complex invariants, closedness, the orientation field (or a fresh
+orientation when it is absent), labeling range, the sphere checks and
+orientation coherence, the degree engine, and the recipe, which must
+replay to the same sphere; a mismatch with ``metadata.claimed_degree``
+raises DegreeMismatch.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .constructions import (
     ConstructionCertificate,
     Recipe,
     _certify,
+    _check_budget,
     _recipe_shape,
     replay,
 )
@@ -75,7 +79,7 @@ def _step_from_json(step, first: bool):
         return step
     if first and len(step) == 2 and step[0] == "literal" and isinstance(step[1], dict):
         try:
-            seed, _ = _parse_document({**step[1], "format_version": FORMAT_VERSION})
+            seed, _ = _parse_sphere({**step[1], "format_version": FORMAT_VERSION})
         except SpheremapError as e:
             raise ValidationError(f"recipe literal seed: {e}") from None
         return ("literal", seed)
@@ -156,11 +160,18 @@ def serialize(obj) -> str:
 
 def parse(text: str) -> LabeledSphere:
     """Parse and fully re-validate a document."""
-    return parse_with_metadata(text)[0]
+    return _parse_document(_read_json(text))[0].labeled
 
 
 def parse_with_metadata(text: str) -> tuple[LabeledSphere, dict]:
-    return _parse_document(_read_json(text))
+    """parse, plus the document's metadata object ({} when absent)."""
+    cert, metadata = _parse_document(_read_json(text))
+    return cert.labeled, metadata
+
+
+def load_certificate(text: str) -> ConstructionCertificate:
+    """Parse a document into a certificate, keeping any recipe metadata."""
+    return _parse_document(_read_json(text))[0]
 
 
 def _read_json(text: str):
@@ -172,7 +183,39 @@ def _read_json(text: str):
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
 
 
-def _parse_document(doc) -> tuple[LabeledSphere, dict]:
+def _parse_document(doc) -> tuple[ConstructionCertificate, dict]:
+    """The certificate a document states, and its metadata object.
+
+    A recipe is checked, not trusted: it is replayed and must rebuild the
+    document's sphere exactly (facets, orientation and labels).  Documents
+    without a recipe get a literal seed so later construction steps still
+    produce replayable recipes.
+    """
+    ls, metadata = _parse_sphere(doc)
+    raw_recipe = metadata.get("recipe")
+    if raw_recipe is None:
+        return _certify(ls, (("literal", ls),)), metadata
+    # neither dimension nor vertex count ever decreases along a recipe,
+    # so matching both before replaying keeps it within the document's size
+    recipe = _recipe_from_json(raw_recipe)
+    dim, size = _recipe_shape(recipe)
+    if (dim, size) != (ls.dimension, len(ls.oriented.vertices)):
+        raise ValidationError(
+            f"recipe builds dimension {dim} on {size} vertices, the document has "
+            f"dimension {ls.dimension} on {len(ls.oriented.vertices)} vertices"
+        )
+    try:
+        rebuilt = replay(recipe).labeled
+    except SpheremapError as e:
+        raise ValidationError(f"recipe replay failed: {e}") from None
+    if rebuilt != ls:
+        raise ValidationError("recipe does not rebuild the document's sphere")
+    return _certify(ls, recipe), metadata
+
+
+def _parse_sphere(doc) -> tuple[LabeledSphere, dict]:
+    """The labeled sphere of a document or literal recipe seed, with every
+    field and claim checked except the recipe, and its metadata object."""
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
 
@@ -195,6 +238,7 @@ def _parse_document(doc) -> tuple[LabeledSphere, dict]:
         complex = build_complex(facets_raw)
     except SpheremapError as e:
         raise ValidationError(f"facets: {e}") from None
+    _check_budget(complex.dimension, len(complex.vertices))  # before any sphere check
     if complex.dimension != doc["dimension"]:
         raise ValidationError(
             f"dimension field {doc['dimension']} != facet dimension {complex.dimension}"
@@ -286,33 +330,3 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
         raise ValidationError(f"orientation missing facet {list(missing[0])}")
     return OrientedComplex(complex, tuple(signs[f] for f in complex.facets))
 
-
-def load_certificate(text: str) -> ConstructionCertificate:
-    """Parse a document into a certificate, keeping any recipe metadata.
-
-    A recipe is checked, not trusted: it is replayed and must rebuild the
-    document's sphere exactly (facets, orientation and labels).  Documents
-    without a recipe get a literal seed so later construction steps still
-    produce replayable recipes.
-    """
-    ls, metadata = parse_with_metadata(text)
-    raw_recipe = metadata.get("recipe")
-    if raw_recipe is None:
-        recipe = (("literal", ls),)
-    else:
-        # neither dimension nor vertex count ever decreases along a recipe,
-        # so matching both before replaying keeps it within the document's size
-        recipe = _recipe_from_json(raw_recipe)
-        dim, size = _recipe_shape(recipe)
-        if (dim, size) != (ls.dimension, len(ls.oriented.vertices)):
-            raise ValidationError(
-                f"recipe builds dimension {dim} on {size} vertices, the document has "
-                f"dimension {ls.dimension} on {len(ls.oriented.vertices)} vertices"
-            )
-        try:
-            rebuilt = replay(recipe).labeled
-        except SpheremapError as e:
-            raise ValidationError(f"recipe replay failed: {e}") from None
-        if rebuilt != ls:
-            raise ValidationError("recipe does not rebuild the document's sphere")
-    return _certify(ls, recipe)

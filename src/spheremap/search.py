@@ -80,8 +80,9 @@ __all__ = [
 
 # class counts for 2-spheres grow steeply past this; desk-scale contract
 MAX_SPLIT_VERTICES = 12
-# a circle scan to v_max searches every cycle up to v_max vertices, so its
-# work grows quadratically; 99 covers |d| <= 33 in about 0.05 s
+# a circle scan skips sizes below 3|d| and always finds a witness on the
+# first cycle it tries, so it builds and searches at most one cycle; this
+# cap bounds that cycle, and 99 covers |d| <= 33 in about 0.003 s
 MAX_CIRCLE_VERTICES = 99
 
 # facet state once a color repeats on it; otherwise the state is a color mask
@@ -496,7 +497,6 @@ class LambdaRow:
     lambda_value: int | None
     status: str  # exact_search | exact_formula | upper_bound | not_found_within_budget
     note: str
-    witness_vertices: int | None = None
 
     @property
     def ratio_over_d(self) -> Fraction | None:
@@ -515,21 +515,20 @@ class LambdaRow:
 class LambdaTable:
     rows: tuple[LambdaRow, ...]
 
-    def ratios_over_d_by_n(self) -> dict[int, dict[int, Fraction]]:
+    def _pivot(self, key) -> dict[int, dict[int, Fraction]]:
+        """{outer: {inner: ratio}} over the rows with a ratio, where key maps
+        a row to (outer, inner, ratio)."""
         out: dict[int, dict[int, Fraction]] = {}
-        for row in self.rows:
-            r = row.ratio_over_d
+        for outer, inner, r in map(key, self.rows):
             if r is not None:
-                out.setdefault(row.n, {})[row.d] = r
+                out.setdefault(outer, {})[inner] = r
         return out
 
+    def ratios_over_d_by_n(self) -> dict[int, dict[int, Fraction]]:
+        return self._pivot(lambda row: (row.n, row.d, row.ratio_over_d))
+
     def ratios_over_n_by_d(self) -> dict[int, dict[int, Fraction]]:
-        out: dict[int, dict[int, Fraction]] = {}
-        for row in self.rows:
-            r = row.ratio_over_n
-            if r is not None:
-                out.setdefault(row.d, {})[row.n] = r
-        return out
+        return self._pivot(lambda row: (row.d, row.n, row.ratio_over_n))
 
 
 def lambda_table(requests) -> LambdaTable:
@@ -555,39 +554,17 @@ def lambda_table(requests) -> LambdaTable:
         n, d = req["n"], req["d"]
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
-            res = lambda_search(n, d, v_max)
+            value = lambda_search(n, d, v_max).lambda_value
             status, note = (
                 ("exact_search", f"exhaustive search to v_max={v_max}")
-                if res.found
+                if value is not None
                 else ("not_found_within_budget", f"no witness with up to {v_max} vertices")
             )
-            rows.append(
-                LambdaRow(
-                    n=n,
-                    d=d,
-                    lambda_value=res.lambda_value,
-                    status=status,
-                    note=note,
-                    witness_vertices=res.lambda_value,
-                )
-            )
-            continue
-        formula = known_lambda(n, d)
-        if formula is not None:
+        elif (formula := known_lambda(n, d)) is not None:
             value, note = formula
-            rows.append(
-                LambdaRow(n=n, d=d, lambda_value=value, status="exact_formula", note=note)
-            )
-            continue
-        cert = construct(n, d)
-        rows.append(
-            LambdaRow(
-                n=n,
-                d=d,
-                lambda_value=cert.vertex_count,
-                status="upper_bound",
-                note="generator vertex count; true minimum may be lower",
-                witness_vertices=cert.vertex_count,
-            )
-        )
+            status = "exact_formula"
+        else:
+            value = construct(n, d).vertex_count
+            status, note = "upper_bound", "generator vertex count; true minimum may be lower"
+        rows.append(LambdaRow(n=n, d=d, lambda_value=value, status=status, note=note))
     return LambdaTable(tuple(rows))

@@ -1,5 +1,8 @@
 import importlib
 import json
+import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +59,40 @@ def test_verify_catches_tampered_degree(tmp_path, capsys):
     assert code == 1
     assert "FAIL: DegreeMismatch" in stderr
     assert "PASS" not in stdout
+
+
+@pytest.mark.parametrize("command", ["verify", "suspend"])
+@pytest.mark.parametrize("recipe", [[["boundary_simplex", 3]], "nonsense"])
+def test_verify_refuses_a_false_recipe_as_moves_do(tmp_path, capsys, command, recipe):
+    out = tmp_path / "c.json"
+    run(capsys, "construct", "--n", "2", "--d", "5", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["metadata"]["recipe"] = recipe
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, command, str(out))
+    assert code == 1
+    assert stderr.startswith("FAIL: ValidationError: ")
+    assert "PASS" not in stdout and "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_verify_refuses_documents_above_the_build_caps(tmp_path, capsys, n):
+    # the boundary of the (n+1)-simplex, whose sphere checks alone would
+    # take seconds at n = 13 and far longer at n = 20
+    verts = range(1, n + 3)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "format_version": "1",
+        "dimension": n,
+        "facets": [[v for v in verts if v != skip] for skip in verts],
+        "labels": {str(v): v for v in verts},
+    }))
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert stderr.startswith("FAIL: BudgetExceeded: ")
+    assert "PASS" not in stdout and "Traceback" not in stdout + stderr
 
 
 def test_verify_missing_file(capsys):
@@ -174,6 +211,27 @@ def test_table_text_and_json(tmp_path, capsys):
     assert by_status["exact_search"]["ratio_lambda_over_abs_d"] == "3"
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_table_matches_golden_bytes(tmp_path, capsys, to_file):
+    # the spec covers all four statuses and both ways a ratio is None
+    # (d = 0, and a search that found nothing); the golden summary and
+    # document are the bytes the table command wrote when they were recorded
+    spec = str(GOLDEN / "table_spec.json")
+    summary = (GOLDEN / "table_summary.txt").read_text()
+    document = (GOLDEN / "table.json").read_text()
+    if to_file:
+        out = tmp_path / "table.json"
+        code, stdout, stderr = run(capsys, "table", "--spec", spec, "--out", str(out))
+        assert (code, stdout, stderr) == (0, f"{summary}wrote: {out}\n", "")
+        assert out.read_bytes() == (GOLDEN / "table.json").read_bytes()
+    else:
+        code, stdout, stderr = run(capsys, "table", "--spec", spec)
+        assert (code, stdout, stderr) == (0, document, summary)
+
+
 def test_table_rejects_bad_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("[]")
@@ -235,8 +293,10 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, command, kind):
 
 @pytest.mark.parametrize("with_orientation", [True, False])
 def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with_orientation):
-    # count the passes themselves, not the cached public wrappers, on the
-    # document's own complex
+    # count the passes themselves, not the cached public wrappers, per
+    # complex object with the document's facets: the document's own complex
+    # comes first, and the sphere its recipe replay rebuilds is compared to
+    # it and gets its degree computed, nothing else
     complexes_mod = importlib.import_module("spheremap.complexes")
     degree_mod = importlib.import_module("spheremap.degree")  # not the function
 
@@ -247,14 +307,14 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
         del doc["orientation"], doc["metadata"]
         out.write_text(json.dumps(doc))
     facets = tuple(tuple(f) for f in doc["facets"])
-    calls = {"closedness": 0, "orientation": 0, "degree": 0}
+    calls = []  # (pass, complex), keeping each complex alive so identity is sound
 
     def counting(module, name, key, complex_of):
         original = getattr(module, name)
 
         def wrapper(x):
             if complex_of(x).facets == facets:
-                calls[key] += 1
+                calls.append((key, complex_of(x)))
             return original(x)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -264,7 +324,15 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
     counting(degree_mod, "_degree_report", "degree", lambda ls: ls.complex)
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 0 and "PASS" in stdout
-    assert calls == {"closedness": 1, "orientation": 1, "degree": 1}
+    objects = []
+    for _, c in calls:
+        if not any(c is o for o in objects):
+            objects.append(c)
+    per_object = [Counter(key for key, c in calls if c is o) for o in objects]
+    expected = [{"closedness": 1, "orientation": 1, "degree": 1}]
+    if with_orientation:  # the metadata holds the recipe
+        expected.append({"degree": 1})
+    assert per_object == expected
 
 
 @pytest.mark.parametrize("with_orientation", [True, False])

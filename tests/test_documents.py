@@ -1,12 +1,16 @@
 import enum
 import hashlib
+import importlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spheremap import (
+    MAX_BUILD_DIMENSION,
+    BudgetExceeded,
     DegreeMismatch,
     DocumentSyntaxError,
     ValidationError,
@@ -157,6 +161,55 @@ def test_load_certificate_checks_recipe():
             load_certificate(json.dumps(doc))
     doc["metadata"]["recipe"] = [["literal", literal]]
     assert load_certificate(json.dumps(doc)).labeled == construct(2, 3).labeled
+
+
+@pytest.mark.parametrize("read", [parse, parse_with_metadata, load_certificate])
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ([["boundary_simplex", 3]], "builds dimension 3 on 5 vertices"),
+        ("nonsense", "non-empty list"),
+        ([["boundary_simplex", 2], ["insert", [1, 2, 3]]], "builds dimension 2 on 8 vertices"),
+    ],
+)
+def test_every_reader_checks_recipe(read, recipe, message):
+    # one reader serves all three: a false recipe fails parse as it fails
+    # load_certificate, so verify cannot pass a document suspend refuses
+    doc = doc_of(construct(2, 5))
+    doc["metadata"]["recipe"] = recipe
+    with pytest.raises(ValidationError, match=message):
+        read(json.dumps(doc))
+
+
+def boundary_simplex_doc(n: int) -> str:
+    """The document of the boundary of the (n+1)-simplex, built without the
+    package, so it can lie above the build caps."""
+    verts = range(1, n + 3)
+    return bare_sphere_doc(
+        [[v for v in verts if v != skip] for skip in verts], {v: v for v in verts}, n
+    )
+
+
+@pytest.mark.parametrize("read", [parse, parse_with_metadata, load_certificate])
+@pytest.mark.parametrize("n", [MAX_BUILD_DIMENSION + 1, 20])
+def test_readers_refuse_documents_above_the_build_caps(read, n):
+    # the caps are checked before any sphere check, whose star walks grow
+    # about x11 per two dimensions
+    text = boundary_simplex_doc(n)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"dimension {n} on {n + 2} vertices"):
+        read(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_readers_refuse_documents_above_the_vertex_cap(monkeypatch):
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    text = serialize(construct(2, 5))
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", 11)
+    with pytest.raises(BudgetExceeded, match="dimension 2 on 12 vertices"):
+        parse(text)
+    monkeypatch.setattr(constructions_mod, "MAX_BUILD_VERTICES", 12)
+    assert len(parse(text).oriented.vertices) == 12
 
 
 def test_document_bytes_are_pinned():
