@@ -189,6 +189,16 @@ def _closedness(complex: Complex) -> ClosednessReport:
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
 
 
+def _stars(complex: Complex, k: int) -> dict[Facet, list[int]]:
+    """Face sigma of k vertices -> [index in K's facets of the first facet
+    containing sigma, number of facets containing sigma]."""
+    stars: dict[Facet, list[int]] = {}
+    for i, f in enumerate(complex.facets):
+        for sigma in combinations(f, k):
+            stars.setdefault(sigma, [i, 0])[1] += 1
+    return stars
+
+
 def _star_walks(complex: Complex, k: int) -> Iterator[tuple]:
     """Walk the star of each face sigma of k vertices breadth-first, from
     the first facet containing sigma (sign +1) across the ridges containing
@@ -198,18 +208,18 @@ def _star_walks(complex: Complex, k: int) -> Iterator[tuple]:
     walks all of K.  So lk(sigma) is connected when the walk reaches every
     facet containing sigma, and orientable when it meets no conflict: the
     link's flip across a ridge of f and g is K's times the parities of
-    moving sigma to the front of f and of g, a fixed sign change per facet."""
+    moving sigma to the front of f and of g, a fixed sign change per facet.
+    By the same rule, when K is orientable its coherent signs satisfy every
+    flip, so no walk can conflict and ``_stars_reached`` walks without
+    signs."""
     adjacent: dict[Facet, list[tuple[Facet, int, int]]] = {f: [] for f in complex.facets}
     for entries in complex.ridge_entries.values():
         for (f, pf), (g, pg) in combinations(entries, 2):
             flip = 1 if (pf + pg) % 2 else -1
             adjacent[f].append((g, flip, f[pf]))  # with f's vertex off the ridge
             adjacent[g].append((f, flip, g[pg]))
-    stars: dict[Facet, list] = {}  # sigma -> [first facet, facet count]
-    for f in complex.facets:
-        for sigma in combinations(f, k):
-            stars.setdefault(sigma, [f, 0])[1] += 1
-    for sigma, (start, size) in stars.items():
+    for sigma, (i, size) in _stars(complex, k).items():
+        start = complex.facets[i]
         queue, signs, conflict = [start], {start: 1}, None
         for f in queue:  # the queue grows as facets are reached
             sf = signs[f]
@@ -222,6 +232,37 @@ def _star_walks(complex: Complex, k: int) -> Iterator[tuple]:
                 elif conflict is None and signs[g] != sf * flip:
                     conflict = (f, g)
         yield signs, conflict, size
+
+
+def _stars_reached(complex: Complex) -> bool:
+    """Whether, for every face sigma of 1..n-1 vertices, the walk of
+    sigma's star across the ridges containing sigma reaches every facet
+    containing sigma: ``_star_walks`` for reachability alone, stopped once
+    it has reached the whole star, over one facet graph built for all
+    sizes.  K must be a closed pseudomanifold, so each ridge joins exactly
+    two facets.  Facets are their indices in K's facets.  Each walk marks
+    the facets it reaches with its own sigma object; the marks keep every
+    earlier sigma alive, so no later sigma is the same object."""
+    index = {f: i for i, f in enumerate(complex.facets)}
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in complex.facets]
+    for (f, pf), (g, pg) in complex.ridge_entries.values():
+        adjacent[index[f]].append((index[g], f[pf]))  # with f's vertex off the ridge
+        adjacent[index[g]].append((index[f], g[pg]))
+    mark: list[Facet | None] = [None] * len(adjacent)
+    for k in range(1, complex.dimension):
+        for sigma, (start, size) in _stars(complex, k).items():
+            queue = [start]
+            mark[start] = sigma
+            for f in queue:  # the queue grows as facets are reached
+                if len(queue) == size:  # the whole star is reached
+                    break
+                for g, off in adjacent[f]:
+                    if mark[g] is not sigma and off not in sigma:
+                        mark[g] = sigma
+                        queue.append(g)
+            if len(queue) != size:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -312,7 +353,7 @@ def coherence_failures(oriented: OrientedComplex) -> tuple[Facet, ...]:
 
 def euler_characteristic(complex: Complex) -> int:
     """Alternating sum of face counts across all dimensions 0..n."""
-    return _link_characteristics(_faces(complex), 0)[()]
+    return _face_count_chi(_faces(complex))
 
 
 def _faces(complex: Complex) -> list[set[Facet]]:
@@ -325,11 +366,16 @@ def _faces(complex: Complex) -> list[set[Facet]]:
     return faces
 
 
+def _face_count_chi(faces: list[set[Facet]]) -> int:
+    """K's Euler characteristic from its faces by size: the sum over sizes
+    s of (-1)**(s - 1) times the number of faces of s vertices."""
+    return sum(len(faces[s]) if s % 2 else -len(faces[s]) for s in range(1, len(faces)))
+
+
 def _link_characteristics(faces: list[set[Facet]], k: int) -> dict[Facet, int]:
-    """chi(lk sigma) for every face sigma of k vertices, given K's faces by
-    size: the sum over faces tau of K containing sigma of
-    (-1)**(|tau| - k - 1), as tau minus sigma is a face of lk(sigma).  The
-    empty face's link is K itself."""
+    """chi(lk sigma) for every face sigma of k >= 1 vertices, given K's
+    faces by size: the sum over faces tau of K containing sigma of
+    (-1)**(|tau| - k - 1), as tau minus sigma is a face of lk(sigma)."""
     odd, even = Counter(), Counter()  # by the parity of |tau| - k
     for size in range(k + 1, len(faces)):
         (odd if (size - k) % 2 else even).update(
@@ -379,7 +425,13 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     lk(sigma) is connected and orientable, and one count over K's faces
     gives its Euler characteristic.  Links of a closed pseudomanifold are
     closed (a ridge of lk(sigma) plus sigma is a ridge of K), and a ridge's
-    link is two points.
+    link is two points.  Two shortcuts leave the verdict unchanged.  The
+    Euler characteristic is counted on the even-dimensional links only:
+    by Klee's Dehn-Sommerville relations for semi-Eulerian complexes, an
+    odd-dimensional link whose own face links all have a sphere's Euler
+    characteristic has 0.  When K is orientable its coherent signs satisfy
+    every link's flips, so no link walk can conflict, and the walks only
+    check that they reach the whole star.
 
     Exact for dimension <= 2 (closed + connected + orientable + Euler
     characteristic + all vertex links single cycles pins down the sphere by
@@ -409,18 +461,22 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     checks.append(("orientable", orientable))
 
     faces = _faces(complex)  # built once: K's chi and every link's count it
-    chi_ok = _link_characteristics(faces, 0)[()] == 1 + (-1) ** n
+    chi_ok = _face_count_chi(faces) == 1 + (-1) ** n
     checks.append(("euler_characteristic", chi_ok))
 
     # every link has a sphere's Euler characteristic, and then, one face size
-    # at a time, each star walk reaches the whole star with no conflict; the
-    # faces are freed before the walks build their facet graphs
+    # at a time, each star walk reaches the whole star, with no conflict when
+    # K is not orientable; the faces are freed before the walks build their
+    # facet graphs
     links_ok = _links_have_sphere_chi(faces, n)
     del faces
-    links_ok = links_ok and all(
-        all(len(s) == size and c is None for s, c, size in _star_walks(complex, k))
-        for k in range(1, n)
-    )
+    if orientable:
+        links_ok = links_ok and _stars_reached(complex)
+    else:
+        links_ok = links_ok and all(
+            all(len(s) == size and c is None for s, c, size in _star_walks(complex, k))
+            for k in range(1, n)
+        )
     if n >= 1:
         checks.append(("vertex_links", links_ok))
 
@@ -432,13 +488,23 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
 
 
 def _links_have_sphere_chi(faces: list[set[Facet]], n: int) -> bool:
-    """Whether every link of a face of 1..n-1 vertices has the Euler
-    characteristic of a sphere.  The links of faces of k or more vertices
-    never count the faces of k vertices, so those are freed before the
-    count for k."""
+    """Whether every link of a face of 1..n-1 vertices in K, a closed
+    pseudomanifold of dimension n, has the Euler characteristic of a sphere.
+    The links of faces of k or more vertices never count the faces of k
+    vertices, so those are freed before the count for k.
+
+    chi is counted only where it can fail, on the links of even dimension
+    n - k.  The link of a face of k vertices is a closed pseudomanifold of
+    dimension n - k.  One of dimension 1 is a union of cycles, with chi 0.
+    One of odd dimension whose face links (links in K of larger faces) all
+    have a sphere's chi is semi-Eulerian, so Klee's Dehn-Sommerville
+    relations (Klee, Canad. J. Math. 16, 1964) give it chi 0.  Going up by
+    dimension, the odd-dimensional links all have chi 0 whenever the
+    even-dimensional ones pass, so the result is the same as counting every
+    link."""
     for k in range(1, n):
         faces[k].clear()
-        if set(_link_characteristics(faces, k).values()) != {1 + (-1) ** (n - k)}:
+        if (n - k) % 2 == 0 and set(_link_characteristics(faces, k).values()) != {2}:
             return False
     return True
 

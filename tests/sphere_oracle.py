@@ -5,12 +5,16 @@ with, field for field.  It applies the full check list to the complex and
 then recurses into every vertex link, so it visits a face of k vertices
 once per ordering of those vertices (k! times): far too slow for high
 dimensions, but a direct reading of the definition, kept here as the
-differential oracle.
+differential oracle.  ``links_have_sphere_chi`` is the reference for the
+one-pass Euler characteristic count, which skips the odd-dimensional links.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from spheremap import (
+    Complex,
     NonOrientable,
     SphereStatus,
     SphereVerdict,
@@ -59,3 +63,19 @@ def recursive_is_sphere(complex) -> SphereVerdict:
     if n <= 2:
         return SphereVerdict(SphereStatus.SPHERE, tuple(checks))
     return SphereVerdict(SphereStatus.NECESSARY_CONDITIONS_ONLY, tuple(checks))
+
+
+def links_have_sphere_chi(complex) -> bool:
+    """Whether the link of every face of 1..n-1 vertices, built as a
+    complex, has a sphere's Euler characteristic: the count the one-pass
+    verdict makes on the even-dimensional links only, made on all of them."""
+    n = complex.dimension
+    for k in range(1, n):
+        links: dict[tuple, list[tuple]] = {}
+        for f in complex.facets:
+            for sigma in combinations(f, k):
+                links.setdefault(sigma, []).append(tuple(v for v in f if v not in sigma))
+        for facets in links.values():
+            if euler_characteristic(Complex(n - k, tuple(sorted(facets)))) != 1 + (-1) ** (n - k):
+                return False
+    return True

@@ -36,7 +36,7 @@ from spheremap.constructions import boundary_simplex, construct, degree_four_wit
 from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
 from canonical_oracle import full_canonical_form, group_order
 from orientation_oracle import bfs_orient
-from sphere_oracle import recursive_is_sphere
+from sphere_oracle import links_have_sphere_chi, recursive_is_sphere
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
@@ -400,6 +400,31 @@ def twisted_sphere_bundle():
     return facets
 
 
+def pinched_three_sphere():
+    """A 3-sphere with two of its empty triangles (three edges bounding no
+    face) merged into one.  The sphere is the connected sum of two copies of
+    the join of a triangle's boundary with a 4-cycle, each grown away from
+    its triangle by stellar subdivisions; the copies are glued along the
+    facet at the end of that chain, so the triangles lie 4 edges apart.  A
+    merged vertex's link is two 2-spheres meeting in two points, whose
+    Euler characteristic is a sphere's but whose star walk stops in one of
+    them; a merged edge's link is two disjoint circles.  Orientable, with
+    Euler characteristic 0, so of the checks only vertex_links fails."""
+    triangle, square = ((1, 2), (2, 3), (1, 3)), ((4, 5), (5, 6), (6, 7), (4, 7))
+    K = build_complex([a + b for a in triangle for b in square])
+    for facet in (
+        (1, 2, 4, 5), (1, 4, 5, 8), (4, 5, 8, 9), (4, 5, 8, 10), (4, 5, 10, 11), (4, 10, 11, 12)
+    ):
+        K = stellar_subdivide_facet(K, facet)
+    glued = (10, 11, 12, 13)
+    top = max(K.vertices)
+    # the copy keeps the glued facet's ids and the triangle's, 1, 2 and 3
+    copy = {v: v if v in glued or v <= 3 else v + top for v in K.vertices}
+    return [f for f in K.facets if f != glued] + [
+        tuple(copy[v] for v in f) for f in K.facets if f != glued
+    ]
+
+
 def test_is_sphere_verdict_cached_per_complex():
     K = build_complex(TETRA)
     assert is_sphere(K) is is_sphere(K)
@@ -439,6 +464,14 @@ NON_SPHERES = {
     # of the link checks, only orientability fails (at the apexes)
     "twisted_sphere_bundle": twisted_sphere_bundle(),
     "suspended_twisted_sphere_bundle": suspension(twisted_sphere_bundle()),
+    # orientable, so the links are walked for reachability alone; the apex
+    # links are 3-dimensional suspended tori, whose chi of 2 is no sphere's
+    # but is no longer counted, and the apex edges' torus links fail the count
+    "double_suspended_torus": suspension(suspension(TORUS)),
+    # the pinch and an apex span an edge whose link is two disjoint triangles
+    "suspended_pinched_sphere": suspension(PINCHED_SPHERE),
+    # of all the checks only vertex_links fails, and only in the star walks
+    "pinched_three_sphere": pinched_three_sphere(),
     # apexes among the other ids, so the faces sigma whose links fail to be
     # orientable sit inside their facets rather than at their ends
     "relabeled_double_suspended_twisted_sphere_bundle": relabeled_copy(
@@ -462,6 +495,52 @@ def test_relabeled_bundle_fails_only_at_orientability():
     assert len(apexes) == 4 and apexes != list(K.vertices[-4:])
     failed = [name for name, ok in is_sphere(K).checks if not ok]
     assert failed == ["orientable", "vertex_links"]
+
+
+@pytest.mark.parametrize("name", ["double_suspended_torus", "suspended_pinched_sphere"])
+def test_orientable_non_spheres_fail_at_the_links(name):
+    checks = dict(is_sphere(build_complex(NON_SPHERES[name])).checks)
+    assert checks["orientable"] is True and checks["vertex_links"] is False
+
+
+def test_pinched_three_sphere_fails_only_at_the_link_walks():
+    K = build_complex(NON_SPHERES["pinched_three_sphere"])
+    assert [name for name, ok in is_sphere(K).checks if not ok] == ["vertex_links"]
+    assert complexes._links_have_sphere_chi(complexes._faces(K), K.dimension)
+    assert not complexes._stars_reached(K)
+
+
+def lemma_corpus():
+    """Complexes the two shortcuts of the one-pass verdict are checked on:
+    the enumerated 2-sphere classes to 9 vertices, constructions to
+    dimension 6, and the closed non-spheres."""
+    yield from (K for v in range(4, 10) for K in enumerate_spheres(2, v))
+    yield from (construct(n, d).labeled.complex for n in range(1, 7) for d in (1, 3, 5))
+    for facets in NON_SPHERES.values():
+        K = build_complex(facets)
+        if check_closed_pseudomanifold(K).passed:
+            yield K
+
+
+def test_parity_skipped_chi_count_matches_counting_every_link():
+    # Klee: an odd-dimensional link whose face links have a sphere's chi has chi 0
+    results = [
+        complexes._links_have_sphere_chi(complexes._faces(K), K.dimension)
+        == links_have_sphere_chi(K)
+        for K in lemma_corpus()
+    ]
+    assert len(results) == 73 + 18 + 12 and all(results)
+
+
+def test_signed_star_walks_never_conflict_on_orientable_complexes():
+    # K's coherent signs satisfy every link's flips, so reachability decides
+    walked = 0
+    for K in lemma_corpus():
+        if dict(is_sphere(K).checks)["orientable"]:
+            for k in range(1, K.dimension):
+                assert all(conflict is None for _, conflict, _ in complexes._star_walks(K, k))
+                walked += 1
+    assert walked > 0
 
 
 def test_is_sphere_matches_oracle_on_the_zero_sphere():
