@@ -183,16 +183,24 @@ def degree(ls: LabeledSphere) -> DegreeReport:
 
 
 def _degree_report(ls: LabeledSphere) -> DegreeReport:
+    """One pass over the facets.  A facet's sign is eps times a factor of its
+    color tuple alone, so each color pattern is signed once per report."""
     full = ls.color_count
     labels = ls.labels
+    color_of = labels.__getitem__
     per: dict[int, list[tuple[Facet, int]]] = {i: [] for i in range(1, full + 1)}
+    by_colors: dict[tuple[int, ...], tuple[int, int | None]] = {}
     degenerate = 0
     for facet, eps in zip(ls.complex.facets, ls.oriented.signs):
-        s, omitted = _facet_sign(labels, full, eps, facet)
+        cols = tuple(map(color_of, facet))
+        pattern = by_colors.get(cols)
+        if pattern is None:
+            pattern = by_colors[cols] = _facet_sign(labels, full, 1, facet)
+        s, omitted = pattern
         if s == 0:
             degenerate += 1
         else:
-            per[omitted].append((facet, s))
+            per[omitted].append((facet, eps * s))
     sums = {sum(s for _, s in entries) for entries in per.values()}
     consistent = len(sums) == 1
     report = DegreeReport(

@@ -324,7 +324,8 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
             raise ValidationError(f"orientation entry {entry!r} is not a facet")
         if facet in signs:
             raise ValidationError(f"orientation lists facet {list(facet)} twice")
-        signs[facet] = sign * parity_to_sorted(verts)
+        # serialize lists every facet in sorted order, whose parity is +1
+        signs[facet] = sign if list(facet) == verts else sign * parity_to_sorted(verts)
     missing = [f for f in complex.facets if f not in signs]
     if missing:
         raise ValidationError(f"orientation missing facet {list(missing[0])}")

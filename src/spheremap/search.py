@@ -551,6 +551,11 @@ def lambda_table(requests) -> LambdaTable:
             raise ValidationError(
                 f'table row {req!r} must be {{"n": int, "d": int, "v_max": optional int}}'
             )
+        unknown = [key for key in req if key not in ("n", "d", "v_max")]
+        if unknown:  # a misspelt budget such as "vmax" would drop the search
+            raise ValidationError(
+                f"table row {req!r} has unknown key {unknown[0]!r}; a row takes n, d and v_max"
+            )
         n, d = req["n"], req["d"]
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):

@@ -248,6 +248,7 @@ def test_table_rejects_bad_spec(tmp_path, capsys):
         {"rows": ["a"]},
         {"rows": [{"n": 2.0, "d": 3}]},
         {"rows": [{"n": 2, "d": True}]},
+        {"rows": [{"n": 2, "d": 4, "vmax": 10}]},  # a misspelt budget, not an upper bound
     ],
 )
 def test_table_rejects_bad_rows(tmp_path, capsys, spec):
@@ -257,6 +258,14 @@ def test_table_rejects_bad_rows(tmp_path, capsys, spec):
     assert code == 1
     assert stderr.startswith("FAIL: ValidationError: table row ")
     assert "Traceback" not in stdout + stderr
+
+
+def test_table_names_an_unknown_row_key(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"rows": [{"n": 2, "d": 4, "vmax": 10}]}))
+    code, stdout, stderr = run(capsys, "table", "--spec", str(path))
+    assert code == 1 and stdout == ""
+    assert "unknown key 'vmax'" in stderr
 
 
 # unreadable input: bytes that are not UTF-8, or JSON nested past the parser's depth

@@ -1,5 +1,7 @@
+import importlib
 import random
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -17,9 +19,11 @@ from spheremap import (
     UnknownVertex,
     boundary_simplex,
     build_complex,
+    construct,
     cyclic_circle,
     degree,
     degree_four_witness,
+    degree_zero_sphere,
     facet_sign,
     labeled_sphere,
     link_reduction,
@@ -33,6 +37,7 @@ from spheremap import (
     singleton_colors,
     canonical_form,
 )
+from spheremap.degree import DegreeReport, _degree_report, _facet_sign
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
@@ -141,6 +146,86 @@ def test_degree_report_sums_match_entries():
     rep = degree(cyclic_circle(3).labeled)
     for color, entries in rep.per_target_facet.items():
         assert rep.per_target_sums[color] == sum(s for _, s in entries)
+
+
+def _per_facet_report(ls):
+    """(report, raises) from _facet_sign on every facet, with no sharing."""
+    full = ls.color_count
+    per = {i: [] for i in range(1, full + 1)}
+    degenerate = 0
+    for facet, eps in zip(ls.complex.facets, ls.oriented.signs):
+        s, omitted = _facet_sign(ls.labels, full, eps, facet)
+        if s == 0:
+            degenerate += 1
+        else:
+            per[omitted].append((facet, s))
+    sums = {sum(s for _, s in es) for es in per.values()}
+    consistent = len(sums) == 1
+    report = DegreeReport(
+        degree=sums.pop() if consistent else None,
+        per_target_facet=MappingProxyType({i: tuple(es) for i, es in per.items()}),
+        consistent=consistent,
+        degenerate_facet_count=degenerate,
+    )
+    return report, not consistent
+
+
+def _flip_first_sign(ls):
+    signs = ls.oriented.signs
+    return labeled_sphere(
+        OrientedComplex(ls.oriented.base, (-signs[0],) + signs[1:]), ls.labels
+    )
+
+
+def _differential_corpus():
+    for n in range(1, 7):
+        for d in (1, 2, 5, 13):
+            for signed in (d, -d):
+                ls = construct(n, signed).labeled
+                yield f"construct({n}, {signed})", ls
+                # an odd color permutation (a transposition) negates the degree
+                yield f"relabel construct({n}, {signed})", relabel(
+                    ls, {c: {1: 2, 2: 1}.get(c, c) for c in range(1, n + 3)}
+                )
+                yield f"reverse construct({n}, {signed})", reverse_orientation(ls)
+                yield f"flipped construct({n}, {signed})", _flip_first_sign(ls)
+        yield f"degree_zero_sphere({n})", degree_zero_sphere(n).labeled
+
+
+def test_degree_report_matches_per_facet_reference():
+    # the report signs each color pattern once; the reference signs every facet
+    raised = 0
+    for name, ls in _differential_corpus():
+        expected, raises = _per_facet_report(ls)
+        if raises:
+            raised += 1
+            with pytest.raises(InconsistentDegree) as err:
+                _degree_report(ls)
+            assert err.value.report == expected, name
+        else:
+            assert _degree_report(ls) == expected, name
+    assert raised > 0  # the flipped copies reach the InconsistentDegree path
+
+
+def test_degree_report_signs_each_color_pattern_once(monkeypatch):
+    degree_mod = importlib.import_module("spheremap.degree")  # not the function
+    calls = []
+
+    def counting(labels, full, eps, facet):
+        calls.append(facet)
+        return _facet_sign(labels, full, eps, facet)
+
+    monkeypatch.setattr(degree_mod, "_facet_sign", counting)
+    for n, d in ((2, -300), (3, 300), (4, 13), (1, 5)):
+        ls = construct(n, d).labeled
+        patterns = {tuple(ls.labels[v] for v in f) for f in ls.complex.facets}
+        calls.clear()
+        assert _degree_report(ls).degree == d
+        assert len(calls) == len(patterns) < len(ls.complex.facets)
+    ls = degree_zero_sphere(3).labeled
+    calls.clear()
+    _degree_report(ls)
+    assert len(calls) == len({tuple(ls.labels[v] for v in f) for f in ls.complex.facets})
 
 
 def test_degree_inconsistent_on_corrupted_orientation():

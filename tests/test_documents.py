@@ -396,6 +396,36 @@ def test_parse_accepts_unsorted_orientation_entries():
     assert degree(ls).degree == 1
 
 
+# reorderings of a 4-vertex facet by position, with the sign of each permutation
+FACET_REORDERINGS = (
+    ((1, 2, 0, 3), 1),  # 3-cycle
+    ((1, 0, 3, 2), 1),  # two transpositions
+    ((1, 0, 2, 3), -1),  # transposition
+    ((3, 0, 1, 2), -1),  # 4-cycle
+    ((3, 2, 1, 0), 1),  # reversal of four
+)
+
+
+def test_parse_accepts_every_entry_unsorted():
+    # each entry in another order carries its sign times the order's parity;
+    # the document must still parse to the same labeled sphere
+    text = serialize(construct(3, 5))
+    expected = parse(text)
+    doc = json.loads(text)
+    for k, entry in enumerate(doc["orientation"]):
+        sign, *verts = entry
+        order, parity = FACET_REORDERINGS[k % len(FACET_REORDERINGS)]
+        doc["orientation"][k] = [sign * parity, *(verts[i] for i in order)]
+    assert all(e[1:] != sorted(e[1:]) for e in doc["orientation"])
+    assert parse(json.dumps(doc)) == expected
+
+    for k in range(len(FACET_REORDERINGS)):  # one wrong sign, on an even and an odd order
+        broken = json.loads(json.dumps(doc))
+        broken["orientation"][k][0] = -broken["orientation"][k][0]
+        with pytest.raises(ValidationError, match="coherent"):
+            parse(json.dumps(broken))
+
+
 def test_parse_rejects_label_problems():
     base = doc_of(boundary_simplex(2))
 

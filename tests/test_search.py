@@ -509,6 +509,20 @@ def test_lambda_table_statuses():
     assert upper.lambda_value == 16  # generator count for (2, 7)
 
 
+def test_lambda_table_rejects_unknown_keys():
+    # a misspelt budget used to be dropped, so the row fell back to the
+    # generator's upper bound (11 here) instead of being searched
+    for row, key in (
+        ({"n": 2, "d": 4, "vmax": 10}, "'vmax'"),
+        ({"n": 1, "d": 2, "v_max": 6, "note": "x"}, "'note'"),
+        ({"n": 3, "d": 2, "dimension": 3}, "'dimension'"),
+    ):
+        with pytest.raises(ValidationError, match=f"unknown key {key}"):
+            lambda_table([row])
+    with pytest.raises(ValidationError, match="unknown key 'vmax'"):
+        lambda_table([{"n": 2, "d": 4, "v_max": 10}, {"n": 2, "d": 4, "vmax": 10}])
+
+
 def test_lambda_table_search_row_for_degree_four():
     table = lambda_table([{"n": 2, "d": 4, "v_max": 10}])
     row = table.rows[0]
