@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -35,6 +35,7 @@ from .errors import (
     NonPure,
     NotClosed,
     UnknownVertex,
+    ValidationError,
     VertexAlreadyPresent,
 )
 
@@ -59,6 +60,10 @@ __all__ = [
     "canonical_form",
     "parity_to_sorted",
 ]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def parity_to_sorted(seq) -> int:
@@ -114,9 +119,10 @@ class Complex:
         return MappingProxyType({r: tuple(es) for r, es in out.items()})
 
     @cached_property
-    def _walk(self) -> tuple[dict[Facet, int], tuple[Facet, Facet] | None]:
-        """The star walk of the empty face, shared by closedness and orientation."""
-        return next(_star_walks(self, 0))[:2]
+    def _walk(self) -> tuple[tuple[int, ...], tuple[int, int] | None]:
+        """The signed star walk of the empty face, shared by closedness and orientation."""
+        _, signs, conflict = _star_walks(self, (0,), True)
+        return tuple(signs), conflict
 
     @cached_property
     def closedness(self) -> "ClosednessReport":
@@ -137,7 +143,8 @@ class Complex:
 def build_complex(facet_list) -> Complex:
     """Validate a raw facet list and return a Complex.
 
-    Raises NonPure for mixed cardinalities, DegenerateFacet for a repeated
+    Raises NonPure for mixed cardinalities, ValidationError for a vertex
+    id that is not an int (a bool included), DegenerateFacet for a repeated
     vertex inside a facet, DuplicateFacet for a repeated facet.
     """
     raw = [tuple(f) for f in facet_list]
@@ -150,6 +157,8 @@ def build_complex(facet_list) -> Complex:
     for f in raw:
         if len(f) != size:
             raise NonPure(f"facet {f} has {len(f)} vertices, expected {size}")
+        if not all(map(_is_int, f)):
+            raise ValidationError(f"facet {f} has a vertex id that is not an int")
         if len(set(f)) != len(f):
             raise DegenerateFacet(f"facet {f} repeats a vertex")
         normalized.append(tuple(sorted(f)))
@@ -180,12 +189,8 @@ def check_closed_pseudomanifold(complex: Complex) -> ClosednessReport:
 
 
 def _closedness(complex: Complex) -> ClosednessReport:
-    bad = tuple(
-        (r, len(es))
-        for r, es in sorted(complex.ridge_entries.items())
-        if len(es) != 2
-    )
-    connected = len(complex._walk[0]) == len(complex.facets)
+    bad = tuple(sorted((r, len(es)) for r, es in complex.ridge_entries.items() if len(es) != 2))
+    connected = 0 not in complex._walk[0]
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
 
 
@@ -199,70 +204,55 @@ def _stars(complex: Complex, k: int) -> dict[Facet, list[int]]:
     return stars
 
 
-def _star_walks(complex: Complex, k: int) -> Iterator[tuple]:
-    """Walk the star of each face sigma of k vertices breadth-first, from
-    the first facet containing sigma (sign +1) across the ridges containing
-    sigma, giving each facet reached K's coherent sign relative to the one
-    it came from.  Yields the signs, the first pair (f, g) whose signs
-    conflict or None, and the number of facets containing sigma; k = 0
-    walks all of K.  So lk(sigma) is connected when the walk reaches every
+def _star_walks(
+    complex: Complex, sizes, signed: bool
+) -> tuple[bool, list[int], tuple[int, int] | None]:
+    """Walk the star of each face sigma of k vertices, k in ``sizes``,
+    breadth-first from the first facet containing sigma (sign +1) across
+    the ridges containing sigma, over one graph on facet indices; k = 0
+    walks all of K.  A signed walk gives each facet reached K's coherent
+    sign relative to the one it came from and notes the first pair whose
+    signs conflict.  So lk(sigma) is connected when the walk reaches every
     facet containing sigma, and orientable when it meets no conflict: the
     link's flip across a ridge of f and g is K's times the parities of
     moving sigma to the front of f and of g, a fixed sign change per facet.
-    By the same rule, when K is orientable its coherent signs satisfy every
-    flip, so no walk can conflict and ``_stars_reached`` walks without
-    signs."""
-    adjacent: dict[Facet, list[tuple[Facet, int, int]]] = {f: [] for f in complex.facets}
+    Hence when K is orientable no walk can conflict, and an unsigned walk
+    writes no signs and stops once it has reached the whole star.  Returns
+    whether every walk did so without conflict, the signs by facet index
+    (for k = 0, 0 where not reached) and the first conflicting index pair
+    or None, stopping at the first walk that fails.  Each walk marks the facets it reaches with
+    its own sigma object; the marks keep every earlier sigma alive, so no
+    later sigma is the same object."""
+    index = {f: i for i, f in enumerate(complex.facets)}
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in complex.facets]
     for entries in complex.ridge_entries.values():
         for (f, pf), (g, pg) in combinations(entries, 2):
             flip = 1 if (pf + pg) % 2 else -1
-            adjacent[f].append((g, flip, f[pf]))  # with f's vertex off the ridge
-            adjacent[g].append((f, flip, g[pg]))
-    for sigma, (i, size) in _stars(complex, k).items():
-        start = complex.facets[i]
-        queue, signs, conflict = [start], {start: 1}, None
-        for f in queue:  # the queue grows as facets are reached
-            sf = signs[f]
-            for g, flip, off in adjacent[f]:
-                if off in sigma:  # the ridge misses sigma
-                    continue
-                if g not in signs:
-                    signs[g] = sf * flip
-                    queue.append(g)
-                elif conflict is None and signs[g] != sf * flip:
-                    conflict = (f, g)
-        yield signs, conflict, size
-
-
-def _stars_reached(complex: Complex) -> bool:
-    """Whether, for every face sigma of 1..n-1 vertices, the walk of
-    sigma's star across the ridges containing sigma reaches every facet
-    containing sigma: ``_star_walks`` for reachability alone, stopped once
-    it has reached the whole star, over one facet graph built for all
-    sizes.  K must be a closed pseudomanifold, so each ridge joins exactly
-    two facets.  Facets are their indices in K's facets.  Each walk marks
-    the facets it reaches with its own sigma object; the marks keep every
-    earlier sigma alive, so no later sigma is the same object."""
-    index = {f: i for i, f in enumerate(complex.facets)}
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in complex.facets]
-    for (f, pf), (g, pg) in complex.ridge_entries.values():
-        adjacent[index[f]].append((index[g], f[pf]))  # with f's vertex off the ridge
-        adjacent[index[g]].append((index[f], g[pg]))
+            i, j = index[f], index[g]
+            adjacent[i].append((j, flip, f[pf]))  # with f's vertex off the ridge
+            adjacent[j].append((i, flip, g[pg]))
     mark: list[Facet | None] = [None] * len(adjacent)
-    for k in range(1, complex.dimension):
+    signs = [0] * len(adjacent)
+    conflict = None  # a walk that finds one is the last
+    for k in sizes:
         for sigma, (start, size) in _stars(complex, k).items():
             queue = [start]
-            mark[start] = sigma
+            mark[start], signs[start] = sigma, 1
             for f in queue:  # the queue grows as facets are reached
-                if len(queue) == size:  # the whole star is reached
+                if len(queue) == size and not signed:  # the whole star is reached
                     break
-                for g, off in adjacent[f]:
-                    if mark[g] is not sigma and off not in sigma:
-                        mark[g] = sigma
-                        queue.append(g)
-            if len(queue) != size:
-                return False
-    return True
+                for g, flip, off in adjacent[f]:
+                    if mark[g] is not sigma:
+                        if off not in sigma:  # the ridge contains sigma
+                            mark[g] = sigma
+                            queue.append(g)
+                            if signed:
+                                signs[g] = signs[f] * flip
+                    elif signed and signs[g] != signs[f] * flip and off not in sigma:
+                        conflict = conflict or (f, g)
+            if len(queue) != size or conflict:
+                return False, signs, conflict
+    return True, signs, None
 
 
 @dataclass(frozen=True)
@@ -331,9 +321,9 @@ def _orient(complex: Complex) -> OrientedComplex:
 
     signs, conflict = complex._walk
     if conflict is not None:
-        f, g = conflict
+        f, g = (complex.facets[i] for i in conflict)
         raise NonOrientable(f"conflicting signs at facet {g} (ridge shared with {f})")
-    return OrientedComplex(complex, tuple(signs[f] for f in complex.facets))
+    return OrientedComplex(complex, signs)
 
 
 def coherence_failures(oriented: OrientedComplex) -> tuple[Facet, ...]:
@@ -431,7 +421,8 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     odd-dimensional link whose own face links all have a sphere's Euler
     characteristic has 0.  When K is orientable its coherent signs satisfy
     every link's flips, so no link walk can conflict, and the walks only
-    check that they reach the whole star.
+    check that they reach the whole star; otherwise they are signed, as the
+    walk of the whole complex always is.
 
     Exact for dimension <= 2 (closed + connected + orientable + Euler
     characteristic + all vertex links single cycles pins down the sphere by
@@ -464,19 +455,12 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     chi_ok = _face_count_chi(faces) == 1 + (-1) ** n
     checks.append(("euler_characteristic", chi_ok))
 
-    # every link has a sphere's Euler characteristic, and then, one face size
-    # at a time, each star walk reaches the whole star, with no conflict when
-    # K is not orientable; the faces are freed before the walks build their
-    # facet graphs
+    # every link has a sphere's Euler characteristic, and then each star walk
+    # reaches the whole star, with no conflict when K is not orientable; the
+    # faces are freed before the walks build their facet graph
     links_ok = _links_have_sphere_chi(faces, n)
     del faces
-    if orientable:
-        links_ok = links_ok and _stars_reached(complex)
-    else:
-        links_ok = links_ok and all(
-            all(len(s) == size and c is None for s, c, size in _star_walks(complex, k))
-            for k in range(1, n)
-        )
+    links_ok = links_ok and _star_walks(complex, range(1, n), not orientable)[0]
     if n >= 1:
         checks.append(("vertex_links", links_ok))
 
@@ -528,6 +512,8 @@ def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet,
         raise FacetNotFound(f"{facet} is not a facet of the complex")
     if new_vertex is None:
         new_vertex = max(complex.vertices) + 1
+    elif not _is_int(new_vertex):  # a bool is not one, although Python counts it as one
+        raise ValidationError(f"new_vertex must be an int, got {new_vertex!r}")
     elif new_vertex in complex.facets_at:
         raise VertexAlreadyPresent(f"vertex {new_vertex} already exists")
     return facet, new_vertex

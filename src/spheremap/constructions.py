@@ -33,6 +33,7 @@ from itertools import combinations, count, groupby
 from .complexes import (
     Facet,
     OrientedComplex,
+    _is_int,
     _sphere_failure,
     _stellar_pairs,
     build_complex,
@@ -42,7 +43,6 @@ from .degree import (
     LabeledSphere,
     _check_ints,
     _facet_sign,
-    _is_int,
     degree,
     labeled_sphere,
     relabel,

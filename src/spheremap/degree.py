@@ -31,6 +31,7 @@ from .complexes import (
     Complex,
     Facet,
     OrientedComplex,
+    _is_int,
     _sphere_failure,
     parity_to_sorted,
 )
@@ -109,10 +110,6 @@ class LabeledSphere:
     def degree_report(self) -> "DegreeReport":
         """The report of ``degree``, computed once per labeled sphere."""
         return _degree_report(self)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_ints(**values) -> None:

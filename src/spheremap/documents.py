@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     OrientedComplex,
+    _is_int,
     _sphere_failure,
     build_complex,
     check_closed_pseudomanifold,
@@ -37,7 +38,7 @@ from .constructions import (
     _recipe_shape,
     replay,
 )
-from .degree import LabeledSphere, _is_int, degree, labeled_sphere
+from .degree import LabeledSphere, degree, labeled_sphere
 from .errors import (
     DegreeMismatch,
     DocumentSyntaxError,

@@ -46,14 +46,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .complexes import CanonicalForm, Complex, _orbit, build_complex, canonical_form, orient
+from .complexes import (
+    CanonicalForm,
+    Complex,
+    _is_int,
+    _orbit,
+    build_complex,
+    canonical_form,
+    orient,
+)
 from .constructions import construct
 from .degree import (
     LabeledSphere,
     Labeling,
     _check_ints,
     _facet_sign,
-    _is_int,
     degree,
     labeled_sphere,
 )

@@ -8,6 +8,7 @@ import pytest
 
 from spheremap import degree, load_certificate, parse
 from spheremap.cli import main
+from test_complexes import NON_SPHERES
 
 
 def run(capsys, *argv):
@@ -73,6 +74,28 @@ def test_verify_refuses_a_false_recipe_as_moves_do(tmp_path, capsys, command, re
     assert code == 1
     assert stderr.startswith("FAIL: ValidationError: ")
     assert "PASS" not in stdout and "Traceback" not in stdout + stderr
+
+
+def test_verify_refuses_a_non_orientable_complex_with_non_orientable_links(tmp_path, capsys):
+    # the relabeled bundle is closed, connected and has a sphere's Euler
+    # characteristic; the signed walks of the whole complex and of its
+    # links find the conflicts, whatever signs the document states
+    facets = NON_SPHERES["relabeled_double_suspended_twisted_sphere_bundle"]
+    verts = sorted({v for f in facets for v in f})
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({
+        "format_version": "1",
+        "dimension": 5,
+        "facets": [list(f) for f in facets],
+        "labels": {str(v): i % 7 + 1 for i, v in enumerate(verts)},
+        "orientation": [[1, *sorted(f)] for f in facets],
+    }))
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stderr == (
+        "FAIL: ValidationError: document fails sphere checks: ['orientable', 'vertex_links']\n"
+    )
+    assert "PASS" not in stdout
 
 
 @pytest.mark.parametrize("n", [13, 20])
@@ -359,9 +382,9 @@ def test_verify_walks_the_facet_graph_once(tmp_path, capsys, monkeypatch, with_o
     walked = []
     original = complexes_mod._star_walks
 
-    def counting(complex, k):
-        walked.append(complex.facets == facets and k == 0)
-        return original(complex, k)
+    def counting(complex, sizes, signed):
+        walked.append(complex.facets == facets and tuple(sizes) == (0,))
+        return original(complex, sizes, signed)
 
     monkeypatch.setattr(complexes_mod, "_star_walks", counting)
     code, stdout, _ = run(capsys, "verify", str(out))

@@ -17,6 +17,7 @@ from spheremap import (
     UnknownVertex,
     VertexAlreadyPresent,
     FacetNotFound,
+    ValidationError,
     Complex,
     build_complex,
     canonical_form,
@@ -99,6 +100,17 @@ def test_build_rejects_repeated_vertex():
 def test_build_rejects_duplicate_facet():
     with pytest.raises(DuplicateFacet):
         build_complex([(1, 2, 3), (3, 2, 1)])
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [[(1.5, 2), (2, 3), (1.5, 3)], [(True, 2), (2, 3), (True, 3)], [("a", 2), (2, 3), ("a", 3)]],
+    ids=["float", "bool", "str_int_mix"],
+)
+def test_build_rejects_vertex_ids_that_are_not_ints(facets):
+    # a document could not carry such a complex: parse refuses the ids
+    with pytest.raises(ValidationError):
+        build_complex(facets)
 
 
 def test_build_rejects_empty_input():
@@ -507,7 +519,7 @@ def test_pinched_three_sphere_fails_only_at_the_link_walks():
     K = build_complex(NON_SPHERES["pinched_three_sphere"])
     assert [name for name, ok in is_sphere(K).checks if not ok] == ["vertex_links"]
     assert complexes._links_have_sphere_chi(complexes._faces(K), K.dimension)
-    assert not complexes._stars_reached(K)
+    assert not complexes._star_walks(K, range(1, K.dimension), False)[0]
 
 
 def lemma_corpus():
@@ -532,15 +544,31 @@ def test_parity_skipped_chi_count_matches_counting_every_link():
     assert len(results) == 73 + 18 + 12 and all(results)
 
 
-def test_signed_star_walks_never_conflict_on_orientable_complexes():
+def test_signed_and_unsigned_link_walks_agree_on_orientable_complexes():
     # K's coherent signs satisfy every link's flips, so reachability decides
-    walked = 0
-    for K in lemma_corpus():
-        if dict(is_sphere(K).checks)["orientable"]:
-            for k in range(1, K.dimension):
-                assert all(conflict is None for _, conflict, _ in complexes._star_walks(K, k))
-                walked += 1
-    assert walked > 0
+    verdicts = [
+        complexes._star_walks(K, range(1, K.dimension), True)[0]
+        == complexes._star_walks(K, range(1, K.dimension), False)[0]
+        for K in lemma_corpus()
+        if dict(is_sphere(K).checks)["orientable"]
+    ]
+    assert len(verdicts) > 0 and all(verdicts)
+
+
+def test_is_sphere_walks_the_whole_complex_once_and_every_link_size_once(monkeypatch):
+    # one walk for closedness and orientation, one for the links of every
+    # face size, also when K is not orientable and its link walks are signed
+    K = build_complex(NON_SPHERES["relabeled_double_suspended_twisted_sphere_bundle"])
+    calls = []
+    original = complexes._star_walks
+
+    def counting(complex, sizes, signed):
+        calls.append((tuple(sizes), signed))
+        return original(complex, sizes, signed)
+
+    monkeypatch.setattr(complexes, "_star_walks", counting)
+    assert not is_sphere(K).passed
+    assert calls == [((0,), True), ((1, 2, 3, 4), True)]
 
 
 def test_is_sphere_matches_oracle_on_the_zero_sphere():
@@ -592,6 +620,15 @@ def test_subdivide_guards():
         stellar_subdivide_facet(K, (1, 2, 9))
     with pytest.raises(VertexAlreadyPresent):
         stellar_subdivide_facet(K, (1, 2, 3), new_vertex=4)
+
+
+@pytest.mark.parametrize("new_vertex", [2.5, True, "a"])
+def test_subdivide_rejects_a_new_vertex_that_is_not_an_int(new_vertex):
+    K = build_complex(TETRA)
+    with pytest.raises(ValidationError):
+        stellar_subdivide_facet(K, (1, 2, 3), new_vertex=new_vertex)
+    with pytest.raises(ValidationError):
+        stellar_subdivide_oriented(orient(K), (1, 2, 3), new_vertex=new_vertex)
 
 
 def test_subdivide_oriented_stays_coherent():
