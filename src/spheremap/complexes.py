@@ -376,8 +376,8 @@ def _link_characteristics(faces: list[set[Facet]], k: int) -> dict[Facet, int]:
 
 def vertex_link(complex: Complex, v: int) -> Complex:
     """Complex of facets {f \\ {v}} over facets f containing v."""
-    if v not in complex.facets_at:
-        raise UnknownVertex(f"vertex {v} is not in the complex")
+    if not _is_int(v) or v not in complex.facets_at:  # True and 1.0 would find vertex 1
+        raise UnknownVertex(f"vertex {v!r} is not in the complex")
     if complex.dimension < 1:
         raise InvalidDimension("links are defined for dimension >= 1")
     link_facets = tuple(
@@ -507,6 +507,8 @@ def _sphere_failure(oriented: OrientedComplex) -> str | None:
 
 
 def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet, int]:
+    if not isinstance(facet, (tuple, list)) or not all(map(_is_int, facet)):
+        raise FacetNotFound(f"{facet!r} is not a facet of vertex ids")
     facet = tuple(sorted(facet))
     if facet not in complex.facet_set:
         raise FacetNotFound(f"{facet} is not a facet of the complex")
@@ -653,7 +655,7 @@ def canonical_form(complex: Complex) -> CanonicalForm:
 
     nv = len(verts)
     # per vertex, the vertices sharing a facet with it
-    neighbours = [{u for o in rows for u in o} for rows in others]
+    neighbours = [set(chain.from_iterable(rows)) for rows in others]
 
     def refine(
         cells: list[list[int]], colors: list[int], moved: list[int]
@@ -720,9 +722,12 @@ def canonical_form(complex: Complex) -> CanonicalForm:
             descend(cells[:t] + [rest] + cells[t + 1:] + [[vi]], child, path + [vi], [vi])
             explored.add(vi)
 
-    degrees = sorted({len(rows) for rows in others})
-    cells = [[vi for vi in range(nv) if len(others[vi]) == d] for d in degrees]
-    colors = [degrees.index(len(rows)) for rows in others]
+    # the root partition: one cell per vertex degree, in increasing degree
+    place = {d: c for c, d in enumerate(sorted({len(rows) for rows in others}))}
+    colors = [place[len(rows)] for rows in others]
+    cells: list[list[int]] = [[] for _ in place]
+    for vi, c in enumerate(colors):
+        cells[c].append(vi)
     descend(cells, colors, [], list(range(nv)))
     del descend  # it holds itself: free the search state without the cyclic GC
     relabeled, colors = best[0]

@@ -254,8 +254,8 @@ def link_reduction(ls: LabeledSphere, v: int) -> LabeledSphere:
         kappa * (-1)**p * eps_t,  p = index of v in sorted t,
         kappa = (-1)**(c+1).
     """
-    if v not in ls.labels:
-        raise UnknownVertex(f"vertex {v} is not in the complex")
+    if not _is_int(v) or v not in ls.labels:  # True and 1.0 would find vertex 1
+        raise UnknownVertex(f"vertex {v!r} is not in the complex")
     n = ls.dimension
     if n < 1:
         raise InvalidDimension("link reduction needs dimension >= 1")

@@ -329,6 +329,10 @@ def test_link_guards():
         vertex_link(build_complex(TETRA), 9)
     with pytest.raises(InvalidDimension):
         vertex_link(build_complex([(1,), (2,)]), 1)
+    # True and 1.0 equal 1 and hash alike, so they would find vertex 1
+    for v in (True, 1.0, "a"):
+        with pytest.raises(UnknownVertex):
+            vertex_link(build_complex([(1, 2), (2, 3), (1, 3)]), v)
 
 
 def test_is_sphere_boundary_tetrahedron():
@@ -620,6 +624,13 @@ def test_subdivide_guards():
         stellar_subdivide_facet(K, (1, 2, 9))
     with pytest.raises(VertexAlreadyPresent):
         stellar_subdivide_facet(K, (1, 2, 3), new_vertex=4)
+    # checked before sorting, where ("a", 1) and 5 raised a bare TypeError
+    triangle = build_complex([(1, 2), (2, 3), (1, 3)])
+    for facet in (("a", 1), 5, (1, True), None):
+        with pytest.raises(FacetNotFound):
+            stellar_subdivide_facet(triangle, facet)
+        with pytest.raises(FacetNotFound):
+            stellar_subdivide_oriented(orient(triangle), facet)
 
 
 @pytest.mark.parametrize("new_vertex", [2.5, True, "a"])

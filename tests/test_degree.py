@@ -361,6 +361,10 @@ def test_link_reduction_guards():
     ls = boundary_simplex(2).labeled
     with pytest.raises(UnknownVertex):
         link_reduction(ls, 77)
+    # True and 1.0 equal 1 and hash alike, so they would reduce at vertex 1
+    for v in (True, 1.0, "a"):
+        with pytest.raises(UnknownVertex):
+            link_reduction(boundary_simplex(3).labeled, v)
     zero_sphere = labeled_sphere(
         OrientedComplex(build_complex([(1,), (2,)]), (1, -1)), {1: 1, 2: 2}
     )

@@ -197,6 +197,60 @@ def test_split_vertex_skip_keeps_every_kept_child(monkeypatch):
             assert kept(children) == kept(unskipped)
 
 
+# canonical forms computed by a cold enumeration to v = 10: one per class
+# (306, the tetrahedron's included) and one for each of the 2 children still
+# tied in rank with a rival of equal neighbour degrees and then dropped
+CANONICAL_FORMS_TO_V10 = 308
+
+
+def test_cold_enumeration_canonical_forms_counted(monkeypatch):
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return canonical_form(K)
+
+    monkeypatch.setattr(spheremap.search, "canonical_form", counted)
+    _sphere_classes.cache_clear()
+    try:
+        counts = [len(_sphere_classes(v)) for v in range(4, 11)]
+    finally:
+        _sphere_classes.cache_clear()
+    assert counts == [1, 1, 2, 5, 14, 50, 233]
+    assert len(calls) == CANONICAL_FORMS_TO_V10
+
+
+def test_rank_tie_settled_on_neighbour_degrees(monkeypatch):
+    # a split child on 9 vertices (of the 13th class on 8, as the enumeration
+    # splits it) whose new edge {3, 9} ties in rank with the contractible
+    # edges {1, 4}, {1, 5} and {2, 3}; the vertices around {1, 5} and
+    # {2, 3} have smaller sorted degrees, so it is dropped with no form
+    child = {
+        1: (4, 5, 7), 2: (3, 9, 7, 8, 6), 3: (2, 6, 9), 4: (1, 7, 9, 6, 5),
+        5: (1, 4, 6, 8, 7), 6: (2, 8, 5, 4, 9, 3), 7: (1, 5, 8, 2, 9, 4),
+        8: (2, 7, 5, 6), 9: (6, 4, 7, 2, 3),
+    }
+    deg = {x: len(cycle) for x, cycle in child.items()}
+
+    def rank(a, b):
+        c, c2 = set(child[a]) & set(child[b])
+        return (deg[a] + deg[b], min(deg[a], deg[b]), deg[c] + deg[c2], min(deg[c], deg[c2]))
+
+    def around(a, b):
+        return sorted(deg[x] for x in set(child[a]) | set(child[b]))
+
+    assert rank(3, 9) == rank(1, 4) == rank(1, 5) == rank(2, 3)
+    assert around(1, 5) == around(2, 3) < around(1, 4) == around(3, 9)
+    parent = _sphere_classes(8)[12]
+    assert child in list(_vertex_splits(parent.canonical, parent.automorphisms))
+
+    def no_form(*args):
+        raise AssertionError("a child settled on neighbour degrees needed a canonical form")
+
+    monkeypatch.setattr(spheremap.search, "canonical_form", no_form)
+    assert _canonical_child(child) is None
+
+
 def test_orbit_pruning_keeps_each_class_once():
     # one split per orbit of the parent's automorphisms keeps exactly the
     # classes that splitting every orbit member keeps, and each only once
