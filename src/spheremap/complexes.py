@@ -506,10 +506,16 @@ def _sphere_failure(oriented: OrientedComplex) -> str | None:
     return None
 
 
-def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet, int]:
+def _sorted_facet(facet) -> Facet:
+    """facet as a sorted tuple; FacetNotFound for anything that is not a
+    tuple or list of ints (a bool included), before sorting it."""
     if not isinstance(facet, (tuple, list)) or not all(map(_is_int, facet)):
         raise FacetNotFound(f"{facet!r} is not a facet of vertex ids")
-    facet = tuple(sorted(facet))
+    return tuple(sorted(facet))
+
+
+def _check_subdivision_args(complex: Complex, facet, new_vertex) -> tuple[Facet, int]:
+    facet = _sorted_facet(facet)
     if facet not in complex.facet_set:
         raise FacetNotFound(f"{facet} is not a facet of the complex")
     if new_vertex is None:
@@ -583,6 +589,17 @@ def _orbit(point: Hashable, generators: Sequence, act: Callable) -> set:
     return orbit
 
 
+def _color_weights(n: int, nv: int) -> list[int]:
+    """Color c < nv weighs -(n + 1)**(nv - 1 - c).  Summed over n colors,
+    the weights order multisets as their sorted tuples order
+    lexicographically.  Where two sorted tuples first differ, at colors
+    p < q, p's tuple sums from there on to at most p's weight, as every
+    weight is negative.  q's tuple sums to more: it has at most n colors
+    left, each above p, so they sum to at least -n * (n + 1)**(nv - 2 - p),
+    above p's weight."""
+    return [-((n + 1) ** (nv - 1 - c)) for c in range(nv)]
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Isomorphism-invariant key plus a relabeling realizing it, and
@@ -622,6 +639,16 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     other, not to the front of its cell: the order of the cells decides
     the labels, so the key depends on it.
 
+    A vertex's signature is, per facet around it, the sorted colors of the
+    facet's other vertices, these n-tuples sorted.  Each tuple enters as one
+    int that orders as the tuple does lexicographically, equal ints for
+    equal tuples, so the sorted ints compare as the sorted tuples would:
+    the cells split into the same parts in the same order, and the tree,
+    the leaves, the key, the relabeling and the automorphisms are those of
+    comparing the tuples.  On a 2-sphere the pair p <= q becomes p * nv + q,
+    read as two base-nv digits since every color is below nv; in any other
+    dimension the int is a sum of color weights (``_color_weights``).
+
     Automorphism pruning (McKay & Piperno, J. Symb. Comput. 60, 2014): a
     leaf whose relabeled facets equal the best leaf's yields the
     automorphism mapping one labeling onto the other.  A member of a
@@ -645,17 +672,36 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     leaf and H = Aut(K).
     """
     verts = complex.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    facets_idx = [tuple(map(index.__getitem__, f)) for f in complex.facets]
+    nv, n = len(verts), complex.dimension
+    index = dict(zip(verts, range(nv)))
+    # the facets in vertex indices, mapped in one pass and regrouped by n + 1
+    flat = iter(map(index.__getitem__, chain.from_iterable(complex.facets)))
+    facets_idx = list(zip(*[flat] * (n + 1)))
     # per vertex, the other vertices of each facet containing it
     others: list[list[tuple[int, ...]]] = [[] for _ in verts]
     for f in facets_idx:
-        for p, vi in enumerate(f):
-            others[vi].append(f[:p] + f[p + 1:])
-
-    nv = len(verts)
+        # combinations leave out the last vertex first
+        for vi, o in zip(reversed(f), combinations(f, n)):
+            others[vi].append(o)
     # per vertex, the vertices sharing a facet with it
     neighbours = [set(chain.from_iterable(rows)) for rows in others]
+
+    # coder(colors)(vi): per facet around vi, one int ordered as the sorted
+    # colors of the facet's other vertices are
+    if n == 2:
+        def coder(colors: list[int]) -> Callable[[int], list[int]]:
+            # the colors p <= q of the pair read as p * nv + q
+            return lambda vi: [
+                x * nv + y if x < y else y * nv + x
+                for a, b in others[vi] for x in (colors[a],) for y in (colors[b],)
+            ]
+    else:
+        weight_of = _color_weights(n, nv)
+
+        def coder(colors: list[int]) -> Callable[[int], list[int]]:
+            # the sum of the colors' weights
+            weight = list(map(weight_of.__getitem__, colors)).__getitem__
+            return lambda vi: [sum(map(weight, o)) for o in others[vi]]
 
     def refine(
         cells: list[list[int]], colors: list[int], moved: list[int]
@@ -663,15 +709,15 @@ def canonical_form(complex: Complex) -> CanonicalForm:
         # colors[vi] is the place of vi's cell; a round re-sorts only the
         # cells holding a neighbour of a vertex in a cell that just split
         while moved:
-            color = colors.__getitem__
             touched = {colors[u] for vi in moved for u in neighbours[vi]}
+            codes = coder(colors)
             split: list[list[int]] = []
             moved = []
             for c, cell in enumerate(cells):
                 if len(cell) == 1 or c not in touched:
                     split.append(cell)
                     continue
-                sigs = {vi: sorted([sorted(map(color, o)) for o in others[vi]]) for vi in cell}
+                sigs = {vi: sorted(codes(vi)) for vi in cell}
                 cell = sorted(cell, key=sigs.__getitem__)
                 first, last = len(split), None
                 for vi in cell:
@@ -731,10 +777,8 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     descend(cells, colors, [], list(range(nv)))
     del descend  # it holds itself: free the search state without the cyclic GC
     relabeled, colors = best[0]
-    key = (
-        f"{complex.dimension};{nv};"
-        + "|".join(",".join(map(str, f)) for f in relabeled)
-    ).encode()
+    template = "|".join([",".join(["{}"] * (n + 1))] * len(relabeled))
+    key = f"{n};{nv};{template.format(*chain.from_iterable(relabeled))}".encode()
     relabeling = {verts[vi]: colors[vi] + 1 for vi in range(nv)}
     return CanonicalForm(
         key=key,

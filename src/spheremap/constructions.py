@@ -34,6 +34,7 @@ from .complexes import (
     Facet,
     OrientedComplex,
     _is_int,
+    _sorted_facet,
     _sphere_failure,
     _stellar_pairs,
     build_complex,
@@ -233,9 +234,7 @@ def _insert(x, facets) -> ConstructionCertificate:
                 raise FacetNotFound("no facet with sign +1 and colors {1..n+1}")
             facet = heapq.heappop(heap)
         else:
-            if not isinstance(facet, (tuple, list)) or not all(map(_is_int, facet)):
-                raise FacetNotFound(f"{facet!r} is not a facet of vertex ids")
-            facet = tuple(sorted(facet))
+            facet = _sorted_facet(facet)
             if facet not in signs:
                 raise FacetNotFound(f"{facet} is not a facet of the complex")
             cols = {labels[v] for v in facet}

@@ -32,6 +32,7 @@ from .complexes import (
     Facet,
     OrientedComplex,
     _is_int,
+    _sorted_facet,
     _sphere_failure,
     parity_to_sorted,
 )
@@ -141,9 +142,10 @@ def facet_sign(ls: LabeledSphere, facet) -> tuple[int, int | None]:
     """Sign in {-1, 0, +1} and the omitted color naming the target facet.
 
     0 (with target None) means two vertices of the facet share a color, so
-    the image is degenerate.
+    the image is degenerate.  Raises FacetNotFound for anything that is not
+    a tuple or list of ints (a bool included).
     """
-    facet = tuple(sorted(facet))
+    facet = _sorted_facet(facet)
     for v in facet:
         if v not in ls.labels:
             raise UnknownVertex(f"vertex {v} has no label")

@@ -1,6 +1,7 @@
 import gc
+import hashlib
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from spheremap import (
     vertex_link,
 )
 from spheremap import complexes, constructions
-from spheremap.complexes import _stellar_pairs, coherence_failures
+from spheremap.complexes import _color_weights, _stellar_pairs, coherence_failures
 from spheremap.constructions import insertion_step
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
 from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
@@ -783,6 +784,11 @@ def canonical_oracle_corpus():
     for facets in (TORUS, RP2, OCTAHEDRON):
         K = build_complex(facets)
         yield from (K, relabeled_copy(K, rng))
+    # a facet's other vertices form a pair only on a 2-sphere; these take
+    # the weight-sum codes, in dimensions 0 and 4
+    yield build_complex([(1,), (2,)])
+    yield relabeled_copy(boundary_simplex(4).labeled.complex, rng)
+    yield from (construct(4, d).labeled.complex for d in (3, -5))
 
 
 def test_canonical_form_matches_unpruned_oracle():
@@ -793,6 +799,16 @@ def test_canonical_form_matches_unpruned_oracle():
         cf, full = canonical_form(K), full_canonical_form(K)
         assert cf == full, K.facets
         assert group_order(cf.canonical, cf.automorphisms) == len(full.automorphisms) + 1
+
+
+def test_color_weight_sums_order_multisets_as_sorted_tuples():
+    # combinations_with_replacement lists the sorted n-tuples of colors
+    # below nv in lexicographic order, so their weight sums must increase
+    for n in range(1, 6):
+        for nv in range(1, 8):
+            weight = _color_weights(n, nv)
+            sums = [sum(weight[c] for c in t) for t in combinations_with_replacement(range(nv), n)]
+            assert all(a < b for a, b in zip(sums, sums[1:])), (n, nv)
 
 
 def test_canonical_form_automorphisms_against_brute_force():
@@ -826,6 +842,20 @@ SPLIT_CHILDREN = [
     for child in _vertex_splits(parent.canonical)
 ]
 SMALL_CONSTRUCTS = [construct(n, d).labeled.complex for n in (1, 2, 3) for d in range(-5, 6)]
+
+
+def test_split_children_generators_pinned():
+    # equality of canonical forms leaves the automorphisms out, but they decide
+    # which splits _vertex_splits yields: one SHA-256 over key, relabeling and
+    # generators of every split child up to 9 vertices
+    digest = hashlib.sha256()
+    for K in SPLIT_CHILDREN:
+        cf = canonical_form(K)
+        digest.update(repr((cf.key, sorted(cf.relabeling.items()), cf.automorphisms)).encode())
+    assert len(SPLIT_CHILDREN) == 795
+    assert digest.hexdigest() == (
+        "a23be0136c59a2ccb5741818eccc08e7dc08a6a8e8c42bebd78a85b5e5e5f650"
+    )
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)

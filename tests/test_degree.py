@@ -112,6 +112,11 @@ def test_facet_sign_guards():
     ls6 = labeled_hexagon({v: (v - 1) % 3 + 1 for v in range(1, 7)})
     with pytest.raises(FacetNotFound):
         facet_sign(ls6, (1, 3))
+    # sorting ("a", 1) or 5 raised a raw TypeError; True and 1.0 equal 1 and
+    # hash alike, so they read the sign of facet (1, 2, 3)
+    for facet in (("a", 1), 5, (True, 2, 3), (1.0, 2, 3)):
+        with pytest.raises(FacetNotFound):
+            facet_sign(boundary_simplex(2).labeled, facet)
 
 
 def test_degree_boundary_identity_every_dimension():
