@@ -12,7 +12,11 @@ complex invariants, closedness, the orientation field (or a fresh
 orientation when it is absent), labeling range, the sphere checks and
 orientation coherence, the degree engine, and the recipe, which must
 replay to the same sphere; a mismatch with ``metadata.claimed_degree``
-raises DegreeMismatch.
+raises DegreeMismatch.  A recipe that replays to exactly the document's
+sphere stands in for the sphere checks and coherence, which every replayed
+sphere passes (the proof is at ``_parse_document``); a document whose
+recipe does not is refused as if those checks had run first, so every
+document is accepted or refused with the same error either way.
 """
 
 from __future__ import annotations
@@ -80,13 +84,28 @@ def _step_from_json(step, first: bool):
         return step
     if first and len(step) == 2 and step[0] == "literal" and isinstance(step[1], dict):
         try:
-            seed, _ = _parse_sphere({**step[1], "format_version": FORMAT_VERSION})
+            seed = _parse_seed(step[1])
         except SpheremapError as e:
             raise ValidationError(f"recipe literal seed: {e}") from None
         return ("literal", seed)
     if len(step) == 2 and step[0] == "insert" and isinstance(step[1], list):
         return ("insert", tuple(step[1]))
     return tuple(step)
+
+
+# the fields _core_dict writes, and all a literal seed may hold
+_SEED_FIELDS = frozenset(("dimension", "facets", "labels", "orientation"))
+
+
+def _parse_seed(fields: dict) -> LabeledSphere:
+    """The labeled sphere of a literal seed's fields.  A seed certifies
+    nothing, so it passes the sphere checks like a document without a recipe."""
+    extra = sorted(fields.keys() - _SEED_FIELDS)
+    if extra:
+        raise ValidationError(f"unexpected key {extra[0]!r}")
+    ls = _read_sphere({**fields, "format_version": FORMAT_VERSION})
+    _check_sphere(ls, {})
+    return ls
 
 
 def _core_dict(ls: LabeledSphere) -> dict:
@@ -191,11 +210,56 @@ def _parse_document(doc) -> tuple[ConstructionCertificate, dict]:
     document's sphere exactly (facets, orientation and labels).  Documents
     without a recipe get a literal seed so later construction steps still
     produce replayable recipes.
+
+    An exact rebuild proves what the sphere checks and coherence
+    (``_sphere_failure``) check, so a document whose recipe rebuilds it
+    skips them.  Every named seed passes them: ``boundary_simplex``,
+    ``cyclic_circle`` and ``degree_zero`` are the boundary of a simplex or
+    a cycle, and ``degree_four_witness`` is five stellar subdivisions of
+    the boundary of the 4-simplex.  A literal seed passes them when it is
+    read.  Every move keeps a sphere that passes them passing, coherence
+    included (Rourke & Sanderson, Introduction to Piecewise-Linear
+    Topology, 1972, for the subdivisions):
+
+    * reverse negates every sign, which keeps the verdict and coherence;
+    * a stellar subdivision (each ``insert`` is n+2 of them) changes each
+      link only by a stellar subdivision of it, or makes it the boundary
+      of a simplex, and keeps closedness, connectedness, orientability and
+      every Euler characteristic;
+    * in ``one_point_suspension(K, v)`` with apex x, the link of a face
+      is, up to renaming v as x, K itself or a link L of K, or else the
+      suspension Sigma L or the one-point suspension Sigma_v L of such a
+      link.  Each of these is closed and strongly connected when L is,
+      and chi(Sigma L) = chi(Sigma_v L) = 2 - chi(L), a sphere's value
+      when chi(L) is.  The move's signs are coherent by construction.
+
+    The degree engine and the metadata claims still run.  When the recipe
+    fails (malformed, the wrong shape, a bad literal seed, a replay error
+    or a different rebuild), the sphere checks, the degree engine and the
+    claims run in that order first, as they did before the recipe was
+    read, and the first of them that fails is raised in place of the
+    recipe's error.
     """
-    ls, metadata = _parse_sphere(doc)
-    raw_recipe = metadata.get("recipe")
+    ls = _read_sphere(doc)
+    metadata = doc.get("metadata") or {}
+    raw_recipe = metadata.get("recipe") if isinstance(metadata, dict) else None
     if raw_recipe is None:
+        _check_sphere(ls, metadata)
         return _certify(ls, (("literal", ls),)), metadata
+    try:
+        recipe = _rebuilding_recipe(ls, raw_recipe)
+    except SpheremapError as e:
+        failure = e
+    else:
+        _check_claims(ls, metadata)
+        return _certify(ls, recipe), metadata
+    _check_sphere(ls, metadata)
+    raise failure
+
+
+def _rebuilding_recipe(ls: LabeledSphere, raw_recipe) -> Recipe:
+    """A document's JSON recipe in replay's form; ValidationError unless it
+    replays to exactly ``ls``."""
     # neither dimension nor vertex count ever decreases along a recipe,
     # so matching both before replaying keeps it within the document's size
     recipe = _recipe_from_json(raw_recipe)
@@ -211,12 +275,13 @@ def _parse_document(doc) -> tuple[ConstructionCertificate, dict]:
         raise ValidationError(f"recipe replay failed: {e}") from None
     if rebuilt != ls:
         raise ValidationError("recipe does not rebuild the document's sphere")
-    return _certify(ls, recipe), metadata
+    return recipe
 
 
-def _parse_sphere(doc) -> tuple[LabeledSphere, dict]:
-    """The labeled sphere of a document or literal recipe seed, with every
-    field and claim checked except the recipe, and its metadata object."""
+def _read_sphere(doc) -> LabeledSphere:
+    """The labeled sphere of a document or literal recipe seed, with its
+    fields, the build caps, closedness, orientation field and labels
+    checked, but not the sphere checks (``_check_sphere``)."""
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
 
@@ -278,17 +343,25 @@ def _parse_sphere(doc) -> tuple[LabeledSphere, dict]:
         ls = labeled_sphere(oriented, labels)
     except SpheremapError as e:
         raise ValidationError(f"labels: {e}") from None
+    return ls
 
-    failure = _sphere_failure(oriented)
+
+def _check_sphere(ls: LabeledSphere, metadata) -> None:
+    """The sphere checks and orientation coherence, then ``_check_claims``."""
+    failure = _sphere_failure(ls.oriented)
     if failure:
         raise ValidationError(f"document {failure}")
+    _check_claims(ls, metadata)
 
+
+def _check_claims(ls: LabeledSphere, metadata) -> None:
+    """The degree engine, then the metadata object and the degree and
+    vertex count it claims."""
     try:
         rep = degree(ls)
-    except SpheremapError as e:  # pragma: no cover - coherence already checked
+    except SpheremapError as e:  # pragma: no cover - coherent: checked, or rebuilt by a recipe
         raise ValidationError(f"degree engine: {e}") from None
 
-    metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValidationError("metadata must be an object")
     claimed = metadata.get("claimed_degree")
@@ -303,11 +376,10 @@ def _parse_sphere(doc) -> tuple[LabeledSphere, dict]:
     if claimed_v is not None:
         if not _is_int(claimed_v):
             raise ValidationError("metadata.claimed_vertex_count must be an integer")
-        if claimed_v != len(oriented.vertices):
+        if claimed_v != len(ls.oriented.vertices):
             raise ValidationError(
-                f"metadata claims {claimed_v} vertices, document has {len(oriented.vertices)}"
+                f"metadata claims {claimed_v} vertices, document has {len(ls.oriented.vertices)}"
             )
-    return ls, metadata
 
 
 def _oriented_from_field(complex, entries) -> OrientedComplex:

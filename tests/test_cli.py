@@ -472,6 +472,43 @@ def test_usage_errors_exit_two(capsys):
     assert err.value.code == 2
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    cli = importlib.import_module("spheremap.cli")
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        base = tmp_path / "base.json"
+        assert run(capsys, "construct", "--n", "2", "--d", "3", "--out", str(base))[0] == 0
+        assert run(capsys, "verify", str(base))[0] == 0
+        assert run(capsys, "suspend", str(base))[0] == 0
+        with pytest.raises(SystemExit):
+            main(["explode"])
+        assert len(builds) == 1
+        assert cli.build_parser() is not cli.build_parser()  # still a fresh one each call
+    finally:
+        cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["insert", "-h"], ["explode"], ["insert", "x.json", "--facet", "1,a"], []],
+)
+def test_shared_parser_prints_what_a_fresh_one_does(capsys, argv):
+    cli = importlib.import_module("spheremap.cli")
+    main(["construct", "--n", "1", "--d", "1"])  # the shared parser has parsed before
+    capsys.readouterr()
+    outputs = []
+    for parse_args in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        outputs.append((err.value.code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (0 if "-h" in argv else 2)
+    assert outputs[0][1 if "-h" in argv else 2].startswith("usage: spheremap")
+
+
 def test_write_failure_exits_one(capsys):
     code, _, stderr = run(
         capsys, "construct", "--n", "1", "--d", "1",
@@ -504,4 +541,19 @@ def test_untrusted_recipe_exits_one(tmp_path, capsys, command, recipe):
     code, stdout, stderr = run(capsys, *argv)
     assert code == 1
     assert stderr.startswith("FAIL: ValidationError: ")
+    assert "Traceback" not in stdout + stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "suspend"])
+@pytest.mark.parametrize("key", ["format_version", "metadata", "colour"])
+def test_literal_seed_with_another_key_exits_one(tmp_path, capsys, command, key):
+    base = tmp_path / "base.json"
+    run(capsys, "construct", "--n", "2", "--d", "3", "--out", str(base))
+    doc = json.loads(base.read_text())
+    literal = {k: doc[k] for k in ("dimension", "facets", "labels", "orientation")}
+    doc["metadata"]["recipe"] = [["literal", {**literal, key: "1"}]]
+    base.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, command, str(base))
+    assert code == 1
+    assert stderr == f"FAIL: ValidationError: recipe literal seed: unexpected key '{key}'\n"
     assert "Traceback" not in stdout + stderr

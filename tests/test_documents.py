@@ -163,6 +163,22 @@ def test_load_certificate_checks_recipe():
     assert load_certificate(json.dumps(doc)).labeled == construct(2, 3).labeled
 
 
+SEED_EXTRAS = [("format_version", "2"), ("metadata", {"claimed_degree": 99}), ("colour", 1)]
+
+
+@pytest.mark.parametrize("key, value", SEED_EXTRAS)
+def test_literal_seed_holds_only_the_sphere_fields(key, value):
+    # serialize writes a seed's four sphere fields alone; a stated version
+    # or metadata would otherwise be read past, or read as the seed's own
+    doc = doc_of(construct(2, 3))
+    literal = {k: doc[k] for k in ("dimension", "facets", "labels", "orientation")}
+    doc["metadata"]["recipe"] = [["literal", literal]]
+    assert load_certificate(json.dumps(doc)).labeled == construct(2, 3).labeled
+    doc["metadata"]["recipe"] = [["literal", {**literal, key: value}]]
+    with pytest.raises(ValidationError, match=f"^recipe literal seed: unexpected key '{key}'$"):
+        load_certificate(json.dumps(doc))
+
+
 @pytest.mark.parametrize("read", [parse, parse_with_metadata, load_certificate])
 @pytest.mark.parametrize(
     "recipe, message",
