@@ -444,11 +444,7 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     if not report.passed:
         return SphereVerdict(SphereStatus.NOT_SPHERE, tuple(checks))
 
-    try:
-        orient(complex)
-        orientable = True
-    except NonOrientable:
-        orientable = False
+    orientable = complex._walk[1] is None  # the walk closedness just read
     checks.append(("orientable", orientable))
 
     faces = _faces(complex)  # built once: K's chi and every link's count it

@@ -17,6 +17,11 @@ sphere stands in for the sphere checks and coherence, which every replayed
 sphere passes (the proof is at ``_parse_document``); a document whose
 recipe does not is refused as if those checks had run first, so every
 document is accepted or refused with the same error either way.
+
+The reader checks that ``facets`` is a list of lists and leaves the rest
+to ``build_complex`` (facet sizes, int ids, repeats): a facet id that is
+not an int reads ``facets: facet (1, 2.5, 3) has a vertex id that is not
+an int``.  A literal recipe seed is read as a document without a recipe.
 """
 
 from __future__ import annotations
@@ -99,13 +104,11 @@ _SEED_FIELDS = frozenset(("dimension", "facets", "labels", "orientation"))
 
 def _parse_seed(fields: dict) -> LabeledSphere:
     """The labeled sphere of a literal seed's fields.  A seed certifies
-    nothing, so it passes the sphere checks like a document without a recipe."""
+    nothing: it is read as the document without a recipe that it is."""
     extra = sorted(fields.keys() - _SEED_FIELDS)
     if extra:
         raise ValidationError(f"unexpected key {extra[0]!r}")
-    ls = _read_sphere({**fields, "format_version": FORMAT_VERSION})
-    _check_sphere(ls, {})
-    return ls
+    return _parse_document({**fields, "format_version": FORMAT_VERSION})[0].labeled
 
 
 def _core_dict(ls: LabeledSphere) -> dict:
@@ -195,11 +198,11 @@ def load_certificate(text: str) -> ConstructionCertificate:
 
 
 def _read_json(text: str):
-    """The JSON value of text; malformed or too deeply nested text raises
-    DocumentSyntaxError."""
+    """The JSON value of text; malformed or too deeply nested text, or an
+    integer past the interpreter's digit limit, raises DocumentSyntaxError."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
 
 
@@ -279,9 +282,9 @@ def _rebuilding_recipe(ls: LabeledSphere, raw_recipe) -> Recipe:
 
 
 def _read_sphere(doc) -> LabeledSphere:
-    """The labeled sphere of a document or literal recipe seed, with its
-    fields, the build caps, closedness, orientation field and labels
-    checked, but not the sphere checks (``_check_sphere``)."""
+    """The labeled sphere of a document, with its fields, the build caps,
+    closedness, orientation field and labels checked, but not the sphere
+    checks (``_check_sphere``)."""
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
 
@@ -295,9 +298,7 @@ def _read_sphere(doc) -> LabeledSphere:
     if not _is_int(doc["dimension"]) or doc["dimension"] < 0:
         raise ValidationError("dimension must be a non-negative integer")
     facets_raw = doc["facets"]
-    if not isinstance(facets_raw, list) or not all(
-        isinstance(f, list) and all(_is_int(v) for v in f) for f in facets_raw
-    ):
+    if not isinstance(facets_raw, list) or not all(isinstance(f, list) for f in facets_raw):
         raise ValidationError("facets must be a list of integer lists")
 
     try:
@@ -393,7 +394,7 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
         if not (_is_int(sign) and sign in (1, -1) and all(_is_int(v) for v in verts)):
             raise ValidationError(f"bad orientation entry {entry!r}")
         facet = tuple(sorted(verts))
-        if len(set(verts)) != len(verts) or facet not in complex.facet_set:
+        if facet not in complex.facet_set:  # a repeated id sorts into no facet
             raise ValidationError(f"orientation entry {entry!r} is not a facet")
         if facet in signs:
             raise ValidationError(f"orientation lists facet {list(facet)} twice")

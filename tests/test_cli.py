@@ -291,10 +291,12 @@ def test_table_names_an_unknown_row_key(tmp_path, capsys):
     assert "unknown key 'vmax'" in stderr
 
 
-# unreadable input: bytes that are not UTF-8, or JSON nested past the parser's depth
+# unreadable input: bytes that are not UTF-8, JSON nested past the parser's
+# depth, or an integer past the interpreter's 4,300-digit limit
 UNREADABLE = {
     "": (b"\xff\xfe\x00", "not UTF-8"),
     "-deep": (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+    "-long-int": (b'{"format_version": "1", "dimension": 1' + b"0" * 5000 + b"}", "not valid JSON"),
 }
 
 
@@ -323,12 +325,30 @@ def test_non_utf8_input_exits_one(tmp_path, capsys, command, kind):
     assert "Traceback" not in stdout + stderr
 
 
+@pytest.mark.parametrize(
+    "bad_id", [2.5, True, "1", None, [1]], ids=["float", "bool", "str", "null", "list"]
+)
+def test_verify_names_a_facet_id_that_is_not_an_int(tmp_path, capsys, bad_id):
+    path = tmp_path / "bad.json"
+    run(capsys, "construct", "--n", "2", "--d", "1", "--out", str(path))
+    doc = json.loads(path.read_text())
+    assert doc["facets"][0] == [1, 2, 3]
+    doc["facets"][0] = [1, bad_id, 3]
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(path))
+    assert code == 1 and stdout == ""
+    message = f"facets: facet {(1, bad_id, 3)} has a vertex id that is not an int"
+    assert stderr == f"FAIL: ValidationError: {message}\n"
+
+
 @pytest.mark.parametrize("with_orientation", [True, False])
 def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with_orientation):
     # count the passes themselves, not the cached public wrappers, per
     # complex object with the document's facets: the document's own complex
     # comes first, and the sphere its recipe replay rebuilds is compared to
-    # it and gets its degree computed, nothing else
+    # it and gets its degree computed, nothing else.  The orientation is
+    # built only when the document has no orientation field: the sphere
+    # verdict reads orientability off the walk closedness already made
     complexes_mod = importlib.import_module("spheremap.complexes")
     degree_mod = importlib.import_module("spheremap.degree")  # not the function
 
@@ -361,9 +381,10 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
         if not any(c is o for o in objects):
             objects.append(c)
     per_object = [Counter(key for key, c in calls if c is o) for o in objects]
-    expected = [{"closedness": 1, "orientation": 1, "degree": 1}]
     if with_orientation:  # the metadata holds the recipe
-        expected.append({"degree": 1})
+        expected = [{"closedness": 1, "degree": 1}, {"degree": 1}]
+    else:
+        expected = [{"closedness": 1, "orientation": 1, "degree": 1}]
     assert per_object == expected
 
 

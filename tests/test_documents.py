@@ -2,6 +2,7 @@ import enum
 import hashlib
 import importlib
 import json
+import re
 import time
 
 import pytest
@@ -307,6 +308,9 @@ def test_parse_rejects_bad_json():
     # nested past the JSON parser's depth: a syntax error, not a RecursionError
     with pytest.raises(DocumentSyntaxError):
         parse("[" * 100_000 + "]" * 100_000)
+    # an integer past the interpreter's 4,300-digit limit: a syntax error, not a ValueError
+    with pytest.raises(DocumentSyntaxError):
+        parse("[" + "1" * 5000 + "]")
 
 
 def test_parse_rejects_missing_fields():
@@ -334,6 +338,39 @@ def test_parse_rejects_non_integer_dimension_and_facets():
     doc["facets"][0] = [1, 2.5, 3]
     with pytest.raises(ValidationError, match="facets"):
         parse(json.dumps(doc))
+
+
+def literal_seed_reader(text: str):
+    """load_certificate of a recipe document whose literal seed holds the
+    fields of the document ``text``."""
+    seed = {k: v for k, v in json.loads(text).items() if k != "format_version"}
+    doc = doc_of(construct(2, 3))
+    doc["metadata"]["recipe"] = [["literal", seed]]
+    return load_certificate(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "read, prefix",
+    [
+        (parse, ""),
+        (parse_with_metadata, ""),
+        (load_certificate, ""),
+        (literal_seed_reader, "recipe literal seed: "),
+    ],
+)
+@pytest.mark.parametrize(
+    "bad_id", [2.5, True, "1", None, [1]], ids=["float", "bool", "str", "null", "list"]
+)
+def test_readers_leave_facet_ids_to_build_complex(read, prefix, bad_id):
+    # the readers check only that facets are a list of lists; build_complex
+    # refuses a vertex id that is not an int, a bool included, and names it
+    doc = doc_of(boundary_simplex(2))
+    del doc["metadata"]
+    assert doc["facets"][0] == [1, 2, 3]
+    doc["facets"][0] = [1, bad_id, 3]
+    message = f"{prefix}facets: facet {(1, bad_id, 3)} has a vertex id that is not an int"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        read(json.dumps(doc))
 
 
 def test_parse_rejects_dimension_mismatch():
@@ -386,6 +423,14 @@ def test_parse_rejects_orientation_problems():
     doc["orientation"][0] = [1, 1, 2, 9]
     with pytest.raises(ValidationError, match="not a facet"):
         parse(json.dumps(doc))
+
+    # an entry that repeats an id sorts into no facet
+    for entry in ([1, 1, 1, 3], [1, 1, 3, 3], [-1, 2, 1, 2]):
+        doc = json.loads(json.dumps(base))
+        doc["orientation"][0] = entry
+        message = f"orientation entry {entry!r} is not a facet"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse(json.dumps(doc))
 
     doc = json.loads(json.dumps(base))
     doc["orientation"].append(doc["orientation"][0])
