@@ -18,8 +18,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import heapq
 from bisect import bisect
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -282,6 +283,17 @@ class OrientedComplex:
     def sign_by_facet(self) -> MappingProxyType[Facet, int]:
         return MappingProxyType(dict(zip(self.base.facets, self.signs)))
 
+    @cached_property
+    def _failure(self) -> str | None:
+        """The answer of ``_sphere_failure``, computed once."""
+        verdict = is_sphere(self.base)
+        if not verdict.passed:
+            return f"fails sphere checks: {[name for name, ok in verdict.checks if not ok]}"
+        bad = coherence_failures(self)
+        if bad:
+            return f"orientation not coherent across ridge {list(bad[0])}"
+        return None
+
     def sign_of(self, facet: Facet) -> int:
         try:
             return self.sign_by_facet[facet]
@@ -406,7 +418,15 @@ def is_sphere(complex: Complex) -> SphereVerdict:
     """Sphere recognition where it is decidable, necessary checks beyond.
 
     The checks are: closed pseudomanifold, connected, orientable, Euler
-    characteristic 1 + (-1)**n, and ``vertex_links``, which holds when
+    characteristic 1 + (-1)**n, and ``vertex_links``.  Once K is a closed,
+    connected and orientable pseudomanifold, a shelling decides first, in
+    time about linear in the facet count (``_shelling``): a shellable closed
+    pseudomanifold is a PL sphere (Danaraj & Klee, Duke Math. J. 41, 1974),
+    so K and every link pass the last two checks, and neither is counted.
+    When the greedy search finds no shelling, which proves nothing, the
+    battery below decides them, with the same names and the same verdict.
+
+    In the battery, ``vertex_links`` holds when
     every vertex link passes the same battery, applied recursively to its
     own links.  A link of a link is the link of a larger face (the link of
     u in lk(v) is lk({u, v})), so ``vertex_links`` checks each face sigma
@@ -447,16 +467,20 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     orientable = complex._walk[1] is None  # the walk closedness just read
     checks.append(("orientable", orientable))
 
-    faces = _faces(complex)  # built once: K's chi and every link's count it
-    chi_ok = _face_count_chi(faces) == 1 + (-1) ** n
+    if orientable and _shelling(complex) is not None:
+        # a shellable closed pseudomanifold is a PL sphere (Danaraj & Klee),
+        # so K and every link have a sphere's chi and connected links
+        chi_ok = links_ok = True
+    else:  # the battery
+        faces = _faces(complex)  # built once: K's chi and every link's count it
+        chi_ok = _face_count_chi(faces) == 1 + (-1) ** n
+        # every link has a sphere's Euler characteristic, and then each star
+        # walk reaches the whole star, with no conflict when K is not
+        # orientable; the faces are freed before the walks build their graph
+        links_ok = _links_have_sphere_chi(faces, n)
+        del faces
+        links_ok = links_ok and _star_walks(complex, range(1, n), not orientable)[0]
     checks.append(("euler_characteristic", chi_ok))
-
-    # every link has a sphere's Euler characteristic, and then each star walk
-    # reaches the whole star, with no conflict when K is not orientable; the
-    # faces are freed before the walks build their facet graph
-    links_ok = _links_have_sphere_chi(faces, n)
-    del faces
-    links_ok = links_ok and _star_walks(complex, range(1, n), not orientable)[0]
     if n >= 1:
         checks.append(("vertex_links", links_ok))
 
@@ -465,6 +489,57 @@ def _sphere_verdict(complex: Complex) -> SphereVerdict:
     if n <= 2:
         return SphereVerdict(SphereStatus.SPHERE, tuple(checks))
     return SphereVerdict(SphereStatus.NECESSARY_CONDITIONS_ONLY, tuple(checks))
+
+
+def _shelling(complex: Complex) -> list[Facet] | None:
+    """A shelling of K, a closed pseudomanifold, as its facets in order, or
+    None when the greedy search below gets stuck.
+
+    A shelling places the facets one at a time so that each facet F after
+    the first meets the union of the facets before it in a nonempty complex
+    pure of dimension n - 1.  Let S be the vertices of F opposite the ridges
+    F shares with placed facets.  Each ridge lies in two facets, so the
+    intersection is spanned by those ridges, F minus v for v in S, and the
+    faces of F that lie in a placed facet and contain S, which no such ridge
+    holds.  So F may come next iff S is nonempty and no placed facet
+    contains S, and only the placed facets at S's rarest vertex are tested.
+
+    A heap offers first the facets with the most placed neighbours.  A
+    refused facet stays refused until a neighbour is placed, as only that
+    grows its S, so it goes back on the heap only then.  Some 3-spheres have
+    no shelling (Lickorish, Europ. J. Combin. 12, 1991), and a greedy order
+    can get stuck where another would not, so None proves nothing."""
+    facets = complex.facets
+    index = {f: i for i, f in enumerate(facets)}
+    # across[i][p]: the facet sharing the ridge of facets[i] opposite its vertex p
+    across = [[0] * len(facets[0]) for _ in facets]
+    for (f, pf), (g, pg) in complex.ridge_entries.values():
+        across[index[f]][pf], across[index[g]][pg] = index[g], index[f]
+    placed = [False] * len(facets)
+    placed_neighbours = [0] * len(facets)
+    placed_at: defaultdict[int, list[frozenset[int]]] = defaultdict(list)
+    order: list[Facet] = []
+    heap = [(0, 0)]  # (-placed neighbours, facet index); stale entries are skipped
+    while heap:
+        key, i = heapq.heappop(heap)
+        if placed[i] or key != -placed_neighbours[i]:
+            continue
+        f = facets[i]
+        if order:
+            s = {v for v, j in zip(f, across[i]) if placed[j]}
+            rarest = min([placed_at[v] for v in s], key=len)
+            if any(map(s.issubset, rarest)):
+                continue
+        placed[i] = True
+        order.append(f)
+        vertices = frozenset(f)
+        for v in f:
+            placed_at[v].append(vertices)
+        for j in across[i]:
+            if not placed[j]:
+                placed_neighbours[j] += 1
+                heapq.heappush(heap, (-placed_neighbours[j], j))
+    return order if len(order) == len(facets) else None
 
 
 def _links_have_sphere_chi(faces: list[set[Facet]], n: int) -> bool:
@@ -492,14 +567,9 @@ def _links_have_sphere_chi(faces: list[set[Facet]], n: int) -> bool:
 def _sphere_failure(oriented: OrientedComplex) -> str | None:
     """Why a sphere from outside the package is not one, or None: it must
     pass ``is_sphere`` and be coherently oriented.  Documents, literal seeds
-    and link reductions all pass this one gate."""
-    verdict = is_sphere(oriented.base)
-    if not verdict.passed:
-        return f"fails sphere checks: {[name for name, ok in verdict.checks if not ok]}"
-    bad = coherence_failures(oriented)
-    if bad:
-        return f"orientation not coherent across ridge {list(bad[0])}"
-    return None
+    and link reductions all pass this one gate, which is computed once per
+    oriented complex and cached on it."""
+    return oriented._failure
 
 
 def _sorted_facet(facet) -> Facet:

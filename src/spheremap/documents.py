@@ -10,13 +10,9 @@ Every reader (parse, parse_with_metadata, load_certificate) fully
 re-validates: the build caps (BudgetExceeded, before any sphere check),
 complex invariants, closedness, the orientation field (or a fresh
 orientation when it is absent), labeling range, the sphere checks and
-orientation coherence, the degree engine, and the recipe, which must
-replay to the same sphere; a mismatch with ``metadata.claimed_degree``
-raises DegreeMismatch.  A recipe that replays to exactly the document's
-sphere stands in for the sphere checks and coherence, which every replayed
-sphere passes (the proof is at ``_parse_document``); a document whose
-recipe does not is refused as if those checks had run first, so every
-document is accepted or refused with the same error either way.
+orientation coherence, the degree engine, the metadata claims, and then
+the recipe, which must replay to the same sphere; a mismatch with
+``metadata.claimed_degree`` raises DegreeMismatch.
 
 The reader checks that ``facets`` is a list of lists and leaves the rest
 to ``build_complex`` (facet sizes, int ids, repeats): a facet id that is
@@ -209,55 +205,18 @@ def _read_json(text: str):
 def _parse_document(doc) -> tuple[ConstructionCertificate, dict]:
     """The certificate a document states, and its metadata object.
 
-    A recipe is checked, not trusted: it is replayed and must rebuild the
+    The sphere checks, the degree engine and the claims run first.  A
+    recipe is checked, not trusted: it is replayed and must rebuild the
     document's sphere exactly (facets, orientation and labels).  Documents
     without a recipe get a literal seed so later construction steps still
     produce replayable recipes.
-
-    An exact rebuild proves what the sphere checks and coherence
-    (``_sphere_failure``) check, so a document whose recipe rebuilds it
-    skips them.  Every named seed passes them: ``boundary_simplex``,
-    ``cyclic_circle`` and ``degree_zero`` are the boundary of a simplex or
-    a cycle, and ``degree_four_witness`` is five stellar subdivisions of
-    the boundary of the 4-simplex.  A literal seed passes them when it is
-    read.  Every move keeps a sphere that passes them passing, coherence
-    included (Rourke & Sanderson, Introduction to Piecewise-Linear
-    Topology, 1972, for the subdivisions):
-
-    * reverse negates every sign, which keeps the verdict and coherence;
-    * a stellar subdivision (each ``insert`` is n+2 of them) changes each
-      link only by a stellar subdivision of it, or makes it the boundary
-      of a simplex, and keeps closedness, connectedness, orientability and
-      every Euler characteristic;
-    * in ``one_point_suspension(K, v)`` with apex x, the link of a face
-      is, up to renaming v as x, K itself or a link L of K, or else the
-      suspension Sigma L or the one-point suspension Sigma_v L of such a
-      link.  Each of these is closed and strongly connected when L is,
-      and chi(Sigma L) = chi(Sigma_v L) = 2 - chi(L), a sphere's value
-      when chi(L) is.  The move's signs are coherent by construction.
-
-    The degree engine and the metadata claims still run.  When the recipe
-    fails (malformed, the wrong shape, a bad literal seed, a replay error
-    or a different rebuild), the sphere checks, the degree engine and the
-    claims run in that order first, as they did before the recipe was
-    read, and the first of them that fails is raised in place of the
-    recipe's error.
     """
     ls = _read_sphere(doc)
     metadata = doc.get("metadata") or {}
-    raw_recipe = metadata.get("recipe") if isinstance(metadata, dict) else None
-    if raw_recipe is None:
-        _check_sphere(ls, metadata)
-        return _certify(ls, (("literal", ls),)), metadata
-    try:
-        recipe = _rebuilding_recipe(ls, raw_recipe)
-    except SpheremapError as e:
-        failure = e
-    else:
-        _check_claims(ls, metadata)
-        return _certify(ls, recipe), metadata
-    _check_sphere(ls, metadata)
-    raise failure
+    _check_sphere(ls, metadata)  # metadata is a dict from here on
+    raw_recipe = metadata.get("recipe")
+    recipe = (("literal", ls),) if raw_recipe is None else _rebuilding_recipe(ls, raw_recipe)
+    return _certify(ls, recipe), metadata
 
 
 def _rebuilding_recipe(ls: LabeledSphere, raw_recipe) -> Recipe:
@@ -360,7 +319,7 @@ def _check_claims(ls: LabeledSphere, metadata) -> None:
     vertex count it claims."""
     try:
         rep = degree(ls)
-    except SpheremapError as e:  # pragma: no cover - coherent: checked, or rebuilt by a recipe
+    except SpheremapError as e:  # pragma: no cover - the sphere is checked coherent
         raise ValidationError(f"degree engine: {e}") from None
 
     if not isinstance(metadata, dict):

@@ -93,6 +93,10 @@ MAX_SPLIT_VERTICES = 12
 # first cycle it tries, so it builds and searches at most one cycle; this
 # cap bounds that cycle, and 99 covers |d| <= 33 in about 0.003 s
 MAX_CIRCLE_VERTICES = 99
+# a table row's n and |d| stay below this, so every number a row reports (at
+# most 3|d| or n + |d| + 3) prints in far fewer than the interpreter's 4,300
+# digits of int-to-str conversion
+_TABLE_ARGUMENT_LIMIT = 10 ** 100
 
 # facet state once a color repeats on it; otherwise the state is a color mask
 _DEGENERATE = -1
@@ -585,6 +589,8 @@ def lambda_table(requests) -> LambdaTable:
                 f"table row {req!r} has unknown key {unknown[0]!r}; a row takes n, d and v_max"
             )
         n, d = req["n"], req["d"]
+        if abs(n) >= _TABLE_ARGUMENT_LIMIT or abs(d) >= _TABLE_ARGUMENT_LIMIT:
+            raise ValidationError("table row n and d must have at most 100 digits")
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
             value = lambda_search(n, d, v_max).lambda_value

@@ -272,6 +272,9 @@ def test_table_rejects_bad_spec(tmp_path, capsys):
         {"rows": [{"n": 2.0, "d": 3}]},
         {"rows": [{"n": 2, "d": True}]},
         {"rows": [{"n": 2, "d": 4, "vmax": 10}]},  # a misspelt budget, not an upper bound
+        # 3|d| and n + 2 would have 4,301 digits, past what str() renders
+        {"rows": [{"n": 1, "d": int("9" * 4300)}]},
+        {"rows": [{"n": int("9" * 4300), "d": 1}]},
     ],
 )
 def test_table_rejects_bad_rows(tmp_path, capsys, spec):
@@ -281,6 +284,14 @@ def test_table_rejects_bad_rows(tmp_path, capsys, spec):
     assert code == 1
     assert stderr.startswith("FAIL: ValidationError: table row ")
     assert "Traceback" not in stdout + stderr
+
+
+def test_table_refuses_a_row_too_large_to_print(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"rows": [{"n": 1, "d": int("9" * 4300)}]}))
+    code, stdout, stderr = run(capsys, "table", "--spec", str(path))
+    assert (code, stdout) == (1, "")
+    assert stderr == "FAIL: ValidationError: table row n and d must have at most 100 digits\n"
 
 
 def test_table_names_an_unknown_row_key(tmp_path, capsys):

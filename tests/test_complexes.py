@@ -38,6 +38,7 @@ from spheremap.constructions import boundary_simplex, construct, degree_four_wit
 from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
 from canonical_oracle import full_canonical_form, group_order
 from orientation_oracle import bfs_orient
+from shelling_oracle import is_shelling
 from sphere_oracle import links_have_sphere_chi, recursive_is_sphere
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
@@ -558,6 +559,64 @@ def test_signed_and_unsigned_link_walks_agree_on_orientable_complexes():
         if dict(is_sphere(K).checks)["orientable"]
     ]
     assert len(verdicts) > 0 and all(verdicts)
+
+
+def shelling_corpus():
+    """Spheres the greedy shelling is checked on, each under a seeded
+    relabeling, so that its facets come in another order: the 0-sphere,
+    construct(n, d) for n = 1..6 and both signs of d, and the 2-sphere
+    classes to 9 vertices."""
+    rng = random.Random(26)
+    yield build_complex([(1,), (2,)])
+    for n in range(1, 7):
+        for d in (1, -1, 2, -3, 5, -8, 13):
+            yield relabeled_copy(construct(n, d).labeled.complex, rng)
+    for v in range(4, 10):
+        for K in enumerate_spheres(2, v):
+            yield relabeled_copy(K, rng)
+
+
+def closed_non_spheres(copies: int):
+    """Each closed entry of NON_SPHERES, then ``copies`` seeded relabelings of it."""
+    rng = random.Random(27)
+    for facets in NON_SPHERES.values():
+        K = build_complex(facets)
+        if check_closed_pseudomanifold(K).passed:
+            yield K
+            yield from (relabeled_copy(K, rng) for _ in range(copies))
+
+
+def test_every_shelling_found_is_one_by_the_definition():
+    orders = [(K, complexes._shelling(K)) for K in shelling_corpus()]
+    assert len(orders) == 1 + 42 + 73
+    assert all(order is not None and is_shelling(K, order) for K, order in orders)
+
+
+def test_no_closed_non_sphere_is_shelled():
+    # a shellable closed pseudomanifold is a PL sphere (Danaraj & Klee)
+    found = [K.facets for K in closed_non_spheres(4) if complexes._shelling(K) is not None]
+    assert found == []
+
+
+def test_the_shelling_gives_the_verdict_of_the_battery(monkeypatch):
+    corpus = list(shelling_corpus()) + list(closed_non_spheres(0))
+    verdicts = [complexes._sphere_verdict(K) for K in corpus]
+    monkeypatch.setattr(complexes, "_shelling", lambda K: None)
+    battery = [complexes._sphere_verdict(build_complex(K.facets)) for K in corpus]
+    assert verdicts == battery
+
+
+def test_a_shelled_sphere_builds_no_face_lattice(monkeypatch):
+    def refuse(K):
+        raise AssertionError("the face lattice was built")
+
+    monkeypatch.setattr(complexes, "_faces", refuse)
+    for n in (2, 3, 8):
+        K = build_complex(construct(n, 2 * n).labeled.complex.facets)
+        verdict = complexes._sphere_verdict(K)
+        assert verdict.passed and all(ok for _, ok in verdict.checks)
+    with pytest.raises(AssertionError, match="face lattice"):
+        complexes._sphere_verdict(build_complex(TORUS))  # no shelling: the battery decides
 
 
 def test_is_sphere_walks_the_whole_complex_once_and_every_link_size_once(monkeypatch):

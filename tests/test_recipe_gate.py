@@ -1,9 +1,9 @@
-"""A document whose recipe rebuilds it exactly skips the sphere checks.
+"""The document reader's sphere gate and the recipe behind it.
 
-Three parts: the lemma the skip rests on (every recipe move keeps a sphere
-that passes ``_sphere_failure`` passing), a mutation corpus over recipe
-documents whose outcomes were recorded from the reader that ran the sphere
-checks before the recipe, and call counts that show the skip happens.
+Three parts: the moves keep a sphere that passes ``_sphere_failure``
+passing, a mutation corpus over recipe documents whose outcomes were
+recorded from the reader that ran the sphere checks before the recipe, and
+call counts that show each sphere the reader meets is gated once.
 """
 
 import importlib
@@ -97,7 +97,7 @@ def test_moves_keep_the_sphere_checks_passing(cert, moves):
     for op, pick in moves:
         cert = apply_move(cert, op, pick)
         assert _sphere_failure(fresh_copy(cert.labeled)) is None, (op, cert.recipe)
-    # the reader that skips the checks rebuilds the same sphere
+    # the reader rebuilds the same sphere
     assert load_certificate(serialize(cert)).labeled == cert.labeled
 
 
@@ -556,7 +556,7 @@ def test_every_mutant_is_pinned():
     assert all(EXPECTED[base].keys() == MUTATIONS.keys() for base in BASES)
 
 
-# -- the skip happens --------------------------------------------------------
+# -- each sphere is gated once ----------------------------------------------
 
 
 @pytest.fixture
@@ -570,18 +570,33 @@ def verdicts(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("read", [parse, parse_with_metadata, load_certificate])
-def test_a_recipe_document_skips_the_sphere_checks(verdicts, read):
-    read(serialize(construct(4, 9)))
-    assert verdicts == []  # named seeds and moves compute no verdict either
+READERS = {  # each reader, giving the labeled sphere it read
+    "parse": parse,
+    "parse_with_metadata": lambda text: parse_with_metadata(text)[0],
+    "load_certificate": lambda text: load_certificate(text).labeled,
+}
 
 
-def test_a_literal_seed_is_checked_but_not_the_document(verdicts):
+@pytest.mark.parametrize("read", READERS)
+def test_a_recipe_document_gets_one_verdict(verdicts, read):
+    ls = READERS[read](serialize(construct(4, 9)))
+    assert verdicts == [ls.complex]  # named seeds and moves compute no verdict
+
+
+def test_a_literal_seed_is_gated_once_after_its_document(verdicts, monkeypatch):
     text = BASES["suspended literal"]()
     verdicts.clear()
+    coherence = []
+    failures = complexes_mod.coherence_failures
+    monkeypatch.setattr(
+        complexes_mod, "coherence_failures", lambda o: coherence.append(o.base) or failures(o)
+    )
     ls = load_certificate(text).labeled
-    assert len(verdicts) == 1
-    assert verdicts[0].dimension == ls.dimension - 1  # the seed's complex
+    # the document, then the seed: replay's gate on the seed reads the
+    # answer the reader's gate left on it
+    assert [K.dimension for K in verdicts] == [ls.dimension, ls.dimension - 1]
+    assert verdicts[0] == ls.complex
+    assert coherence == verdicts
 
 
 def test_a_recipe_less_document_gets_one_verdict(verdicts):

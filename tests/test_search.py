@@ -563,6 +563,17 @@ def test_lambda_table_statuses():
     assert upper.lambda_value == 16  # generator count for (2, 7)
 
 
+def test_lambda_table_bounds_n_and_d():
+    # n and |d| may have 100 digits and no more, so that a row's value, or
+    # the error naming it, never has more digits than str() renders
+    largest = 10 ** 100 - 1
+    assert lambda_table([{"n": 1, "d": -largest}]).rows[0].lambda_value == 3 * largest
+    assert lambda_table([{"n": largest, "d": 0}]).rows[0].lambda_value == largest + 2
+    for row in ({"n": 1, "d": largest + 1}, {"n": 1, "d": -(10 ** 5000)}, {"n": -(10 ** 5000), "d": 1}):
+        with pytest.raises(ValidationError, match="at most 100 digits"):
+            lambda_table([row])
+
+
 def test_lambda_table_rejects_unknown_keys():
     # a misspelt budget used to be dropped, so the row fell back to the
     # generator's upper bound (11 here) instead of being searched
