@@ -694,16 +694,15 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     equal keys iff they differ by a vertex bijection.
 
     The partition is an ordered list of cells, a vertex's color being its
-    cell's place, refined in synchronous rounds: a round re-sorts, by
-    signatures over the colors at its start, only the cells holding a
-    neighbour of a vertex whose cell split in the round before (at the
-    root, every cell), and a cell's parts take its place, in signature
-    order.  A cell with no such neighbour sees its members' signatures
-    change only by an order-preserving renumbering of colors, so it would
-    not split; the ranks are those of re-sorting every vertex each round.
-    Individualizing a vertex moves it to a new last cell, above every
-    other, not to the front of its cell: the order of the cells decides
-    the labels, so the key depends on it.
+    cell's place, refined in synchronous rounds until a round splits no
+    cell: a round re-sorts every cell by signatures over the colors at its
+    start, and a cell's parts take its place, in signature order, each
+    keeping its members' order.  The root is one cell holding every
+    vertex; with every color equal, a signature is one equal int per facet
+    around the vertex, so the first round splits that cell by vertex
+    degree, in increasing degree.  Individualizing a vertex moves it to a
+    new last cell, above every other, not to the front of its cell: the
+    order of the cells decides the labels, so the key depends on it.
 
     A vertex's signature is, per facet around it, the sorted colors of the
     facet's other vertices, these n-tuples sorted.  Each tuple enters as one
@@ -749,8 +748,6 @@ def canonical_form(complex: Complex) -> CanonicalForm:
         # combinations leave out the last vertex first
         for vi, o in zip(reversed(f), combinations(f, n)):
             others[vi].append(o)
-    # per vertex, the vertices sharing a facet with it
-    neighbours = [set(chain.from_iterable(rows)) for rows in others]
 
     # coder(colors)(vi): per facet around vi, one int ordered as the sorted
     # colors of the facet's other vertices are
@@ -769,45 +766,36 @@ def canonical_form(complex: Complex) -> CanonicalForm:
             weight = list(map(weight_of.__getitem__, colors)).__getitem__
             return lambda vi: [sum(map(weight, o)) for o in others[vi]]
 
-    def refine(
-        cells: list[list[int]], colors: list[int], moved: list[int]
-    ) -> tuple[list[list[int]], list[int]]:
-        # colors[vi] is the place of vi's cell; a round re-sorts only the
-        # cells holding a neighbour of a vertex in a cell that just split
-        while moved:
-            touched = {colors[u] for vi in moved for u in neighbours[vi]}
+    def refine(cells: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+        # colors[vi] is the place of vi's cell; a round re-sorts every cell,
+        # until a round splits none
+        while True:
+            colors = [0] * nv
+            for c, cell in enumerate(cells):
+                for vi in cell:
+                    colors[vi] = c
             codes = coder(colors)
             split: list[list[int]] = []
-            moved = []
-            for c, cell in enumerate(cells):
-                if len(cell) == 1 or c not in touched:
+            for cell in cells:
+                if len(cell) == 1:
                     split.append(cell)
                     continue
                 sigs = {vi: sorted(codes(vi)) for vi in cell}
-                cell = sorted(cell, key=sigs.__getitem__)
-                first, last = len(split), None
-                for vi in cell:
+                last = None
+                for vi in sorted(cell, key=sigs.__getitem__):
                     if sigs[vi] != last:
                         last = sigs[vi]
                         split.append([])
                     split[-1].append(vi)
-                if len(split) - first > 1:
-                    moved.extend(cell)
-            if moved:
-                colors = [0] * nv
-                for c, cell in enumerate(split):
-                    for vi in cell:
-                        colors[vi] = c
+            if len(split) == len(cells):
+                return cells, colors
             cells = split
-        return cells, colors
 
     best: list[tuple[tuple[Facet, ...], list[int]]] = []
     automorphisms: list[list[int]] = []  # vertex index -> its image
 
-    def descend(
-        cells: list[list[int]], colors: list[int], path: list[int], moved: list[int]
-    ) -> None:
-        cells, colors = refine(cells, colors, moved)
+    def descend(cells: list[list[int]], path: list[int]) -> None:
+        cells, colors = refine(cells)
         t = next((t for t, cell in enumerate(cells) if len(cell) > 1), None)
         if t is None:
             label = [c + 1 for c in colors].__getitem__
@@ -828,19 +816,12 @@ def canonical_form(complex: Complex) -> CanonicalForm:
                 if _orbit(vi, fixing, list.__getitem__) & explored:
                     continue
             # vi alone in a new last cell, above every other cell
-            child = list(colors)
-            child[vi] = len(cells)
             rest = [u for u in target if u != vi]
-            descend(cells[:t] + [rest] + cells[t + 1:] + [[vi]], child, path + [vi], [vi])
+            descend(cells[:t] + [rest] + cells[t + 1:] + [[vi]], path + [vi])
             explored.add(vi)
 
-    # the root partition: one cell per vertex degree, in increasing degree
-    place = {d: c for c, d in enumerate(sorted({len(rows) for rows in others}))}
-    colors = [place[len(rows)] for rows in others]
-    cells: list[list[int]] = [[] for _ in place]
-    for vi, c in enumerate(colors):
-        cells[c].append(vi)
-    descend(cells, colors, [], list(range(nv)))
+    # the root: one cell, which the first round splits by vertex degree
+    descend([list(range(nv))], [])
     del descend  # it holds itself: free the search state without the cyclic GC
     relabeled, colors = best[0]
     template = "|".join([",".join(["{}"] * (n + 1))] * len(relabeled))

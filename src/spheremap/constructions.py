@@ -326,9 +326,21 @@ def construct(n: int, d: int) -> ConstructionCertificate:
 def _check_budget(dimension: int, vertices: int) -> None:
     if dimension > MAX_BUILD_DIMENSION or vertices > MAX_BUILD_VERTICES:
         raise BudgetExceeded(
-            f"dimension {dimension} on {vertices} vertices is above the build caps "
-            f"(dimension {MAX_BUILD_DIMENSION}, {MAX_BUILD_VERTICES} vertices)"
+            f"dimension {_shown(dimension)} on {_shown(vertices)} vertices is above the "
+            f"build caps (dimension {MAX_BUILD_DIMENSION}, {MAX_BUILD_VERTICES} vertices)"
         )
+
+
+def _shown(x) -> str:
+    """repr(x) for a message, but '<too long to print>' for an int of more
+    than 100 digits, or for a value whose repr raises ValueError because it
+    holds an int past the interpreter's 4,300-digit limit."""
+    if _is_int(x) and abs(x) >= 10 ** 100:
+        return "<too long to print>"
+    try:
+        return repr(x)
+    except ValueError:
+        return "<too long to print>"
 
 
 def _reverse_certificate(cert: ConstructionCertificate) -> ConstructionCertificate:

@@ -41,6 +41,7 @@ from .constructions import (
     _certify,
     _check_budget,
     _recipe_shape,
+    _shown,
     replay,
 )
 from .degree import LabeledSphere, degree, labeled_sphere
@@ -228,7 +229,7 @@ def _rebuilding_recipe(ls: LabeledSphere, raw_recipe) -> Recipe:
     dim, size = _recipe_shape(recipe)
     if (dim, size) != (ls.dimension, len(ls.oriented.vertices)):
         raise ValidationError(
-            f"recipe builds dimension {dim} on {size} vertices, the document has "
+            f"recipe builds dimension {_shown(dim)} on {_shown(size)} vertices, the document has "
             f"dimension {ls.dimension} on {len(ls.oriented.vertices)} vertices"
         )
     try:

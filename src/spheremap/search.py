@@ -57,7 +57,7 @@ from .complexes import (
     canonical_form,
     orient,
 )
-from .constructions import construct
+from .constructions import _shown, construct
 from .degree import (
     LabeledSphere,
     Labeling,
@@ -581,12 +581,13 @@ def lambda_table(requests) -> LambdaTable:
             and (req.get("v_max") is None or _is_int(req["v_max"]))
         ):
             raise ValidationError(
-                f'table row {req!r} must be {{"n": int, "d": int, "v_max": optional int}}'
+                f'table row {_shown(req)} must be {{"n": int, "d": int, "v_max": optional int}}'
             )
         unknown = [key for key in req if key not in ("n", "d", "v_max")]
         if unknown:  # a misspelt budget such as "vmax" would drop the search
             raise ValidationError(
-                f"table row {req!r} has unknown key {unknown[0]!r}; a row takes n, d and v_max"
+                f"table row {_shown(req)} has unknown key {_shown(unknown[0])}; "
+                "a row takes n, d and v_max"
             )
         n, d = req["n"], req["d"]
         if abs(n) >= _TABLE_ARGUMENT_LIMIT or abs(d) >= _TABLE_ARGUMENT_LIMIT:

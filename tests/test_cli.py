@@ -152,11 +152,24 @@ def test_search_budget_guard(capsys):
     assert "FAIL: BudgetExceeded" in stderr
 
 
-@pytest.mark.parametrize("n, d", [("2", "100000000"), ("1000", "7")])
+NINES = "9" * 4300  # the longest int the interpreter parses by default
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        ("2", "100000000"),
+        ("1000", "7"),
+        # their vertex bound has 4,301 digits, past what str() renders
+        pytest.param("3", NINES, id="3-nines"),
+        pytest.param(NINES, "3", id="nines-3"),
+    ],
+)
 def test_construct_budget_guard(capsys, n, d):
     code, stdout, stderr = run(capsys, "construct", "--n", n, "--d", d)
     assert code == 1
     assert stderr.startswith("FAIL: BudgetExceeded: ")
+    assert "(dimension 12, 20000 vertices)" in stderr
     assert "Traceback" not in stdout + stderr
 
 

@@ -848,6 +848,12 @@ def canonical_oracle_corpus():
     yield build_complex([(1,), (2,)])
     yield relabeled_copy(boundary_simplex(4).labeled.complex, rng)
     yield from (construct(4, d).labeled.complex for d in (3, -5))
+    # refinement runs through many rounds over many non-singleton cells:
+    # the bipyramid over an 8-cycle (group order 32) and the join of two
+    # 5-cycles (order 200)
+    c8, c5 = cycle(8).facets, cycle(5).facets
+    yield relabeled_copy(build_complex(suspension(c8)), rng)
+    yield relabeled_copy(build_complex([f + tuple(v + 5 for v in g) for f in c5 for g in c5]), rng)
 
 
 def test_canonical_form_matches_unpruned_oracle():

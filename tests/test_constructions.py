@@ -311,6 +311,13 @@ def test_construct_budget_guard():
     assert vertex_bound(n, d) <= MAX_BUILD_VERTICES < vertex_bound(n, d + 1)
     with pytest.raises(BudgetExceeded):
         construct(n, d + 1)
+    # a vertex bound of 4,301 digits, past what str() renders, is not printed
+    nines = int("9" * 4300)
+    caps = r"is above the build caps \(dimension 12, 20000 vertices\)$"
+    with pytest.raises(BudgetExceeded, match=f"^dimension 3 on <too long to print> vertices {caps}"):
+        construct(3, nines)
+    with pytest.raises(BudgetExceeded, match="^dimension <too long to print> on <too long"):
+        construct(nines, 3)
 
 
 def test_replay_budget_guard():

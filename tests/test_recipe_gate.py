@@ -156,6 +156,9 @@ def _recolor(doc):
     doc["labels"][v] = doc["labels"][v] % (doc["dimension"] + 2) + 1
 
 
+NINES = int("9" * 4300)  # the longest int the interpreter parses by default
+
+
 def _recipe(change):
     def mutate(doc):
         doc["metadata"]["recipe"] = change(doc["metadata"]["recipe"])
@@ -220,6 +223,12 @@ MUTATIONS = {
         _set(("metadata", "claimed_degree"), lambda d: d + 1), _recipe(lambda r: r[:-1])
     ),
     "drop a facet, drop the last step": _both(_drop_facet, _recipe(lambda r: r[:-1])),
+    # shapes whose numbers have 4,301 digits, past what str() renders
+    "a circle seed of 4,300 nines": _recipe(lambda r: [["cyclic_circle", NINES]]),
+    "a simplex seed of 4,300 nines, suspended": _recipe(
+        lambda r: [["boundary_simplex", NINES], ["suspend", 1]]
+    ),
+    "a simplex seed of minus 4,300 nines": _recipe(lambda r: [["boundary_simplex", -NINES]]),
 }
 
 
@@ -343,6 +352,20 @@ EXPECTED = {
             'ValidationError',
             'ridge [1, 2, 3] lies in 1 facets, expected 2',
         ),
+        'a circle seed of 4,300 nines': (
+            'ValidationError',
+            'recipe builds dimension 1 on <too long to print> vertices, the document has dimension 3 on 15 vertices',
+        ),
+        'a simplex seed of 4,300 nines, suspended': (
+            'ValidationError',
+            'recipe builds dimension <too long to print> on <too long to print> vertices, '
+            'the document has dimension 3 on 15 vertices',
+        ),
+        'a simplex seed of minus 4,300 nines': (
+            'ValidationError',
+            'recipe builds dimension <too long to print> on <too long to print> vertices, '
+            'the document has dimension 3 on 15 vertices',
+        ),
     },
     'construct(2, -5)': {
         'unchanged': ('ok', -5),
@@ -440,6 +463,20 @@ EXPECTED = {
         'drop a facet, drop the last step': (
             'ValidationError',
             'ridge [1, 2] lies in 1 facets, expected 2',
+        ),
+        'a circle seed of 4,300 nines': (
+            'ValidationError',
+            'recipe builds dimension 1 on <too long to print> vertices, the document has dimension 2 on 12 vertices',
+        ),
+        'a simplex seed of 4,300 nines, suspended': (
+            'ValidationError',
+            'recipe builds dimension <too long to print> on <too long to print> vertices, '
+            'the document has dimension 2 on 12 vertices',
+        ),
+        'a simplex seed of minus 4,300 nines': (
+            'ValidationError',
+            'recipe builds dimension <too long to print> on <too long to print> vertices, '
+            'the document has dimension 2 on 12 vertices',
         ),
     },
     'suspended literal': {
@@ -541,6 +578,20 @@ EXPECTED = {
         'drop a facet, drop the last step': (
             'ValidationError',
             'ridge [1, 2, 3] lies in 1 facets, expected 2',
+        ),
+        'a circle seed of 4,300 nines': (
+            'ValidationError',
+            'recipe builds dimension 1 on <too long to print> vertices, the document has dimension 3 on 9 vertices',
+        ),
+        'a simplex seed of 4,300 nines, suspended': (
+            'ValidationError',
+            'recipe builds dimension <too long to print> on <too long to print> vertices, '
+            'the document has dimension 3 on 9 vertices',
+        ),
+        'a simplex seed of minus 4,300 nines': (
+            'ValidationError',
+            'recipe builds dimension <too long to print> on <too long to print> vertices, '
+            'the document has dimension 3 on 9 vertices',
         ),
     },
 }

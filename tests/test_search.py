@@ -588,6 +588,22 @@ def test_lambda_table_rejects_unknown_keys():
         lambda_table([{"n": 2, "d": 4, "v_max": 10}, {"n": 2, "d": 4, "vmax": 10}])
 
 
+def test_lambda_table_names_rows_too_long_to_print():
+    # repr raises ValueError on an int past 4,300 digits, so such a row is
+    # named by a stand-in; an ordinary row is still named by its repr
+    huge = 10 ** 5000
+    for row, message in (
+        ({"n": 2.5, "d": huge}, 'table row <too long to print> must be {"n": int,'),
+        ({"n": 2, "d": huge, "x": 1}, "table row <too long to print> has unknown key 'x';"),
+        ({"n": 2, "d": 3, huge: 1}, "has unknown key <too long to print>;"),
+        ({"n": 2.5, "d": 3}, "table row {'n': 2.5, 'd': 3} must be {\"n\": int,"),
+        ({"n": 2, "d": 3, "x": 1}, "table row {'n': 2, 'd': 3, 'x': 1} has unknown key 'x';"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            lambda_table([row])
+        assert message in str(info.value)
+
+
 def test_lambda_table_search_row_for_degree_four():
     table = lambda_table([{"n": 2, "d": 4, "v_max": 10}])
     row = table.rows[0]
