@@ -7,6 +7,10 @@ with --out the document goes to that file and the human-readable summary to
 stdout, ending in ``wrote: PATH``; without it the document goes alone to
 stdout and the summary to stderr, so output stays pipeable.  verify, and
 search without a witness, print only their summary, on stdout.
+
+The grammar is one table, ``_COMMANDS``.  A plain command line is read
+against it directly; argparse is built from it only to answer help and
+usage errors, so their text is argparse's.
 """
 
 from __future__ import annotations
@@ -41,41 +45,19 @@ def _facet_arg(text: str) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argparse tree for the grammar in ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="spheremap",
         description="Build, verify, and search labeled sphere triangulations "
         "with prescribed map degree.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="generate a degree-d n-sphere certificate")
-    p.add_argument("--n", type=int, required=True, help="sphere dimension")
-    p.add_argument("--d", type=int, required=True, help="target degree")
-    p.add_argument("--out", help="write the certificate document here")
-
-    p = sub.add_parser("verify", help="re-validate a document end to end")
-    p.add_argument("file", help="document to verify")
-
-    p = sub.add_parser("search", help="exhaustive minimal vertex count search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--out", help="write the witness document here")
-
-    p = sub.add_parser("table", help="tabulate minimal vertex counts")
-    p.add_argument("--spec", required=True, help='JSON file: {"rows": [{"n":..,"d":..,"v_max":..}]}')
-    p.add_argument("--out", help="write the JSON table here (default: stdout)")
-
-    p = sub.add_parser("suspend", help="one-point suspension of a document")
-    p.add_argument("file")
-    p.add_argument("--pivot", type=int, help="pivot vertex (default: smallest id)")
-    p.add_argument("--out", help="write the result document here")
-
-    p = sub.add_parser("insert", help="apply one insertion step to a document")
-    p.add_argument("file")
-    p.add_argument("--facet", type=_facet_arg, required=True,
-                   help="comma-separated vertex ids, e.g. 1,2,3")
-    p.add_argument("--out", help="write the result document here")
+    for name, (_, summary, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
+        for flag, convert, required, text in options:
+            p.add_argument(flag, type=convert, required=required, help=text)
     return parser
 
 
@@ -205,27 +187,103 @@ def _cmd_insert(args) -> int:
     return _emit_move(insertion_step(cert, args.facet), args.out)
 
 
+# The grammar, read both by build_parser and by _read_argv: each command's
+# handler, help, positionals as (name, help) and options as
+# (flag, type, required, help).
 _COMMANDS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "search": _cmd_search,
-    "table": _cmd_table,
-    "suspend": _cmd_suspend,
-    "insert": _cmd_insert,
+    "construct": (_cmd_construct, "generate a degree-d n-sphere certificate", (), (
+        ("--n", int, True, "sphere dimension"),
+        ("--d", int, True, "target degree"),
+        ("--out", None, False, "write the certificate document here"),
+    )),
+    "verify": (_cmd_verify, "re-validate a document end to end", (
+        ("file", "document to verify"),
+    ), ()),
+    "search": (_cmd_search, "exhaustive minimal vertex count search", (), (
+        ("--n", int, True, None),
+        ("--d", int, True, None),
+        ("--max-vertices", int, True, None),
+        ("--out", None, False, "write the witness document here"),
+    )),
+    "table": (_cmd_table, "tabulate minimal vertex counts", (), (
+        ("--spec", None, True, 'JSON file: {"rows": [{"n":..,"d":..,"v_max":..}]}'),
+        ("--out", None, False, "write the JSON table here (default: stdout)"),
+    )),
+    "suspend": (_cmd_suspend, "one-point suspension of a document", (("file", None),), (
+        ("--pivot", int, False, "pivot vertex (default: smallest id)"),
+        ("--out", None, False, "write the result document here"),
+    )),
+    "insert": (_cmd_insert, "apply one insertion step to a document", (("file", None),), (
+        ("--facet", _facet_arg, True, "comma-separated vertex ids, e.g. 1,2,3"),
+        ("--out", None, False, "write the result document here"),
+    )),
 }
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace argparse would give for a plain, well-formed command
+    line, or None for anything else, which is left to argparse.
+
+    Plain means: a command name, then tokens that are either an exact flag
+    of that command followed by its one value, or a positional; no flag
+    twice, every required flag present, exactly the command's positionals.
+    A token starting with "-" counts as a value only as "-" and ASCII
+    digits, which argparse reads as a negative number because no option
+    here looks like one.  Help, "--", "--flag=value", abbreviations and
+    every error are argparse's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, _, positionals, options = _COMMANDS[argv[0]]
+    converters = {flag: convert for flag, convert, _, _ in options}
+    values, found = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in converters:
+            if not _is_value(token):
+                return None
+            found.append(token)
+            continue
+        value = next(tokens, None)
+        if token in values or value is None or not _is_value(value):
+            return None
+        convert = converters[token]
+        try:
+            values[token] = convert(value) if convert else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    if len(found) != len(positionals) or any(
+        required and flag not in values for flag, _, required, _ in options
+    ):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for (dest, _), value in zip(positionals, found):
+        setattr(args, dest, value)
+    for flag in converters:
+        setattr(args, flag.lstrip("-").replace("-", "_"), values.get(flag))
+    return args
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse surely reads token as a value, not as an option."""
+    return not token.startswith("-") or (token[1:].isdigit() and token[1:].isascii())
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call: a build costs
-    about 1 ms, and parsing leaves the parser as it was."""
+    """The parser ``main`` falls back on for help and usage errors, built
+    on its first call; parsing leaves it as it was."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except SpheremapError as e:
         print(f"FAIL: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -59,6 +59,7 @@ from .errors import (
     SpheremapError,
     ValidationError,
     ZeroDegree,
+    _shown,
 )
 
 __all__ = [
@@ -140,7 +141,7 @@ def boundary_simplex(n: int) -> ConstructionCertificate:
     """
     _check_ints(n=n)
     if n < 1:
-        raise InvalidDimension(f"boundary_simplex needs n >= 1, got {n}")
+        raise InvalidDimension(f"boundary_simplex needs n >= 1, got {_shown(n)}")
     complex = build_complex(combinations(range(1, n + 3), n + 1))
     ls = labeled_sphere(orient(complex), {v: v for v in range(1, n + 3)})
     return _certify(ls, (("boundary_simplex", n),))
@@ -163,7 +164,7 @@ def degree_zero_sphere(n: int) -> ConstructionCertificate:
     """Boundary simplex with two vertices sharing a color: degree 0, n+2 vertices."""
     _check_ints(n=n)
     if n < 1:
-        raise InvalidDimension(f"degree_zero_sphere needs n >= 1, got {n}")
+        raise InvalidDimension(f"degree_zero_sphere needs n >= 1, got {_shown(n)}")
     complex = build_complex(combinations(range(1, n + 3), n + 1))
     labels = {v: v for v in range(1, n + 2)}
     labels[n + 2] = n + 1  # color n+2 unused, so every target sum is 0
@@ -187,7 +188,7 @@ def one_point_suspension(x, pivot: int | None = None) -> ConstructionCertificate
     if pivot is None:
         pivot = min(verts)
     elif not _is_int(pivot) or pivot not in ls.labels:  # True and 1.0 would find vertex 1
-        raise PivotNotFound(f"pivot {pivot!r} is not a vertex")
+        raise PivotNotFound(f"pivot {_shown(pivot)} is not a vertex")
     n = ls.dimension
     _check_budget(n + 1, len(verts) + 1)
     apex = max(verts) + 1
@@ -236,13 +237,13 @@ def _insert(x, facets) -> ConstructionCertificate:
         else:
             facet = _sorted_facet(facet)
             if facet not in signs:
-                raise FacetNotFound(f"{facet} is not a facet of the complex")
+                raise FacetNotFound(f"{_shown(facet)} is not a facet of the complex")
             cols = {labels[v] for v in facet}
             if cols != set(range(1, n + 2)):
                 raise BadFacetColors(f"facet colors {sorted(cols)} != {list(range(1, n + 2))}")
             s, _ = _facet_sign(labels, n + 2, signs[facet], facet)
             if s != 1:
-                raise BadFacetSign(f"facet {facet} has map sign {s}, need +1")
+                raise BadFacetSign(f"facet {_shown(facet)} has map sign {s}, need +1")
         new = dict(_stellar_pairs(facet, signs.pop(facet), w))
         labels[w] = n + 2
         # facet - u + (w + i) is facet with u replaced in place by a vertex of
@@ -286,7 +287,7 @@ def vertex_bound(n: int, d: int) -> int:
     """Guaranteed vertex budget for construct: floor(((n+2)/n)*|d|) + 2n+2."""
     _check_ints(n=n, d=d)
     if n < 1:
-        raise InvalidDimension(f"vertex_bound needs n >= 1, got {n}")
+        raise InvalidDimension(f"vertex_bound needs n >= 1, got {_shown(n)}")
     return ((n + 2) * abs(d)) // n + 2 * n + 2
 
 
@@ -301,7 +302,7 @@ def construct(n: int, d: int) -> ConstructionCertificate:
     """
     _check_ints(n=n, d=d)
     if n < 1:
-        raise InvalidDimension(f"construct needs n >= 1, got {n}")
+        raise InvalidDimension(f"construct needs n >= 1, got {_shown(n)}")
     _check_budget(n, vertex_bound(n, d))
     if n == 1:
         return degree_zero_sphere(1) if d == 0 else cyclic_circle(d)
@@ -329,18 +330,6 @@ def _check_budget(dimension: int, vertices: int) -> None:
             f"dimension {_shown(dimension)} on {_shown(vertices)} vertices is above the "
             f"build caps (dimension {MAX_BUILD_DIMENSION}, {MAX_BUILD_VERTICES} vertices)"
         )
-
-
-def _shown(x) -> str:
-    """repr(x) for a message, but '<too long to print>' for an int of more
-    than 100 digits, or for a value whose repr raises ValueError because it
-    holds an int past the interpreter's 4,300-digit limit."""
-    if _is_int(x) and abs(x) >= 10 ** 100:
-        return "<too long to print>"
-    try:
-        return repr(x)
-    except ValueError:
-        return "<too long to print>"
 
 
 def _reverse_certificate(cert: ConstructionCertificate) -> ConstructionCertificate:
@@ -401,7 +390,7 @@ def _recipe_shape(recipe) -> tuple[int, int]:
         table = _MOVES if i else _SEEDS
         args = _step_args(step, table)
         if args is None:
-            raise ValidationError(f"recipe {'step' if i else 'seed'} {step!r} is malformed")
+            raise ValidationError(f"recipe {'step' if i else 'seed'} {_shown(step)} is malformed")
         shape = table[step[0]][2](*shape, *args)
     return shape
 

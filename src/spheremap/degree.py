@@ -46,6 +46,7 @@ from .errors import (
     NotSingletonColor,
     UnknownVertex,
     ValidationError,
+    _shown,
 )
 
 Labeling = Mapping[int, int]
@@ -81,11 +82,13 @@ class LabeledSphere:
         if labels.keys() != verts:
             missing = sorted(verts - set(labels))[:5]
             extra = sorted(set(labels) - verts)[:5]
-            raise BadLabeling(f"label domain mismatch (missing {missing}, extra {extra})")
+            raise BadLabeling(
+                f"label domain mismatch (missing {_shown(missing)}, extra {_shown(extra)})"
+            )
         top = self.oriented.dimension + 2
         for v, c in labels.items():
             if not _is_int(c) or not 1 <= c <= top:
-                raise BadLabeling(f"vertex {v} has color {c!r}, expected 1..{top}")
+                raise BadLabeling(f"vertex {_shown(v)} has color {_shown(c)}, expected 1..{top}")
         object.__setattr__(self, "labels", MappingProxyType(dict(labels)))
 
     @property
@@ -118,7 +121,7 @@ def _check_ints(**values) -> None:
     is not one here, although Python counts it as one."""
     for name, value in values.items():
         if not _is_int(value):
-            raise ValidationError(f"{name} must be an int, got {value!r}")
+            raise ValidationError(f"{name} must be an int, got {_shown(value)}")
 
 
 def labeled_sphere(oriented: OrientedComplex, labels: Labeling) -> LabeledSphere:
@@ -148,9 +151,9 @@ def facet_sign(ls: LabeledSphere, facet) -> tuple[int, int | None]:
     facet = _sorted_facet(facet)
     for v in facet:
         if v not in ls.labels:
-            raise UnknownVertex(f"vertex {v} has no label")
+            raise UnknownVertex(f"vertex {_shown(v)} has no label")
     if facet not in ls.complex.facet_set:
-        raise FacetNotFound(f"{facet} is not a facet of the complex")
+        raise FacetNotFound(f"{_shown(facet)} is not a facet of the complex")
     return _facet_sign(ls.labels, ls.color_count, ls.oriented.sign_of(facet), facet)
 
 
@@ -257,14 +260,14 @@ def link_reduction(ls: LabeledSphere, v: int) -> LabeledSphere:
         kappa = (-1)**(c+1).
     """
     if not _is_int(v) or v not in ls.labels:  # True and 1.0 would find vertex 1
-        raise UnknownVertex(f"vertex {v!r} is not in the complex")
+        raise UnknownVertex(f"vertex {_shown(v)} is not in the complex")
     n = ls.dimension
     if n < 1:
         raise InvalidDimension("link reduction needs dimension >= 1")
     c = ls.labels[v]
     if len(ls.color_classes[c]) != 1:
         raise NotSingletonColor(
-            f"color {c} has preimages {ls.color_classes[c]}, expected just {v}"
+            f"color {c} has preimages {_shown(ls.color_classes[c])}, expected just {_shown(v)}"
         )
     kappa = 1 if c % 2 else -1
     pairs = []
@@ -277,7 +280,7 @@ def link_reduction(ls: LabeledSphere, v: int) -> LabeledSphere:
 
     failure = _sphere_failure(oriented)
     if failure:
-        raise InvalidLink(f"link of {v} {failure}")
+        raise InvalidLink(f"link of {_shown(v)} {failure}")
 
     # only the link's vertices keep a color, so v and every vertex off the link go
     link_vertices = set(oriented.vertices)

@@ -41,7 +41,6 @@ from .constructions import (
     _certify,
     _check_budget,
     _recipe_shape,
-    _shown,
     replay,
 )
 from .degree import LabeledSphere, degree, labeled_sphere
@@ -51,6 +50,7 @@ from .errors import (
     NonOrientable,
     SpheremapError,
     ValidationError,
+    _shown,
 )
 
 FORMAT_VERSION = "1"

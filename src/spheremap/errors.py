@@ -3,8 +3,21 @@
 Every error raised by this package derives from SpheremapError, so callers
 can catch one base class. Construction-input errors and file-format errors
 are kept separate from internal-consistency errors (InconsistentDegree),
-which indicate a corrupted complex rather than bad user input.
+which indicate a corrupted complex rather than bad user input.  Their
+messages show caller-supplied values through ``_shown``.
 """
+
+
+def _shown(x) -> str:
+    """repr(x) for a message, but '<too long to print>' for an int of more
+    than 100 digits, or for a value whose repr raises ValueError because it
+    holds an int past the interpreter's 4,300-digit limit."""
+    if isinstance(x, int) and abs(x) >= 10 ** 100:
+        return "<too long to print>"
+    try:
+        return repr(x)
+    except ValueError:
+        return "<too long to print>"
 
 
 class SpheremapError(Exception):

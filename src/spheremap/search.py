@@ -57,7 +57,7 @@ from .complexes import (
     canonical_form,
     orient,
 )
-from .constructions import _shown, construct
+from .constructions import construct
 from .degree import (
     LabeledSphere,
     Labeling,
@@ -72,6 +72,7 @@ from .errors import (
     SpheremapError,
     UnsupportedDimension,
     ValidationError,
+    _shown,
 )
 
 __all__ = [
@@ -110,7 +111,7 @@ def enumerate_spheres(n: int, v: int):
     """
     _check_ints(n=n, v=v)
     if n not in (1, 2):
-        raise UnsupportedDimension(f"enumeration covers n in {{1, 2}}, got {n}")
+        raise UnsupportedDimension(f"enumeration covers n in {{1, 2}}, got {_shown(n)}")
     if v < n + 2:
         raise InvalidDimension(f"no {n}-sphere has fewer than {n + 2} vertices")
     if n == 1:
@@ -470,10 +471,10 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
     """
     _check_ints(n=n, d=d, v_max=v_max)
     if n not in (1, 2):
-        raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {n}")
+        raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {_shown(n)}")
     cap = MAX_CIRCLE_VERTICES if n == 1 else MAX_SPLIT_VERTICES
     if v_max > cap:
-        raise BudgetExceeded(f"v_max {v_max} above the n={n} guard ({cap})")
+        raise BudgetExceeded(f"v_max {_shown(v_max)} above the n={n} guard ({cap})")
     triangulations = labelings = 0
     witness = None
     smallest = 3 * abs(d) if n == 1 else 2 * abs(d) + 2
@@ -506,7 +507,7 @@ def known_lambda(n: int, d: int) -> tuple[int, str] | None:
     """
     _check_ints(n=n, d=d)
     if n < 1:
-        raise InvalidDimension(f"need n >= 1, got {n}")
+        raise InvalidDimension(f"need n >= 1, got {_shown(n)}")
     a = abs(d)
     if n == 1:
         return (3 * a, "cycle colored 1,2,3 repeating") if a else (3, "duplicated color")

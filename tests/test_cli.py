@@ -2,11 +2,14 @@ import importlib
 import json
 import time
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spheremap import degree, load_certificate, parse
+from spheremap import cli, degree, load_certificate, parse
 from spheremap.cli import main
 from test_complexes import NON_SPHERES
 
@@ -518,7 +521,6 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
-    cli = importlib.import_module("spheremap.cli")
     builds = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
@@ -528,9 +530,13 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
         assert run(capsys, "construct", "--n", "2", "--d", "3", "--out", str(base))[0] == 0
         assert run(capsys, "verify", str(base))[0] == 0
         assert run(capsys, "suspend", str(base))[0] == 0
+        assert builds == []  # a well-formed command line builds no parser
         with pytest.raises(SystemExit):
             main(["explode"])
-        assert len(builds) == 1
+        assert builds == [1]
+        with pytest.raises(SystemExit):
+            main(["verify"])
+        assert builds == [1]
         assert cli.build_parser() is not cli.build_parser()  # still a fresh one each call
     finally:
         cli._parser.cache_clear()
@@ -538,10 +544,18 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-h"], ["insert", "-h"], ["explode"], ["insert", "x.json", "--facet", "1,a"], []],
+    [
+        ["-h"],
+        ["insert", "-h"],
+        ["explode"],
+        ["insert", "x.json", "--facet", "1,a"],
+        [],
+        ["search", "--n", "1", "--d", "2", "--max-vertices"],
+        ["construct", "--n", "2", "--d", "3", "--out", "-x"],
+        ["construct", "--n", "1" + "0" * 4300, "--d", "3"],  # past the int() digit limit
+    ],
 )
 def test_shared_parser_prints_what_a_fresh_one_does(capsys, argv):
-    cli = importlib.import_module("spheremap.cli")
     main(["construct", "--n", "1", "--d", "1"])  # the shared parser has parsed before
     capsys.readouterr()
     outputs = []
@@ -552,6 +566,76 @@ def test_shared_parser_prints_what_a_fresh_one_does(capsys, argv):
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == (0 if "-h" in argv else 2)
     assert outputs[0][1 if "-h" in argv else 2].startswith("usage: spheremap")
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["construct", "--n=2", "--d=3"], ["construct", "--n", "2", "--d", "3"]),
+        (
+            ["search", "--n", "1", "--d", "-6", "--max", "18"],
+            ["search", "--n", "1", "--d", "-6", "--max-vertices", "18"],
+        ),
+        # argparse keeps the last value of a repeated flag
+        (["construct", "--n", "5", "--d", "3", "--n", "2"], ["construct", "--n", "2", "--d", "3"]),
+    ],
+)
+def test_command_lines_left_to_argparse_still_run(capsys, argv, plain):
+    assert cli._read_argv(argv) is None
+    assert cli._read_argv(plain) is not None
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 0
+    assert (code, stdout, stderr) == run(capsys, *plain)
+
+
+# values and near-misses of every kind argparse tells apart: flags and their
+# abbreviations, "--flag=value", negative numbers, "--", "-", help, ints
+# that only Python's int() reads, empty and spaced strings
+TOKENS = [
+    "--n", "--d", "--max-vertices", "--out", "--spec", "--pivot", "--facet", "--max",
+    "--n=3", "-6", "-1.5", "--", "-", "-h", "３", "1_0", "", "1,a", "1,2,3", "2", "18",
+    "x.json", "-x", "-３", " 4", "4 2", "construct", "--help", "-n", "0",
+]
+# the tokens above argparse reads as values, some of which no type converts
+VALUES = ["-6", "３", "1_0", "", "1,a", "1,2,3", "2", "18", "x.json", " 4", "4 2", "0"]
+
+
+@st.composite
+def plain_command_lines(draw):
+    """A command with its positionals and some of its flags, each with a
+    token from VALUES, in any order."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, _, positionals, options = cli._COMMANDS[name]
+    values = st.sampled_from(VALUES)
+    groups = [[draw(values)] for _ in positionals] + [
+        [flag, draw(values)]
+        for flag, _, required, _ in options
+        if required or draw(st.booleans())
+    ]
+    return [name, *chain.from_iterable(draw(st.permutations(groups)))]
+
+
+def test_the_reader_agrees_with_argparse():
+    accepted = []
+    first = st.sampled_from([*cli._COMMANDS, "explode", *TOKENS])
+    any_line = st.builds(
+        lambda head, rest: [head, *rest], first, st.lists(st.sampled_from(TOKENS), max_size=8)
+    )
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.one_of(plain_command_lines(), any_line))
+    def agrees(argv):
+        args = cli._read_argv(argv)
+        if args is not None:
+            accepted.append(argv)
+            try:
+                expected = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                expected = None  # argparse refuses what the reader accepted
+            assert args == expected
+
+    agrees()
+    assert {argv[0] for argv in accepted} == set(cli._COMMANDS)
 
 
 def test_write_failure_exits_one(capsys):

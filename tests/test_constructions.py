@@ -13,6 +13,7 @@ from spheremap import (
     MAX_BUILD_VERTICES,
     BadFacetColors,
     BadFacetSign,
+    BadLabeling,
     BudgetExceeded,
     FacetNotFound,
     InvalidDimension,
@@ -23,6 +24,8 @@ from spheremap import (
     PivotNotFound,
     SphereStatus,
     SpheremapError,
+    UnknownVertex,
+    UnsupportedDimension,
     ValidationError,
     ZeroDegree,
     boundary_simplex,
@@ -34,9 +37,14 @@ from spheremap import (
     degree,
     degree_four_witness,
     degree_zero_sphere,
+    enumerate_spheres,
+    facet_sign,
     insertion_step,
     is_sphere,
+    known_lambda,
     labeled_sphere,
+    lambda_search,
+    lambda_table,
     link_reduction,
     load_certificate,
     one_point_suspension,
@@ -318,6 +326,37 @@ def test_construct_budget_guard():
         construct(3, nines)
     with pytest.raises(BudgetExceeded, match="^dimension <too long to print> on <too long"):
         construct(nines, 3)
+
+
+HUGE = 10 ** 4300  # 4,301 digits, one past what str() and repr() render
+TRIANGLE = orient(build_complex([(1, 2), (2, 3), (1, 3)]))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: lambda_search(1, 2, HUGE), BudgetExceeded),
+        (lambda: lambda_search(HUGE, 1, 5), UnsupportedDimension),
+        (lambda: lambda_table([{"n": 1, "d": 2, "v_max": HUGE}]), BudgetExceeded),
+        (lambda: next(enumerate_spheres(HUGE, 5)), UnsupportedDimension),
+        (lambda: known_lambda(-HUGE, 1), InvalidDimension),
+        (lambda: construct(-HUGE, 1), InvalidDimension),
+        (lambda: boundary_simplex(-HUGE), InvalidDimension),
+        (lambda: degree_zero_sphere(-HUGE), InvalidDimension),
+        (lambda: vertex_bound(-HUGE, 1), InvalidDimension),
+        (lambda: labeled_sphere(TRIANGLE, {1: HUGE, 2: 2, 3: 3}), BadLabeling),
+        (lambda: labeled_sphere(TRIANGLE, {1: 1, 2: 2, 3: 3, HUGE: 1}), BadLabeling),
+        (lambda: facet_sign(boundary_simplex(1).labeled, (1, HUGE)), UnknownVertex),
+    ],
+    ids=[
+        "lambda_search-v_max", "lambda_search-n", "lambda_table-v_max", "enumerate_spheres-n",
+        "known_lambda-n", "construct-n", "boundary_simplex-n", "degree_zero_sphere-n",
+        "vertex_bound-n", "labeled_sphere-color", "labeled_sphere-domain", "facet_sign-vertex",
+    ],
+)
+def test_errors_name_ints_too_long_to_print(call, error):
+    with pytest.raises(error, match="<too long to print>"):
+        call()
 
 
 def test_replay_budget_guard():
