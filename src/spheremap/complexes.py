@@ -13,6 +13,10 @@ Conventions used throughout the package:
   in the ridge.  This is the usual "induced orientations on the common
   ridge are opposite" condition written in sign-and-position form.
 * New vertex ids are always allocated as max(existing ids) + 1.
+* Every check that walks the facet graph (closedness, orientation, the
+  shelling and the link walks) reads one ridge map on facet indices, built
+  once per complex (``_RidgeMap``).  ``Complex.ridge_entries``, the same
+  map in facet tuples, is derived only for failure messages and tests.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, count, cycle, repeat
+from operator import add, eq, floordiv, mod, neg, sub
 from types import MappingProxyType
 
 from .errors import (
@@ -67,6 +72,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INT = frozenset((int,))
+
+
+def _all_ints(values) -> bool:
+    """Whether each of ``values``, a sequence, passes ``_is_int``: one scan
+    of their types, and a scan of the values only when some type is not int
+    itself (an int subclass such as an IntEnum's, or anything else)."""
+    return set(map(type, values)) <= _INT or all(map(_is_int, values))
+
+
 def parity_to_sorted(seq) -> int:
     """Sign of the permutation that sorts ``seq`` (entries must be distinct)."""
     inv = 0
@@ -107,8 +122,11 @@ class Complex:
 
     @cached_property
     def ridge_entries(self) -> MappingProxyType[Facet, tuple[tuple[Facet, int], ...]]:
-        """Ridge -> ((facet, position of the off-ridge vertex), ...).
+        """Ridge -> ((facet, position of the off-ridge vertex), ...), in the
+        order the facets first hold each ridge.
 
+        A view of the ridge map in facet tuples, derived only when asked for:
+        failure messages and tests read it, the checks read ``_ridges``.
         For dimension 0 the unique ridge is the empty tuple, shared by all
         facets; the closedness and coherence rules below then specialize to
         "exactly two points with opposite signs" with no extra casing.
@@ -118,6 +136,11 @@ class Complex:
             for i in range(len(f)):
                 out.setdefault(f[:i] + f[i + 1:], []).append((f, i))
         return MappingProxyType({r: tuple(es) for r, es in out.items()})
+
+    @cached_property
+    def _ridges(self) -> "_RidgeMap":
+        """K's facet graph on facet indices, built once for every check."""
+        return _ridge_map(self)
 
     @cached_property
     def _walk(self) -> tuple[tuple[int, ...], tuple[int, int] | None]:
@@ -154,15 +177,21 @@ def build_complex(facet_list) -> Complex:
     size = len(raw[0])
     if size == 0:
         raise NonPure("facets must be non-empty")
-    normalized: list[Facet] = []
-    for f in raw:
-        if len(f) != size:
-            raise NonPure(f"facet {f} has {len(f)} vertices, expected {size}")
-        if not all(map(_is_int, f)):
-            raise ValidationError(f"facet {f} has a vertex id that is not an int")
-        if len(set(f)) != len(f):
-            raise DegenerateFacet(f"facet {f} repeats a vertex")
-        normalized.append(tuple(sorted(f)))
+    # sizes, id types and repeats over all facets at once; the first facet
+    # at fault is looked for only when one of them fails
+    if not (
+        set(map(len, raw)) == {size}
+        and set(map(type, chain.from_iterable(raw))) <= _INT
+        and set(map(len, map(set, raw))) == {size}
+    ):
+        for f in raw:
+            if len(f) != size:
+                raise NonPure(f"facet {f} has {len(f)} vertices, expected {size}")
+            if not all(map(_is_int, f)):
+                raise ValidationError(f"facet {f} has a vertex id that is not an int")
+            if len(set(f)) != len(f):
+                raise DegenerateFacet(f"facet {f} repeats a vertex")
+    normalized = list(map(tuple, map(sorted, raw)))
     if len(set(normalized)) != len(normalized):
         seen: set[Facet] = set()
         for f in normalized:
@@ -190,14 +219,78 @@ def check_closed_pseudomanifold(complex: Complex) -> ClosednessReport:
 
 
 def _closedness(complex: Complex) -> ClosednessReport:
-    bad = tuple(sorted((r, len(es)) for r, es in complex.ridge_entries.items() if len(es) != 2))
+    bad = () if complex._ridges.closed else tuple(
+        sorted((r, len(es)) for r, es in complex.ridge_entries.items() if len(es) != 2)
+    )
     connected = 0 not in complex._walk[0]
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
+
+
+@dataclass(frozen=True)
+class _RidgeMap:
+    """K's facet graph on facet indices, the one graph every check walks.
+
+    ``rows[i]`` holds, for each ridge of facet i in the order
+    ``combinations(facet, n)`` gives them (leaving out its last vertex
+    first), the triple (g, flip, v): g is the facet met across the ridge, v
+    the vertex of facet i off it, and flip the factor K's coherent signs
+    change by from i to g, +1 when i and g leave the ridge's vertex out at
+    positions of different parity and -1 otherwise.  ``closed`` says every
+    ridge lies in exactly two facets.  At a ridge in one facet or in three
+    or more, g leads from each facet holding it to the next, and from the
+    last back to the first, so a walk still reaches every facet that shares
+    a ridge.
+    """
+
+    rows: list[tuple[tuple[int, int, int], ...]]
+    closed: bool
+
+
+def _ridge_map(complex: Complex) -> _RidgeMap:
+    """The ridge map, built in bulk, with no loop in Python for a closed K.
+
+    Slot i * (n + 1) + o stands for the o-th ridge of facet i, the one off
+    its vertex at position n - o, so a slot gives its facet and position.
+    One dict on the ridges gives each slot the first slot holding its ridge,
+    and one on those ints the last: a slot's other slot is the last when it
+    is the first, and the first otherwise.  Two positions sum to an odd
+    number exactly when their offsets o do."""
+    facets, n = complex.facets, complex.dimension
+    ridges = chain.from_iterable(map(combinations, facets, repeat(n)))
+    held: dict[Facet, int] = {}
+    first = list(map(held.setdefault, ridges, count()))
+    last = dict(zip(first, count()))
+    other = list(map(last.get, range(len(first)), first))
+    # every ridge in two slots, none in one only, where it is its own last
+    closed = len(first) == 2 * len(held) and not any(map(eq, last, last.values()))
+    if not closed:  # each slot of a ridge leads to the next, the last to the first
+        other, previous = first[:], {}
+        for s, r in enumerate(first):
+            other[previous.get(r, s)] = s
+            previous[r] = s
+    k = n + 1
+    flip_by_sum = (-1, 1) * k
+    flips = map(flip_by_sum.__getitem__, map(add, cycle(range(k)), map(mod, other, repeat(k))))
+    across = map(floordiv, other, repeat(k))
+    off = chain.from_iterable(map(reversed, facets))
+    return _RidgeMap(list(zip(*[zip(across, flips, off)] * k)), closed)
+
+
+def _in_first_held_order(complex: Complex) -> list[list[tuple[int, int, int]]]:
+    """The ridge map's rows with each facet's ridges in the order the
+    facets first hold them: one shared with an earlier facet j at j, one
+    shared with a later facet at its position in this facet."""
+    return [
+        sorted(row, key=lambda e: (min(i, e[0]), f.index(e[2])))
+        for i, (row, f) in enumerate(zip(complex._ridges.rows, complex.facets))
+    ]
 
 
 def _stars(complex: Complex, k: int) -> dict[Facet, list[int]]:
     """Face sigma of k vertices -> [index in K's facets of the first facet
     containing sigma, number of facets containing sigma]."""
+    if k == 0:  # the empty face, in every facet
+        return {(): [0, len(complex.facets)]}
     stars: dict[Facet, list[int]] = {}
     for i, f in enumerate(complex.facets):
         for sigma in combinations(f, k):
@@ -206,12 +299,15 @@ def _stars(complex: Complex, k: int) -> dict[Facet, list[int]]:
 
 
 def _star_walks(
-    complex: Complex, sizes, signed: bool
+    complex: Complex, sizes, signed: bool, rows=None
 ) -> tuple[bool, list[int], tuple[int, int] | None]:
     """Walk the star of each face sigma of k vertices, k in ``sizes``,
     breadth-first from the first facet containing sigma (sign +1) across
-    the ridges containing sigma, over one graph on facet indices; k = 0
-    walks all of K.  A signed walk gives each facet reached K's coherent
+    the ridges containing sigma; k = 0 walks all of K.  Every walk reads
+    the rows of K's one ridge map (``_RidgeMap``), or ``rows`` when given:
+    the same entries with each facet's ridges in another order.  A ridge
+    contains sigma exactly when sigma does not hold the facet's vertex off
+    it.  A signed walk gives each facet reached K's coherent
     sign relative to the one it came from and notes the first pair whose
     signs conflict.  So lk(sigma) is connected when the walk reaches every
     facet containing sigma, and orientable when it meets no conflict: the
@@ -221,19 +317,12 @@ def _star_walks(
     writes no signs and stops once it has reached the whole star.  Returns
     whether every walk did so without conflict, the signs by facet index
     (for k = 0, 0 where not reached) and the first conflicting index pair
-    or None, stopping at the first walk that fails.  Each walk marks the facets it reaches with
-    its own sigma object; the marks keep every earlier sigma alive, so no
-    later sigma is the same object."""
-    index = {f: i for i, f in enumerate(complex.facets)}
-    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in complex.facets]
-    for entries in complex.ridge_entries.values():
-        for (f, pf), (g, pg) in combinations(entries, 2):
-            flip = 1 if (pf + pg) % 2 else -1
-            i, j = index[f], index[g]
-            adjacent[i].append((j, flip, f[pf]))  # with f's vertex off the ridge
-            adjacent[j].append((i, flip, g[pg]))
-    mark: list[Facet | None] = [None] * len(adjacent)
-    signs = [0] * len(adjacent)
+    or None, stopping at the first walk that fails.  Each walk marks the
+    facets it reaches with its own sigma object; the marks keep every
+    earlier sigma alive, so no later sigma is the same object."""
+    rows = rows or complex._ridges.rows
+    mark: list[Facet | None] = [None] * len(rows)
+    signs = [0] * len(rows)
     conflict = None  # a walk that finds one is the last
     for k in sizes:
         for sigma, (start, size) in _stars(complex, k).items():
@@ -242,7 +331,7 @@ def _star_walks(
             for f in queue:  # the queue grows as facets are reached
                 if len(queue) == size and not signed:  # the whole star is reached
                     break
-                for g, flip, off in adjacent[f]:
+                for g, flip, off in rows[f]:
                     if mark[g] is not sigma:
                         if off not in sigma:  # the ridge contains sigma
                             mark[g] = sigma
@@ -289,6 +378,11 @@ class OrientedComplex:
         verdict = is_sphere(self.base)
         if not verdict.passed:
             return f"fails sphere checks: {[name for name, ok in verdict.checks if not ok]}"
+        # K is closed, connected and orientable, so its coherent signs are the
+        # walk's and their negation; only other signs need a bad ridge named
+        walk = self.base._walk[0]
+        if self.signs == walk or self.signs == tuple(map(neg, walk)):
+            return None
         bad = coherence_failures(self)
         if bad:
             return f"orientation not coherent across ridge {list(bad[0])}"
@@ -333,6 +427,10 @@ def _orient(complex: Complex) -> OrientedComplex:
 
     signs, conflict = complex._walk
     if conflict is not None:
+        # named as the walk meets it when each facet's ridges come in the
+        # order the facets first hold them (``ridge_entries``' order); a walk
+        # without a conflict gives the same signs in any order
+        conflict = _star_walks(complex, (0,), True, _in_first_held_order(complex))[2]
         f, g = (complex.facets[i] for i in conflict)
         raise NonOrientable(f"conflicting signs at facet {g} (ridge shared with {f})")
     return OrientedComplex(complex, signs)
@@ -510,11 +608,7 @@ def _shelling(complex: Complex) -> list[Facet] | None:
     no shelling (Lickorish, Europ. J. Combin. 12, 1991), and a greedy order
     can get stuck where another would not, so None proves nothing."""
     facets = complex.facets
-    index = {f: i for i, f in enumerate(facets)}
-    # across[i][p]: the facet sharing the ridge of facets[i] opposite its vertex p
-    across = [[0] * len(facets[0]) for _ in facets]
-    for (f, pf), (g, pg) in complex.ridge_entries.values():
-        across[index[f]][pf], across[index[g]][pg] = index[g], index[f]
+    rows = complex._ridges.rows
     placed = [False] * len(facets)
     placed_neighbours = [0] * len(facets)
     placed_at: defaultdict[int, list[frozenset[int]]] = defaultdict(list)
@@ -526,7 +620,7 @@ def _shelling(complex: Complex) -> list[Facet] | None:
             continue
         f = facets[i]
         if order:
-            s = {v for v, j in zip(f, across[i]) if placed[j]}
+            s = {v for j, _, v in rows[i] if placed[j]}
             rarest = min([placed_at[v] for v in s], key=len)
             if any(map(s.issubset, rarest)):
                 continue
@@ -535,7 +629,7 @@ def _shelling(complex: Complex) -> list[Facet] | None:
         vertices = frozenset(f)
         for v in f:
             placed_at[v].append(vertices)
-        for j in across[i]:
+        for j, _, _ in rows[i]:
             if not placed[j]:
                 placed_neighbours[j] += 1
                 heapq.heappush(heap, (-placed_neighbours[j], j))
@@ -575,7 +669,7 @@ def _sphere_failure(oriented: OrientedComplex) -> str | None:
 def _sorted_facet(facet) -> Facet:
     """facet as a sorted tuple; FacetNotFound for anything that is not a
     tuple or list of ints (a bool included), before sorting it."""
-    if not isinstance(facet, (tuple, list)) or not all(map(_is_int, facet)):
+    if not isinstance(facet, (tuple, list)) or not _all_ints(facet):
         raise FacetNotFound(f"{facet!r} is not a facet of vertex ids")
     return tuple(sorted(facet))
 

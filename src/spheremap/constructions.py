@@ -18,9 +18,10 @@ stays within ((n+2)/n)*|d| + 2n+2, and hits the known exact minima for
 |d| <= 1 and for d in {2,3,4} with n >= d-1 (n+d+3 vertices).
 
 construct and replay splice a run of insertions into one facet -> sign dict
-and certify once, so both take time linear in |d|.  construct, replay and
-both moves raise BudgetExceeded before building anything above
-MAX_BUILD_DIMENSION or MAX_BUILD_VERTICES, so every output loads again.
+and certify once, so both take time linear in |d|.  construct, replay,
+both moves and the seeds raise BudgetExceeded before building anything
+above MAX_BUILD_DIMENSION or MAX_BUILD_VERTICES, so every output loads
+again.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ def boundary_simplex(n: int) -> ConstructionCertificate:
     _check_ints(n=n)
     if n < 1:
         raise InvalidDimension(f"boundary_simplex needs n >= 1, got {_shown(n)}")
+    _check_budget(n, n + 2)
     complex = build_complex(combinations(range(1, n + 3), n + 1))
     ls = labeled_sphere(orient(complex), {v: v for v in range(1, n + 3)})
     return _certify(ls, (("boundary_simplex", n),))
@@ -153,6 +155,7 @@ def cyclic_circle(d: int) -> ConstructionCertificate:
     if d == 0:
         raise ZeroDegree("cyclic_circle needs d != 0")
     m = 3 * abs(d)
+    _check_budget(1, m)
     complex = build_complex([(i, i % m + 1) for i in range(1, m + 1)])
     ls = labeled_sphere(orient(complex), {v: (v - 1) % 3 + 1 for v in range(1, m + 1)})
     if d < 0:
@@ -165,6 +168,7 @@ def degree_zero_sphere(n: int) -> ConstructionCertificate:
     _check_ints(n=n)
     if n < 1:
         raise InvalidDimension(f"degree_zero_sphere needs n >= 1, got {_shown(n)}")
+    _check_budget(n, n + 2)
     complex = build_complex(combinations(range(1, n + 3), n + 1))
     labels = {v: v for v in range(1, n + 2)}
     labels[n + 2] = n + 1  # color n+2 unused, so every target sum is 0

@@ -31,6 +31,7 @@ from .complexes import (
     Complex,
     Facet,
     OrientedComplex,
+    _all_ints,
     _is_int,
     _sorted_facet,
     _sphere_failure,
@@ -81,14 +82,25 @@ class LabeledSphere:
         verts = set(self.oriented.vertices)
         if labels.keys() != verts:
             missing = sorted(verts - set(labels))[:5]
-            extra = sorted(set(labels) - verts)[:5]
+            extra = set(labels) - verts
+            try:
+                extra = sorted(extra)[:5]
+            except TypeError:  # keys that do not compare: by type name, then as shown
+                extra = sorted(extra, key=lambda x: (type(x).__name__, _shown(x)))[:5]
             raise BadLabeling(
                 f"label domain mismatch (missing {_shown(missing)}, extra {_shown(extra)})"
             )
+        if not _all_ints(labels.keys()):  # 1.0 and True equal vertex 1; no document names them
+            key = next(v for v in labels if not _is_int(v))
+            raise BadLabeling(f"label key {_shown(key)} is not a vertex id")
         top = self.oriented.dimension + 2
-        for v, c in labels.items():
-            if not _is_int(c) or not 1 <= c <= top:
-                raise BadLabeling(f"vertex {_shown(v)} has color {_shown(c)}, expected 1..{top}")
+        colors = labels.values()
+        if not (_all_ints(colors) and set(colors) <= set(range(1, top + 1))):
+            for v, c in labels.items():  # name the first vertex at fault
+                if not _is_int(c) or not 1 <= c <= top:
+                    raise BadLabeling(
+                        f"vertex {_shown(v)} has color {_shown(c)}, expected 1..{top}"
+                    )
         object.__setattr__(self, "labels", MappingProxyType(dict(labels)))
 
     @property

@@ -28,6 +28,7 @@ from json.encoder import encode_basestring_ascii
 
 from .complexes import (
     OrientedComplex,
+    _all_ints,
     _is_int,
     _sphere_failure,
     build_complex,
@@ -206,17 +207,28 @@ def _read_json(text: str):
 def _parse_document(doc) -> tuple[ConstructionCertificate, dict]:
     """The certificate a document states, and its metadata object.
 
-    The sphere checks, the degree engine and the claims run first.  A
-    recipe is checked, not trusted: it is replayed and must rebuild the
-    document's sphere exactly (facets, orientation and labels).  Documents
-    without a recipe get a literal seed so later construction steps still
-    produce replayable recipes.
+    Failures are raised in this order: the sphere checks, the degree
+    engine and the claims, then the recipe.  A recipe is checked, not
+    trusted: it is replayed and must rebuild the document's sphere exactly
+    (facets, orientation and labels).  It is replayed before the claims are
+    checked, so that the document takes the degree report of the equal
+    sphere it rebuilds.  Documents without a recipe get a literal seed so
+    later construction steps still produce replayable recipes.
     """
     ls = _read_sphere(doc)
+    failure = _sphere_failure(ls.oriented)
+    if failure:
+        raise ValidationError(f"document {failure}")
     metadata = doc.get("metadata") or {}
-    _check_sphere(ls, metadata)  # metadata is a dict from here on
-    raw_recipe = metadata.get("recipe")
-    recipe = (("literal", ls),) if raw_recipe is None else _rebuilding_recipe(ls, raw_recipe)
+    recipe, recipe_error = (("literal", ls),), None
+    if isinstance(metadata, dict) and metadata.get("recipe") is not None:
+        try:
+            recipe = _rebuilding_recipe(ls, metadata["recipe"])
+        except SpheremapError as e:
+            recipe_error = e
+    _check_claims(ls, metadata)  # metadata is a dict from here on
+    if recipe_error is not None:
+        raise recipe_error
     return _certify(ls, recipe), metadata
 
 
@@ -238,13 +250,15 @@ def _rebuilding_recipe(ls: LabeledSphere, raw_recipe) -> Recipe:
         raise ValidationError(f"recipe replay failed: {e}") from None
     if rebuilt != ls:
         raise ValidationError("recipe does not rebuild the document's sphere")
+    # equal spheres have equal reports: ls takes the one replay computed
+    vars(ls).setdefault("degree_report", rebuilt.degree_report)
     return recipe
 
 
 def _read_sphere(doc) -> LabeledSphere:
     """The labeled sphere of a document, with its fields, the build caps,
     closedness, orientation field and labels checked, but not the sphere
-    checks (``_check_sphere``)."""
+    checks (``_parse_document``)."""
     if not isinstance(doc, dict):
         raise DocumentSyntaxError("top level must be a JSON object")
 
@@ -307,14 +321,6 @@ def _read_sphere(doc) -> LabeledSphere:
     return ls
 
 
-def _check_sphere(ls: LabeledSphere, metadata) -> None:
-    """The sphere checks and orientation coherence, then ``_check_claims``."""
-    failure = _sphere_failure(ls.oriented)
-    if failure:
-        raise ValidationError(f"document {failure}")
-    _check_claims(ls, metadata)
-
-
 def _check_claims(ls: LabeledSphere, metadata) -> None:
     """The degree engine, then the metadata object and the degree and
     vertex count it claims."""
@@ -350,9 +356,9 @@ def _oriented_from_field(complex, entries) -> OrientedComplex:
     for entry in entries:
         if not isinstance(entry, list) or len(entry) < 2:
             raise ValidationError(f"bad orientation entry {entry!r}")
-        sign, *verts = entry
-        if not (_is_int(sign) and sign in (1, -1) and all(_is_int(v) for v in verts)):
+        if not (_all_ints(entry) and entry[0] in (1, -1)):
             raise ValidationError(f"bad orientation entry {entry!r}")
+        sign, *verts = entry
         facet = tuple(sorted(verts))
         if facet not in complex.facet_set:  # a repeated id sorts into no facet
             raise ValidationError(f"orientation entry {entry!r} is not a facet")

@@ -36,8 +36,8 @@ reductions never lose witnesses:
   every accepted degree D, sum_t |D - s_t| over the targets' signed sums
   s_t exceeds the number of live facets.
 
-lambda_search caps v_max at MAX_SPLIT_VERTICES for 2-spheres and at
-MAX_CIRCLE_VERTICES for circles.
+enumerate_spheres caps v, and lambda_search v_max, at MAX_SPLIT_VERTICES
+for 2-spheres and at MAX_CIRCLE_VERTICES for circles.
 """
 
 from __future__ import annotations
@@ -107,20 +107,23 @@ def enumerate_spheres(n: int, v: int):
     """Stream one representative per isomorphism class, deterministically.
 
     n=1 yields the single v-cycle; n=2 yields all triangulated 2-spheres on
-    v vertices, canonically relabeled and ordered by canonical key.
+    v vertices, canonically relabeled and ordered by canonical key.  A v
+    above MAX_CIRCLE_VERTICES (n=1) or MAX_SPLIT_VERTICES (n=2) raises
+    BudgetExceeded before anything is built.
     """
     _check_ints(n=n, v=v)
     if n not in (1, 2):
         raise UnsupportedDimension(f"enumeration covers n in {{1, 2}}, got {_shown(n)}")
     if v < n + 2:
         raise InvalidDimension(f"no {n}-sphere has fewer than {n + 2} vertices")
+    cap = MAX_CIRCLE_VERTICES if n == 1 else MAX_SPLIT_VERTICES
+    if v > cap:
+        raise BudgetExceeded(
+            f"{'circle' if n == 1 else '2-sphere'} enumeration is capped at {cap} vertices"
+        )
     if n == 1:
         yield build_complex([(i, i % v + 1) for i in range(1, v + 1)])
         return
-    if v > MAX_SPLIT_VERTICES:
-        raise BudgetExceeded(
-            f"2-sphere enumeration is capped at {MAX_SPLIT_VERTICES} vertices"
-        )
     for cf in _sphere_classes(v):
         yield cf.canonical
 

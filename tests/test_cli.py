@@ -373,7 +373,8 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
     # count the passes themselves, not the cached public wrappers, per
     # complex object with the document's facets: the document's own complex
     # comes first, and the sphere its recipe replay rebuilds is compared to
-    # it and gets its degree computed, nothing else.  The orientation is
+    # it and gets its degree computed, nothing else; an equal document takes
+    # that degree report, so its own is never computed.  The orientation is
     # built only when the document has no orientation field: the sphere
     # verdict reads orientability off the walk closedness already made
     complexes_mod = importlib.import_module("spheremap.complexes")
@@ -409,7 +410,7 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
             objects.append(c)
     per_object = [Counter(key for key, c in calls if c is o) for o in objects]
     if with_orientation:  # the metadata holds the recipe
-        expected = [{"closedness": 1, "degree": 1}, {"degree": 1}]
+        expected = [{"closedness": 1}, {"degree": 1}]
     else:
         expected = [{"closedness": 1, "orientation": 1, "degree": 1}]
     assert per_object == expected
@@ -417,8 +418,9 @@ def test_verify_computes_each_invariant_once(tmp_path, capsys, monkeypatch, with
 
 @pytest.mark.parametrize("with_orientation", [True, False])
 def test_verify_walks_the_facet_graph_once(tmp_path, capsys, monkeypatch, with_orientation):
-    # closedness and orientation share one walk of the document's facet
-    # graph: the star walk of the empty face
+    # closedness, orientation, the shelling and coherence read one ridge map
+    # of the document's complex, and closedness and orientation share one
+    # walk of it: the star walk of the empty face
     complexes_mod = importlib.import_module("spheremap.complexes")
     out = tmp_path / "c.json"
     run(capsys, "construct", "--n", "3", "--d", "5", "--out", str(out))
@@ -427,17 +429,21 @@ def test_verify_walks_the_facet_graph_once(tmp_path, capsys, monkeypatch, with_o
         del doc["orientation"], doc["metadata"]
         out.write_text(json.dumps(doc))
     facets = tuple(tuple(f) for f in doc["facets"])
-    walked = []
-    original = complexes_mod._star_walks
+    walked, mapped = [], []
+    original, ridge_map = complexes_mod._star_walks, complexes_mod._ridge_map
 
-    def counting(complex, sizes, signed):
+    def counting(complex, sizes, signed, rows=None):
         walked.append(complex.facets == facets and tuple(sizes) == (0,))
-        return original(complex, sizes, signed)
+        return original(complex, sizes, signed, rows)
 
     monkeypatch.setattr(complexes_mod, "_star_walks", counting)
+    monkeypatch.setattr(
+        complexes_mod, "_ridge_map", lambda K: mapped.append(K.facets == facets) or ridge_map(K)
+    )
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 0 and "PASS" in stdout
     assert walked.count(True) == 1
+    assert mapped.count(True) == 1
 
 
 def test_documents_on_stdout_stand_alone(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import enum
 import gc
 import hashlib
 import random
+import re
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -113,6 +115,35 @@ def test_build_rejects_vertex_ids_that_are_not_ints(facets):
     # a document could not carry such a complex: parse refuses the ids
     with pytest.raises(ValidationError):
         build_complex(facets)
+
+
+class Vertex(enum.IntEnum):
+    ONE, TWO, THREE, FOUR = 1, 2, 3, 4
+
+
+def test_build_accepts_int_subclass_ids():
+    # the bulk type scan sees IntEnum, not int, and checks each id instead
+    K = build_complex([tuple(Vertex(v) for v in f) for f in TETRA])
+    assert K == build_complex(TETRA) and is_sphere(K).passed
+    assert stellar_subdivide_facet(K, (Vertex.ONE, 2, 3)) == stellar_subdivide_facet(
+        build_complex(TETRA), (1, 2, 3)
+    )
+
+
+@pytest.mark.parametrize("bad_id", [1.5, True, 2.0, False])
+def test_build_names_the_first_facet_with_an_id_that_is_not_an_int(bad_id):
+    # the first facet at fault is named, whichever check it fails; the
+    # facet of the wrong size after it is never reached
+    facets = [(5, 6, 7), (1, bad_id, 3), (1, 2, 3, 4)]
+    message = f"facet {(1, bad_id, 3)} has a vertex id that is not an int"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build_complex(facets)
+    with pytest.raises(DegenerateFacet, match=r"^facet \(5, 5, 7\) repeats a vertex$"):
+        build_complex([(5, 5, 7)] + facets)
+    with pytest.raises(NonPure, match=r"^facet \(1, 2\) has 2 vertices, expected 3$"):
+        build_complex([(5, 6, 7), (1, 2)] + facets)
+    with pytest.raises(FacetNotFound, match="is not a facet of vertex ids"):
+        stellar_subdivide_facet(build_complex(TETRA), (1, bad_id, 3))
 
 
 def test_build_rejects_empty_input():
@@ -606,6 +637,53 @@ def test_the_shelling_gives_the_verdict_of_the_battery(monkeypatch):
     assert verdicts == battery
 
 
+def non_orientable_corpus():
+    """The closed non-orientable complexes of the test corpora: the closed
+    entries of NON_SPHERES that do not orient, with seeded relabelings that
+    list their facets in other orders, and the Klein bottles of the
+    twisted grids, each with relabelings too."""
+    rng = random.Random(29)
+    complexes = [build_complex(twisted_grid(m, k)) for m, k in ((3, 3), (4, 3), (3, 4), (5, 5))]
+    complexes += [relabeled_copy(K, rng) for K in complexes for _ in range(3)]
+    complexes += list(closed_non_spheres(3))
+    for K in complexes:
+        try:
+            bfs_orient(K)
+        except NonOrientable:
+            yield K
+
+
+def test_non_orientable_messages_match_the_reference_walk():
+    # the walk orient reports names the conflict bfs_orient meets, with each
+    # facet's neighbours in the order the facets first hold their ridges
+    messages = []
+    for K in non_orientable_corpus():
+        pair = []
+        for orientation in (orient, bfs_orient):
+            with pytest.raises(NonOrientable, match="conflicting signs at facet") as e:
+                orientation(K)
+            pair.append(str(e.value))
+        messages.append(pair)
+    assert len(messages) == 16 + 6 * 4 and all(a == b for a, b in messages)
+
+
+def test_the_ridge_map_matches_the_ridge_entries():
+    # every facet's row names, at each ridge, the facets ridge_entries gives
+    # and the flip of their positions; a ridge in other than two facets
+    # leads on to the next facet holding it, cyclically
+    corpus = list(lemma_corpus()) + [build_complex(f) for f in NON_SPHERES.values()]
+    for K in corpus + [build_complex([(1,), (2,)]), build_complex([(1,), (2,), (3,)])]:
+        index = {f: i for i, f in enumerate(K.facets)}
+        expected = [[] for _ in K.facets]
+        for entries in K.ridge_entries.values():
+            for (f, p), (g, q) in zip(entries, entries[1:] + entries[:1]):
+                flip = 1 if (p + q) % 2 else -1
+                expected[index[f]].append((p, (index[g], flip, f[p])))
+        rows = [tuple(e for _, e in sorted(es, reverse=True)) for es in expected]
+        assert K._ridges.rows == rows
+        assert K._ridges.closed == all(len(es) == 2 for es in K.ridge_entries.values())
+
+
 def test_a_shelled_sphere_builds_no_face_lattice(monkeypatch):
     def refuse(K):
         raise AssertionError("the face lattice was built")
@@ -620,19 +698,25 @@ def test_a_shelled_sphere_builds_no_face_lattice(monkeypatch):
 
 
 def test_is_sphere_walks_the_whole_complex_once_and_every_link_size_once(monkeypatch):
-    # one walk for closedness and orientation, one for the links of every
-    # face size, also when K is not orientable and its link walks are signed
+    # one ridge map; one walk for closedness and orientation, one for the
+    # links of every face size, also when K is not orientable and its link
+    # walks are signed.  Only orient names the conflict, with a second walk
     K = build_complex(NON_SPHERES["relabeled_double_suspended_twisted_sphere_bundle"])
-    calls = []
-    original = complexes._star_walks
+    calls, mapped = [], []
+    original, ridge_map = complexes._star_walks, complexes._ridge_map
 
-    def counting(complex, sizes, signed):
-        calls.append((tuple(sizes), signed))
-        return original(complex, sizes, signed)
+    def counting(complex, sizes, signed, rows=None):
+        calls.append((tuple(sizes), signed, rows is None))
+        return original(complex, sizes, signed, rows)
 
     monkeypatch.setattr(complexes, "_star_walks", counting)
+    monkeypatch.setattr(complexes, "_ridge_map", lambda c: mapped.append(c) or ridge_map(c))
     assert not is_sphere(K).passed
-    assert calls == [((0,), True), ((1, 2, 3, 4), True)]
+    assert calls == [((0,), True, True), ((1, 2, 3, 4), True, True)]
+    assert mapped == [K]
+    with pytest.raises(NonOrientable):
+        orient(K)
+    assert calls[2:] == [((0,), True, False)] and mapped == [K]
 
 
 def test_is_sphere_matches_oracle_on_the_zero_sphere():

@@ -309,6 +309,33 @@ def test_replay_rejects_malformed_recipes(recipe):
         replay(recipe)
 
 
+def test_every_seed_inside_the_caps_reads_back():
+    # each seed's output is a valid document, and one past the caps is
+    # refused as its document and its recipe would be
+    seeds = [boundary_simplex(n) for n in range(1, MAX_BUILD_DIMENSION + 1)]
+    seeds += [degree_zero_sphere(n) for n in range(1, MAX_BUILD_DIMENSION + 1)]
+    seeds += [cyclic_circle(d) for d in (1, -2, 5, MAX_BUILD_VERTICES // 3)]
+    seeds += [degree_four_witness(), degree_four_witness(raw=True)]
+    for cert in seeds:
+        assert parse(serialize(cert)) == cert.labeled
+        assert load_certificate(serialize(cert)) == cert
+    n = MAX_BUILD_DIMENSION + 1
+    caps = "is above the build caps (dimension 12, 20000 vertices)"
+    for build, recipe in (
+        (lambda: boundary_simplex(n), [("boundary_simplex", n)]),
+        (lambda: degree_zero_sphere(n), [("degree_zero", n)]),
+        (lambda: cyclic_circle(-6667), [("cyclic_circle", -6667)]),
+    ):
+        messages = []
+        for run in (build, lambda: replay(recipe)):
+            with pytest.raises(BudgetExceeded) as caught:
+                run()
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] and messages[0].endswith(caps)
+    with pytest.raises(BudgetExceeded, match="^dimension 13 on 15 vertices is above"):
+        boundary_simplex(n)
+
+
 def test_construct_budget_guard():
     with pytest.raises(BudgetExceeded):
         construct(2, 100_000_000)

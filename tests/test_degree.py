@@ -1,5 +1,7 @@
+import enum
 import importlib
 import random
+import re
 from itertools import combinations
 from types import MappingProxyType
 
@@ -85,6 +87,48 @@ def test_labeled_sphere_rejects_bad_domains():
         labeled_sphere(oc, {1: 5, 2: 2, 3: 3, 4: 4})
     with pytest.raises(BadLabeling):
         labeled_sphere(oc, {1: True, 2: 2, 3: 3, 4: 4})
+
+
+class Color(enum.IntEnum):
+    ONE, TWO, THREE, FOUR = 1, 2, 3, 4
+
+
+def test_labels_accept_int_subclass_colors():
+    # the bulk type scan sees IntEnum, not int, and checks each color instead
+    ls = labeled_tetra({v: Color(v) for v in range(1, 5)})
+    assert ls == labeled_tetra() and degree(ls).degree == 1
+    assert labeled_tetra({Color(v): v for v in range(1, 5)}) == labeled_tetra()
+
+
+@pytest.mark.parametrize("key", [1.0, True])
+def test_labels_refuse_a_key_equal_to_a_vertex_that_is_no_id(key):
+    # it would pass the domain check and then write a document whose label
+    # key ("1.0", "True") no reader takes
+    with pytest.raises(BadLabeling, match=f"^label key {key!r} is not a vertex id$"):
+        labeled_tetra({key: 1, 2: 2, 3: 3, 4: 4})
+
+
+@pytest.mark.parametrize("color", [4.0, True, 0, 5, "4", None])
+def test_labels_name_the_first_vertex_with_a_bad_color(color):
+    oc = orient(build_complex(TETRA))
+    message = f"vertex 3 has color {color!r}, expected 1..4"
+    for labels in ({1: 1, 2: 2, 3: color, 4: 4}, {1: 1, 2: 2, 3: color, 4: color}):
+        with pytest.raises(BadLabeling, match=f"^{re.escape(message)}$"):
+            labeled_sphere(oc, labels)
+
+
+def test_labels_with_keys_of_several_types_name_the_mismatch():
+    # sorting a str key and an int key for the message raised a bare TypeError
+    oc = orient(build_complex([(1, 2), (2, 3), (1, 3)]))
+    with pytest.raises(BadLabeling) as caught:
+        labeled_sphere(oc, {1: 1, 2: 2, 3: 3, "a": 1, 7: 1})
+    assert str(caught.value) == "label domain mismatch (missing [], extra [7, 'a'])"
+    with pytest.raises(BadLabeling) as caught:
+        labeled_sphere(oc, {1: 1, 2: 2, (3,): 3, 3.5: 1})
+    assert str(caught.value) == "label domain mismatch (missing [3], extra [3.5, (3,)])"
+    with pytest.raises(BadLabeling) as caught:  # keys that compare keep their order
+        labeled_sphere(oc, {1: 1, 2: 2, 3: 3, 9: 1, 7: 1, 8: 2})
+    assert str(caught.value) == "label domain mismatch (missing [], extra [7, 8, 9])"
 
 
 def test_facet_sign_identity_labeling():

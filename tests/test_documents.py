@@ -448,6 +448,48 @@ def test_parse_rejects_orientation_problems():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("n, d", [(2, 5), (4, -9), (5, 10)])
+def test_one_flipped_sign_names_the_first_ridge_of_its_facet(n, d):
+    # coherence is decided by comparing the signs with the walk's, but the
+    # message still names the first incoherent ridge: with one sign flipped
+    # those are the flipped facet's ridges, the first leaving out its last vertex
+    base = doc_of(construct(n, d))
+    del base["metadata"]["recipe"]
+    entries = base["orientation"]
+    for k in (0, len(entries) // 2, len(entries) - 1):
+        doc = json.loads(json.dumps(base))
+        doc["orientation"][k][0] *= -1
+        message = f"document orientation not coherent across ridge {entries[k][1:-1]}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse(json.dumps(doc))
+
+
+def test_a_recipe_document_computes_its_degree_report_once(monkeypatch):
+    # the document takes the report of the equal sphere its recipe rebuilds
+    degree_mod = importlib.import_module("spheremap.degree")
+    report, sizes = degree_mod._degree_report, []
+    monkeypatch.setattr(
+        degree_mod, "_degree_report", lambda ls: sizes.append(len(ls.complex.facets)) or report(ls)
+    )
+    text = serialize(construct(3, 300))
+    sizes.clear()
+    cert = load_certificate(text)
+    # boundary_simplex(2), one insertion, one suspension, then the run of insertions
+    assert sizes == [4, 12, 18, 1503]
+    assert degree(cert.labeled).degree == cert.claimed_degree == 300
+    assert sizes == [4, 12, 18, 1503]
+    # a claim is still checked before the recipe, whose failure comes after it
+    doc = json.loads(text)
+    doc["metadata"]["claimed_degree"] = 299
+    assert doc["metadata"]["recipe"][2][0] == "suspend"
+    doc["metadata"]["recipe"][2] = ["suspend", 99]
+    with pytest.raises(DegreeMismatch, match="claims degree 299, engine computes 300"):
+        load_certificate(json.dumps(doc))
+    doc["metadata"]["claimed_degree"] = 300
+    with pytest.raises(ValidationError, match="^recipe replay failed: "):
+        load_certificate(json.dumps(doc))
+
+
 def test_parse_accepts_unsorted_orientation_entries():
     # an entry in odd order means the opposite stored sign on the sorted tuple
     doc = doc_of(boundary_simplex(2))

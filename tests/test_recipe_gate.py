@@ -637,17 +637,23 @@ def test_a_recipe_document_gets_one_verdict(verdicts, read):
 def test_a_literal_seed_is_gated_once_after_its_document(verdicts, monkeypatch):
     text = BASES["suspended literal"]()
     verdicts.clear()
-    coherence = []
-    failures = complexes_mod.coherence_failures
+    coherence, ridge_maps = [], []
+    failures, ridge_map = complexes_mod.coherence_failures, complexes_mod._ridge_map
     monkeypatch.setattr(
         complexes_mod, "coherence_failures", lambda o: coherence.append(o.base) or failures(o)
     )
+    monkeypatch.setattr(
+        complexes_mod, "_ridge_map", lambda K: ridge_maps.append(K) or ridge_map(K)
+    )
     ls = load_certificate(text).labeled
     # the document, then the seed: replay's gate on the seed reads the
-    # answer the reader's gate left on it
+    # answer the reader's gate left on it.  Each gated complex builds one
+    # ridge map, and coherent signs are compared with the walk's, so no
+    # ridge is looked for
     assert [K.dimension for K in verdicts] == [ls.dimension, ls.dimension - 1]
     assert verdicts[0] == ls.complex
-    assert coherence == verdicts
+    assert ridge_maps == verdicts
+    assert coherence == []
 
 
 def test_a_recipe_less_document_gets_one_verdict(verdicts):

@@ -85,6 +85,14 @@ def test_enumerate_guards():
         list(enumerate_spheres(2, MAX_SPLIT_VERTICES + 1))
 
 
+def test_circle_enumeration_is_capped():
+    # as lambda_search caps v_max for circles, before any cycle is built
+    assert len(next(enumerate_spheres(1, MAX_CIRCLE_VERTICES)).facets) == MAX_CIRCLE_VERTICES
+    for v in (MAX_CIRCLE_VERTICES + 1, 10**6, 10**5000):
+        with pytest.raises(BudgetExceeded, match="^circle enumeration is capped at 99 vertices$"):
+            next(enumerate_spheres(1, v))
+
+
 def test_enumerate_soundness_and_canonical_ids():
     for v in range(4, 11):
         for K in enumerate_spheres(2, v):
