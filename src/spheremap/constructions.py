@@ -18,7 +18,10 @@ stays within ((n+2)/n)*|d| + 2n+2, and hits the known exact minima for
 |d| <= 1 and for d in {2,3,4} with n >= d-1 (n+d+3 vertices).
 
 construct and replay splice a run of insertions into one facet -> sign dict
-and certify once, so both take time linear in |d|.  construct, replay,
+and certify once, so both take time linear in |d|.  A reversed certificate
+(d < 0, or the recipe move ``reverse``) takes the negation of the degree
+engine's report on the sphere it reverses, so construct(n, -d) runs the
+engine on its final sphere once.  construct, replay,
 both moves and the seeds raise BudgetExceeded before building anything
 above MAX_BUILD_DIMENSION or MAX_BUILD_VERTICES, so every output loads
 again.

@@ -23,7 +23,7 @@ Sign of a nondegenerate facet t:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -249,8 +249,22 @@ def relabel(ls: LabeledSphere, perm: dict[int, int]) -> LabeledSphere:
 
 
 def reverse_orientation(ls: LabeledSphere) -> LabeledSphere:
-    """Flip every facet sign; negates the degree."""
-    return labeled_sphere(ls.oriented.reversed(), ls.labels)
+    """Flip every facet sign; negates the degree.
+
+    When ls's degree report is already computed, the result takes its
+    negation: the same preimage facets in the same order with every sign
+    negated, which is what the degree engine would compute again."""
+    out = labeled_sphere(ls.oriented.reversed(), ls.labels)
+    report = vars(ls).get("degree_report")
+    if report is not None:
+        vars(out)["degree_report"] = replace(
+            report,
+            degree=-report.degree,
+            per_target_facet=MappingProxyType({
+                i: tuple([(f, -s) for f, s in es]) for i, es in report.per_target_facet.items()
+            }),
+        )
+    return out
 
 
 def singleton_colors(ls: LabeledSphere) -> dict[int, int]:

@@ -110,14 +110,16 @@ def _parse_seed(fields: dict) -> LabeledSphere:
 
 
 def _core_dict(ls: LabeledSphere) -> dict:
-    """The sphere's fields, shared by documents and literal recipe seeds."""
+    """The sphere's fields, shared by documents and literal recipe seeds.
+    Facets and ``(sign, *facet)`` entries are tuples, which ``_dump`` writes
+    as JSON lists; a label key is the int's own digits, also for an int
+    subclass such as an IntEnum's, whose ``str`` may be its name."""
+    facets = ls.complex.facets
     return {
         "dimension": ls.dimension,
-        "facets": [list(f) for f in ls.complex.facets],
-        "labels": {str(v): c for v, c in sorted(ls.labels.items())},
-        "orientation": [
-            [s, *f] for f, s in zip(ls.complex.facets, ls.oriented.signs)
-        ],
+        "facets": facets,
+        "labels": {int.__repr__(v): c for v, c in ls.labels.items()},
+        "orientation": [(s, *f) for f, s in zip(facets, ls.oriented.signs)],
     }
 
 
@@ -142,10 +144,13 @@ def _dump(x, indent: str) -> str:
     written as if nested at ``indent``.
 
     json.dumps with indent skips json's C encoder, so this writes the
-    document's ints, strings, lists and str-keyed dicts itself, with one
-    join per flat int list and per row of a list of non-empty int lists.
-    Any other value (bool, None, float, empty container, int subclass,
-    dict with a non-str key) is left to json.dumps for its subtree.
+    document's ints, strings, lists and str-keyed dicts itself: a flat int
+    list with one join, a list of non-empty rows of ints (lists or tuples,
+    such as the facet and orientation rows) with one ``%`` template per row
+    length mapped over the rows, and a str-keyed dict of ints (the labels)
+    with one join.  "Int" means int itself here.  Any other value (bool,
+    None, float, empty container, int subclass, dict with a non-str key) is
+    left to json.dumps for its subtree.
     """
     t = type(x)
     if t is int:
@@ -158,20 +163,33 @@ def _dump(x, indent: str) -> str:
         kinds = set(map(type, x))
         if kinds == {int}:
             body = sep.join(map(int.__repr__, x))
-        elif kinds == {list} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
-            row_sep = sep + "  "
-            body = sep.join(
-                [f"[\n{inner}  {row_sep.join(map(int.__repr__, r))}\n{inner}]" for r in x]
-            )
+        elif kinds <= {list, tuple} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
+            body = sep.join(_int_rows(x, kinds, inner))
         else:
             body = sep.join([_dump(v, inner) for v in x])
         return f"[\n{inner}{body}\n{indent}]"
     if t is dict and set(map(type, x)) == {str}:
-        body = sep.join(
-            [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in sorted(x.items())]
-        )
+        items = sorted(x.items())
+        if set(map(type, x.values())) == {int}:
+            body = sep.join(["%s: %d" % (encode_basestring_ascii(k), v) for k, v in items])
+        else:
+            body = sep.join([f"{encode_basestring_ascii(k)}: {_dump(v, inner)}" for k, v in items])
         return f"{{\n{inner}{body}\n{indent}}}"
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _int_rows(rows, kinds, inner: str):
+    """The text of each of ``rows``, non-empty lists or tuples of ints, at
+    ``inner``: one ``%`` template per row length."""
+    templates = {
+        k: f"[\n{inner}  %d" + f",\n{inner}  %d" * (k - 1) + f"\n{inner}]"
+        for k in set(map(len, rows))
+    }
+    if list in kinds:  # % reads a tuple's items, but a list as one value
+        rows = map(tuple, rows)
+    if len(templates) == 1:
+        return map(templates.popitem()[1].__mod__, rows)
+    return [templates[len(r)] % r for r in rows]
 
 
 def serialize(obj) -> str:

@@ -522,6 +522,13 @@ def test_construct_runs_degree_pass_once_per_certificate(monkeypatch):
         # boundary_simplex(2), one insertion, one suspension, then one
         # batched run of insertions, whatever its length
         assert calls == {"certify": 4, "degree": 4}
+    # the reversed certificate takes the negated report: one pass fewer than
+    # signing every facet of the reversed sphere again
+    recipe = construct(3, -300).recipe
+    for build in (lambda: construct(3, -300), lambda: replay(recipe)):
+        calls.update(certify=0, degree=0)
+        assert build().claimed_degree == -300
+        assert calls == {"certify": 5, "degree": 4}
 
 
 def _oriented_union(*blocks) -> OrientedComplex:

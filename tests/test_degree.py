@@ -343,6 +343,30 @@ def test_reverse_orientation_negates():
     assert degree(reverse_orientation(boundary_simplex(4).labeled)).degree == -1
 
 
+@pytest.mark.parametrize("name, ls", [
+    *((f"construct({n}, {d})", construct(n, d).labeled) for n in range(1, 7) for d in (-9, -1, 1, 2, 7)),
+    ("degree_zero_sphere(3)", degree_zero_sphere(3).labeled),
+    ("degree_four_witness()", degree_four_witness().labeled),
+    ("degree_four_witness(raw=True)", degree_four_witness(raw=True).labeled),
+])
+def test_reverse_orientation_negates_a_computed_report(name, ls):
+    degree(ls)
+    flipped = reverse_orientation(ls)
+    assert "degree_report" in vars(flipped), name
+    assert flipped.degree_report == _degree_report(flipped), name
+    assert flipped.degree_report.degree == -ls.degree_report.degree
+    assert reverse_orientation(flipped).degree_report == ls.degree_report, name
+
+
+def test_reverse_orientation_seeds_no_report_that_was_never_computed():
+    ls = labeled_sphere(orient(build_complex(TETRA)), {1: 1, 2: 2, 3: 3, 4: 4})
+    flipped = reverse_orientation(ls)
+    assert "degree_report" not in vars(ls)
+    assert "degree_report" not in vars(flipped)
+    assert degree(flipped) == _degree_report(flipped)
+    assert degree(flipped).degree == -1
+
+
 def test_reverse_commutes_with_relabel():
     ls = degree_four_witness().labeled
     perm = {1: 3, 2: 1, 3: 2, 4: 5, 5: 4}

@@ -21,6 +21,7 @@ from spheremap import (
     degree,
     degree_four_witness,
     insertion_step,
+    labeled_sphere,
     load_certificate,
     one_point_suspension,
     parse,
@@ -244,6 +245,31 @@ def test_document_bytes_are_pinned():
     )
 
 
+def test_long_row_document_bytes_are_pinned():
+    # facet rows of 7 to 13 ids; a suspension of n = 12 is above the build caps
+    digest = hashlib.sha256()
+    for n in range(6, 13):
+        for d in (-(2 * n + 1), 2 * n + 1):
+            cert = construct(n, d)
+            digest.update(serialize(cert).encode())
+            if n < MAX_BUILD_DIMENSION:
+                digest.update(serialize(one_point_suspension(cert)).encode())
+    assert digest.hexdigest() == (
+        "e554e88673528908c0f13c073539efed95759fa6e2c56692e2faf936f034b14a"
+    )
+
+
+def test_int_enum_label_keys_round_trip():
+    # str() of an IntEnum member is its name before Python 3.11
+    Vertex = enum.IntEnum("Vertex", [("ONE", 1), ("TWO", 2), ("THREE", 3), ("FOUR", 4)])
+    oriented = boundary_simplex(2).labeled.oriented
+    ls = labeled_sphere(oriented, {v: int(v) for v in Vertex})
+    text = serialize(ls)
+    assert json.loads(text)["labels"] == {"1": 1, "2": 2, "3": 3, "4": 4}
+    assert parse(text) == ls
+    assert text == serialize(labeled_sphere(oriented, {v: v for v in range(1, 5)}))
+
+
 def json_oracle(x) -> str:
     return json.dumps(x, sort_keys=True, indent=2)
 
@@ -279,6 +305,31 @@ def test_dump_equals_json_dumps(value):
 ])
 def test_dump_equals_json_dumps_on_edge_cases(value):
     assert _dump(value, "") == json_oracle(value)
+
+
+INT_ROW = st.lists(st.integers(), min_size=1, max_size=15)
+INT_ROWS = st.lists(INT_ROW | INT_ROW.map(tuple), max_size=40)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rows=INT_ROWS | st.integers(1, 15).flatmap(
+    lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k).map(tuple), max_size=40)
+))
+def test_dump_equals_json_dumps_on_int_rows(rows):
+    # several row lengths in one list, and one length for all rows as in documents
+    for value in (rows, tuple(rows), {"rows": rows}):
+        assert _dump(value, "") == json_oracle(value)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [3, True]], [(1, 2), (Color.RED, 3)], [[1, 2, 3], [], [4, 5, 6]],
+    [(1, 2), ()], [[1, 2], [3, 1.0]], [[1, 2], [3, [4]]],
+])
+def test_rows_that_are_not_all_ints_take_the_fallback(rows, monkeypatch):
+    documents_mod = importlib.import_module("spheremap.documents")
+    monkeypatch.setattr(documents_mod, "_int_rows", None)  # fails if called
+    assert _dump(rows, "") == json_oracle(rows)
+    assert _dump({"rows": rows}, "  ") == json_oracle({"rows": rows}).replace("\n", "\n  ")
 
 
 def test_serialize_equals_json_dumps_on_every_move():
