@@ -26,7 +26,6 @@ import heapq
 from bisect import bisect
 from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, count, cycle, repeat
 from operator import add, eq, floordiv, mod, neg, sub
@@ -93,12 +92,53 @@ def parity_to_sorted(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True)
-class Complex:
+_store = object.__setattr__  # how a record's __init__ stores a field
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record is a plain class: ``__match_args__`` names its fields in order,
+    and its ``__init__`` stores each with ``_store`` (``object.__setattr__``),
+    keeping CPython's key-sharing instance dicts.  It equals a record of its
+    own class whose compared fields (``_compared``, all of them unless the
+    class says otherwise) are equal, hashes as the tuple of those, and
+    prints as ``Name(field=value, ...)``.  Assigning or deleting any
+    attribute raises AttributeError; a ``cached_property`` still caches, as
+    it writes the instance dict directly."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _compared(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Complex(_Record):
     """Pure n-dimensional simplicial complex given by its facet list."""
 
-    dimension: int
-    facets: tuple[Facet, ...]
+    __match_args__ = ("dimension", "facets")
+
+    def __init__(self, dimension: int, facets: tuple[Facet, ...]):
+        _store(self, "dimension", dimension)
+        _store(self, "facets", facets)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -201,13 +241,16 @@ def build_complex(facet_list) -> Complex:
     return Complex(dimension=size - 1, facets=tuple(sorted(normalized)))
 
 
-@dataclass(frozen=True)
-class ClosednessReport:
-    """Result of the closed-pseudomanifold check."""
+class ClosednessReport(_Record):
+    """Result of the closed-pseudomanifold check; ``bad_ridges`` holds
+    (ridge, facet multiplicity != 2) pairs."""
 
-    passed: bool
-    bad_ridges: tuple[tuple[Facet, int], ...]  # (ridge, facet multiplicity != 2)
-    connected: bool
+    __match_args__ = ("passed", "bad_ridges", "connected")
+
+    def __init__(self, passed: bool, bad_ridges: tuple[tuple[Facet, int], ...], connected: bool):
+        _store(self, "passed", passed)
+        _store(self, "bad_ridges", bad_ridges)
+        _store(self, "connected", connected)
 
 
 def check_closed_pseudomanifold(complex: Complex) -> ClosednessReport:
@@ -226,8 +269,7 @@ def _closedness(complex: Complex) -> ClosednessReport:
     return ClosednessReport(passed=not bad and connected, bad_ridges=bad, connected=connected)
 
 
-@dataclass(frozen=True)
-class _RidgeMap:
+class _RidgeMap(_Record):
     """K's facet graph on facet indices, the one graph every check walks.
 
     ``rows[i]`` holds, for each ridge of facet i in the order
@@ -242,8 +284,11 @@ class _RidgeMap:
     a ridge.
     """
 
-    rows: list[tuple[tuple[int, int, int], ...]]
-    closed: bool
+    __match_args__ = ("rows", "closed")
+
+    def __init__(self, rows: list[tuple[tuple[int, int, int], ...]], closed: bool):
+        _store(self, "rows", rows)
+        _store(self, "closed", closed)
 
 
 def _ridge_map(complex: Complex) -> _RidgeMap:
@@ -345,16 +390,18 @@ def _star_walks(
     return True, signs, None
 
 
-@dataclass(frozen=True)
-class OrientedComplex:
+class OrientedComplex(_Record):
     """Complex plus a coherent orientation sign per facet.
 
     ``signs[i]`` belongs to ``base.facets[i]`` and is read relative to that
     facet's sorted vertex order.
     """
 
-    base: Complex
-    signs: tuple[int, ...]
+    __match_args__ = ("base", "signs")
+
+    def __init__(self, base: Complex, signs: tuple[int, ...]):
+        _store(self, "base", base)
+        _store(self, "signs", signs)
 
     @property
     def dimension(self) -> int:
@@ -502,10 +549,14 @@ class SphereStatus(enum.Enum):
     NECESSARY_CONDITIONS_ONLY = "NecessaryConditionsOnly"
 
 
-@dataclass(frozen=True)
-class SphereVerdict:
-    status: SphereStatus
-    checks: tuple[tuple[str, bool], ...]
+class SphereVerdict(_Record):
+    """The status ``is_sphere`` gives, and each check it ran, in order."""
+
+    __match_args__ = ("status", "checks")
+
+    def __init__(self, status: SphereStatus, checks: tuple[tuple[str, bool], ...]):
+        _store(self, "status", status)
+        _store(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -602,12 +653,19 @@ def _shelling(complex: Complex) -> list[Facet] | None:
     holds.  So F may come next iff S is nonempty and no placed facet
     contains S, and only the placed facets at S's rarest vertex are tested.
 
+    The test can fail only when F has p < n placed neighbours.  Two facets
+    share at most one ridge, and distinct ridges of F are opposite distinct
+    vertices, so |S| = p.  At p = n + 1, S is F, which no other facet
+    contains.  At p = n, S is F minus u, the ridge opposite u, held by F and
+    one other facet alone; that facet is unplaced, or u would be in S.  So
+    S is built, and the placed facets scanned, only below p = n.
+
     A heap offers first the facets with the most placed neighbours.  A
     refused facet stays refused until a neighbour is placed, as only that
     grows its S, so it goes back on the heap only then.  Some 3-spheres have
     no shelling (Lickorish, Europ. J. Combin. 12, 1991), and a greedy order
     can get stuck where another would not, so None proves nothing."""
-    facets = complex.facets
+    facets, n = complex.facets, complex.dimension
     rows = complex._ridges.rows
     placed = [False] * len(facets)
     placed_neighbours = [0] * len(facets)
@@ -619,7 +677,7 @@ def _shelling(complex: Complex) -> list[Facet] | None:
         if placed[i] or key != -placed_neighbours[i]:
             continue
         f = facets[i]
-        if order:
+        if 0 < -key < n:  # -key placed neighbours, none for the first facet only
             s = {v for j, _, v in rows[i] if placed[j]}
             rarest = min([placed_at[v] for v in s], key=len)
             if any(map(s.issubset, rarest)):
@@ -760,8 +818,7 @@ def _color_weights(n: int, nv: int) -> list[int]:
     return [-((n + 1) ** (nv - 1 - c)) for c in range(nv)]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Record):
     """Isomorphism-invariant key plus a relabeling realizing it, and
     generators of the canonical complex's automorphism group.
 
@@ -771,10 +828,22 @@ class CanonicalForm:
     generating set of the same group.
     """
 
-    key: bytes
-    relabeling: dict[int, int]  # original vertex id -> canonical id (1-based)
-    canonical: Complex
-    automorphisms: tuple[dict[int, int], ...] = field(compare=False)
+    __match_args__ = ("key", "relabeling", "canonical", "automorphisms")
+
+    def __init__(
+        self,
+        key: bytes,
+        relabeling: dict[int, int],  # original vertex id -> canonical id (1-based)
+        canonical: Complex,
+        automorphisms: tuple[dict[int, int], ...],
+    ):
+        _store(self, "key", key)
+        _store(self, "relabeling", relabeling)
+        _store(self, "canonical", canonical)
+        _store(self, "automorphisms", automorphisms)
+
+    def _compared(self) -> tuple:
+        return self.key, self.relabeling, self.canonical
 
 
 def canonical_form(complex: Complex) -> CanonicalForm:

@@ -30,7 +30,6 @@ again.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, count, groupby
 
@@ -38,9 +37,11 @@ from .complexes import (
     Facet,
     OrientedComplex,
     _is_int,
+    _Record,
     _sorted_facet,
     _sphere_failure,
     _stellar_pairs,
+    _store,
     build_complex,
     orient,
 )
@@ -94,14 +95,22 @@ RecipeStep = tuple
 Recipe = tuple[RecipeStep, ...]
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(_Record):
     """Self-verifying witness: labeled sphere + claims + replayable recipe."""
 
-    labeled: LabeledSphere
-    claimed_degree: int
-    claimed_vertex_count: int
-    recipe: Recipe
+    __match_args__ = ("labeled", "claimed_degree", "claimed_vertex_count", "recipe")
+
+    def __init__(
+        self,
+        labeled: LabeledSphere,
+        claimed_degree: int,
+        claimed_vertex_count: int,
+        recipe: Recipe,
+    ):
+        _store(self, "labeled", labeled)
+        _store(self, "claimed_degree", claimed_degree)
+        _store(self, "claimed_vertex_count", claimed_vertex_count)
+        _store(self, "recipe", recipe)
 
     @property
     def vertex_count(self) -> int:

@@ -23,7 +23,6 @@ Sign of a nondegenerate facet t:
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -33,8 +32,10 @@ from .complexes import (
     OrientedComplex,
     _all_ints,
     _is_int,
+    _Record,
     _sorted_facet,
     _sphere_failure,
+    _store,
     parity_to_sorted,
 )
 from .errors import (
@@ -67,19 +68,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledSphere:
+class LabeledSphere(_Record):
     """Oriented complex plus a coloring of its vertices by {1..n+2}, checked
     on every construction (else BadLabeling) and kept as a read-only copy."""
 
-    oriented: OrientedComplex
-    labels: Labeling
+    __match_args__ = ("oriented", "labels")
 
-    def __post_init__(self) -> None:
-        labels = self.labels
+    def __init__(self, oriented: OrientedComplex, labels: Labeling):
         if not isinstance(labels, Mapping):
             raise BadLabeling("labels must map vertex -> color")
-        verts = set(self.oriented.vertices)
+        verts = set(oriented.vertices)
         if labels.keys() != verts:
             missing = sorted(verts - set(labels))[:5]
             extra = set(labels) - verts
@@ -93,7 +91,7 @@ class LabeledSphere:
         if not _all_ints(labels.keys()):  # 1.0 and True equal vertex 1; no document names them
             key = next(v for v in labels if not _is_int(v))
             raise BadLabeling(f"label key {_shown(key)} is not a vertex id")
-        top = self.oriented.dimension + 2
+        top = oriented.dimension + 2
         colors = labels.values()
         if not (_all_ints(colors) and set(colors) <= set(range(1, top + 1))):
             for v, c in labels.items():  # name the first vertex at fault
@@ -101,7 +99,8 @@ class LabeledSphere:
                     raise BadLabeling(
                         f"vertex {_shown(v)} has color {_shown(c)}, expected 1..{top}"
                     )
-        object.__setattr__(self, "labels", MappingProxyType(dict(labels)))
+        _store(self, "oriented", oriented)
+        _store(self, "labels", MappingProxyType(dict(labels)))
 
     @property
     def dimension(self) -> int:
@@ -169,14 +168,22 @@ def facet_sign(ls: LabeledSphere, facet) -> tuple[int, int | None]:
     return _facet_sign(ls.labels, ls.color_count, ls.oriented.sign_of(facet), facet)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(_Record):
     """Per-target preimage lists with signs, plus the common signed sum."""
 
-    degree: int | None
-    per_target_facet: Mapping[int, tuple[tuple[Facet, int], ...]]
-    consistent: bool
-    degenerate_facet_count: int
+    __match_args__ = ("degree", "per_target_facet", "consistent", "degenerate_facet_count")
+
+    def __init__(
+        self,
+        degree: int | None,
+        per_target_facet: Mapping[int, tuple[tuple[Facet, int], ...]],
+        consistent: bool,
+        degenerate_facet_count: int,
+    ):
+        _store(self, "degree", degree)
+        _store(self, "per_target_facet", per_target_facet)
+        _store(self, "consistent", consistent)
+        _store(self, "degenerate_facet_count", degenerate_facet_count)
 
     @cached_property
     def per_target_sums(self) -> Mapping[int, int]:
@@ -257,12 +264,13 @@ def reverse_orientation(ls: LabeledSphere) -> LabeledSphere:
     out = labeled_sphere(ls.oriented.reversed(), ls.labels)
     report = vars(ls).get("degree_report")
     if report is not None:
-        vars(out)["degree_report"] = replace(
-            report,
-            degree=-report.degree,
-            per_target_facet=MappingProxyType({
+        vars(out)["degree_report"] = DegreeReport(
+            -report.degree,
+            MappingProxyType({
                 i: tuple([(f, -s) for f, s in es]) for i, es in report.per_target_facet.items()
             }),
+            report.consistent,
+            report.degenerate_facet_count,
         )
     return out
 

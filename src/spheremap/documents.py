@@ -237,7 +237,9 @@ def _parse_document(doc) -> tuple[ConstructionCertificate, dict]:
     failure = _sphere_failure(ls.oriented)
     if failure:
         raise ValidationError(f"document {failure}")
-    metadata = doc.get("metadata") or {}
+    metadata = doc.get("metadata")
+    if metadata is None:  # absent or null; any other non-object is refused below
+        metadata = {}
     recipe, recipe_error = (("literal", ls),), None
     if isinstance(metadata, dict) and metadata.get("recipe") is not None:
         try:

@@ -43,7 +43,6 @@ for 2-spheres and at MAX_CIRCLE_VERTICES for circles.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -53,6 +52,8 @@ from .complexes import (
     Complex,
     _is_int,
     _orbit,
+    _Record,
+    _store,
     build_complex,
     canonical_form,
     orient,
@@ -128,14 +129,16 @@ def enumerate_spheres(n: int, v: int):
         yield cf.canonical
 
 
-@dataclass(frozen=True)
-class _SphereClass:
+class _SphereClass(_Record):
     """A 2-sphere class as the enumeration keeps it: its canonical
     representative and generators of its automorphism group, in canonical
     ids."""
 
-    canonical: Complex
-    automorphisms: tuple[dict[int, int], ...]
+    __match_args__ = ("canonical", "automorphisms")
+
+    def __init__(self, canonical: Complex, automorphisms: tuple[dict[int, int], ...]):
+        _store(self, "canonical", canonical)
+        _store(self, "automorphisms", automorphisms)
 
 
 @lru_cache(maxsize=None)
@@ -442,17 +445,31 @@ def exists_labeling(K: Complex, d: int) -> Labeling | None:
     return _search_labelings(K, d)[0]
 
 
-@dataclass(frozen=True)
-class LambdaResult:
+class LambdaResult(_Record):
     """Outcome of a minimal-vertex search up to a budget."""
 
-    n: int
-    d: int
-    v_max: int
-    lambda_value: int | None
-    witness: LabeledSphere | None
-    triangulations_examined: int
-    labelings_examined: int
+    __match_args__ = (
+        "n", "d", "v_max", "lambda_value", "witness",
+        "triangulations_examined", "labelings_examined",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        v_max: int,
+        lambda_value: int | None,
+        witness: LabeledSphere | None,
+        triangulations_examined: int,
+        labelings_examined: int,
+    ):
+        _store(self, "n", n)
+        _store(self, "d", d)
+        _store(self, "v_max", v_max)
+        _store(self, "lambda_value", lambda_value)
+        _store(self, "witness", witness)
+        _store(self, "triangulations_examined", triangulations_examined)
+        _store(self, "labelings_examined", labelings_examined)
 
     @property
     def found(self) -> bool:
@@ -523,16 +540,25 @@ def known_lambda(n: int, d: int) -> tuple[int, str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class LambdaRow:
+class LambdaRow(_Record):
     """One (n, d) table entry; lambda_value is exact unless status says
     upper_bound, and None when a bounded search came up empty."""
 
-    n: int
-    d: int
-    lambda_value: int | None
-    status: str  # exact_search | exact_formula | upper_bound | not_found_within_budget
-    note: str
+    __match_args__ = ("n", "d", "lambda_value", "status", "note")
+
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        lambda_value: int | None,
+        status: str,  # exact_search | exact_formula | upper_bound | not_found_within_budget
+        note: str,
+    ):
+        _store(self, "n", n)
+        _store(self, "d", d)
+        _store(self, "lambda_value", lambda_value)
+        _store(self, "status", status)
+        _store(self, "note", note)
 
     @property
     def ratio_over_d(self) -> Fraction | None:
@@ -547,9 +573,13 @@ class LambdaRow:
         return Fraction(self.lambda_value, self.n)
 
 
-@dataclass(frozen=True)
-class LambdaTable:
-    rows: tuple[LambdaRow, ...]
+class LambdaTable(_Record):
+    """The rows ``lambda_table`` computed, in request order."""
+
+    __match_args__ = ("rows",)
+
+    def __init__(self, rows: tuple[LambdaRow, ...]):
+        _store(self, "rows", rows)
 
     def _pivot(self, key) -> dict[int, dict[int, Fraction]]:
         """{outer: {inner: ratio}} over the rows with a ratio, where key maps

@@ -629,6 +629,20 @@ def test_no_closed_non_sphere_is_shelled():
     assert found == []
 
 
+def test_shelling_orders_are_pinned():
+    # one SHA-256 over the order _shelling gives, or None where it gets
+    # stuck, recorded when it tested S on every facet popped after the first
+    corpus = [
+        *shelling_corpus(),
+        *(construct(n, d).labeled.complex for n, d in ((7, 1), (7, -2), (7, 3), (4, 40), (2, -300))),
+        *closed_non_spheres(2),
+    ]
+    orders = [complexes._shelling(K) for K in corpus]
+    assert (len(orders), orders.count(None)) == (157, 36)
+    digest = hashlib.sha256(repr(orders).encode()).hexdigest()
+    assert digest == "b588563accf2595f04a38ea9ff0b801efaf8cbbc01b58abd7f99e4e484ca780e"
+
+
 def test_the_shelling_gives_the_verdict_of_the_battery(monkeypatch):
     corpus = list(shelling_corpus()) + list(closed_non_spheres(0))
     verdicts = [complexes._sphere_verdict(K) for K in corpus]

@@ -667,3 +667,20 @@ def test_parse_rejects_claim_mismatches():
     doc["metadata"] = ["not", "a", "dict"]
     with pytest.raises(ValidationError, match="metadata"):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("metadata", [[], False, 0, ""], ids=repr)
+def test_falsy_metadata_that_is_not_an_object_is_refused(metadata):
+    # only an absent or null metadata means none
+    doc = doc_of(construct(2, 3))
+    doc["metadata"] = metadata
+    for read in (parse, parse_with_metadata, load_certificate):
+        with pytest.raises(ValidationError, match="^metadata must be an object$"):
+            read(json.dumps(doc))
+
+
+def test_null_metadata_means_none():
+    doc = doc_of(construct(2, 3))
+    doc["metadata"] = None
+    ls, metadata = parse_with_metadata(json.dumps(doc))
+    assert metadata == {} and degree(ls).degree == 3
