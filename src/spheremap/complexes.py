@@ -105,7 +105,8 @@ class _Record:
     class says otherwise) are equal, hashes as the tuple of those, and
     prints as ``Name(field=value, ...)``.  Assigning or deleting any
     attribute raises AttributeError; a ``cached_property`` still caches, as
-    it writes the instance dict directly."""
+    it writes the instance dict directly.  A record copies and pickles with
+    its cached values, a mappingproxy among them handed over as its dict."""
 
     __match_args__: tuple[str, ...] = ()
 
@@ -129,6 +130,19 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple[dict, tuple[str, ...]]:
+        # a mappingproxy neither copies nor pickles
+        state = dict(vars(self))
+        proxied = tuple(name for name, value in state.items() if type(value) is MappingProxyType)
+        for name in proxied:
+            state[name] = dict(state[name])
+        return state, proxied
+
+    def __setstate__(self, state: tuple[dict, tuple[str, ...]]) -> None:
+        fields, proxied = state
+        for name, value in fields.items():
+            _store(self, name, MappingProxyType(value) if name in proxied else value)
 
 
 class Complex(_Record):

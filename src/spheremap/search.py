@@ -12,10 +12,13 @@ canonical form: a child whose new edge is not lowest is dropped.  For
 the rest, the child's canonical form picks, among the lowest-ranked
 edges, the one with the smallest canonical labels, and gives the
 automorphisms whose orbit of it is tested; a new edge with no rival left
-is canonical with no test (``_canonical_child``).  A split vertex is not
-split at all when a contractible parent edge, with at most one end in
-its link, outranks the new edge in every child on degrees alone, so most
-children dropped by the rank are never built.  Kept children are
+is canonical with no test (``_canonical_child``).  Each split is ranked
+from its parent before its child is built: every contractible parent
+edge that avoids the split vertex, other than the split pair, stays
+contractible in the child, and the split is dropped when one of them
+outranks the new edge there on degrees alone; a split vertex whose every
+split is so dropped is skipped whole.  So most children the rank drops
+are never built (541 of 995 to v = 10 are not).  Kept children are
 pairwise non-isomorphic, so each class's canonical form is computed once
 it is kept, giving its representative, its place in the class order and
 its automorphisms; the few children still tied in rank and then dropped
@@ -218,52 +221,75 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
     map is an automorphism of K taking one split to the other.  One split
     per orbit thus keeps each class once.
 
-    A split vertex z is skipped, before any child is built, when
-    ``_canonical_child`` would drop all its children on degrees alone.
-    Every child's new edge {z, new} has degree sum deg z + 4.  Take a
-    contractible parent edge {a, b} (exactly two common neighbours) with
-    z not in it and an end b outside lk(z): b's rotation is the same in
-    every child and holds neither z nor new, so a and b keep their two
-    common neighbours, and each end gains at most one neighbour, and only
-    if it lies in lk(z).
-    If deg a + deg b plus its ends in lk(z) is below deg z + 4, that edge
-    outranks {z, new} in every child.  (A chord of lk(z), with both ends in
-    it, may gain a common neighbour, so it does not count.)  The skip reads
-    only degrees, contractibility and links, so it skips whole orbits.
+    A split is dropped, before its child is built, when ``_canonical_child``
+    would drop that child on degrees alone.  Let k = deg z.  The child of
+    (z; c_i, c_j) has the new edge {z, new}, of degree sum k + 4 and min
+    degree min(j - i, k - j + i) + 2.  A contractible parent edge {a, b}
+    (exactly two common neighbours) avoiding z stays contractible in that
+    child unless it is {c_i, c_j}:
+
+    (A) at most one end, say a, lies in lk(z).  Then b's rotation is the
+        same in the child and holds neither z nor new, and a's changes only
+        by new taking z's place or joining it, so a and b keep exactly
+        their two common neighbours;
+    (B) both ends lie in lk(z).  Then z is one of their two common
+        neighbours, so {z, a, b} is a facet: a and b are consecutive on
+        z's link cycle, and x, the other common neighbour, keeps its edges
+        to a and b.  Unless {a, b} = {c_i, c_j}, the facet {z, a, b} lies
+        in exactly one of the two fans, so exactly one of z and new joins
+        x as a common neighbour in the child.
+
+    In both cases an end's degree rises by one exactly when it is c_i or
+    c_j.  When such an edge's (degree sum, min degree) in the child is
+    below the new edge's, the new edge is not lowest in rank and the split
+    is dropped (``_outranked``).  Its every-split case skips z whole:
+    raising every end in lk(z) at once, and passing over edges with both
+    ends there, bounds each edge's rank in every child, and the new edge's
+    rank is at least (k + 4, 3).  The rule reads only degrees, links and
+    contractibility, which automorphisms keep, so it drops whole orbits:
+    the kept children, their order and their canonical forms are those of
+    splitting every orbit.
     """
     rotation = _rotation(K)
+    deg = {x: len(cycle) for x, cycle in rotation.items()}
     seen: set[tuple[int, int, int]] = set()  # orbits of the splits yielded
     new = max(rotation) + 1
-    # contractible edges with their degree sums
-    contractible = [
-        (len(cycle) + len(rotation[b]), a, b)
+    # contractible edges as (degree sum, min degree, a, b), lowest first
+    contractible = sorted(
+        (deg[a] + deg[b], min(deg[a], deg[b]), a, b)
         for a, cycle in rotation.items()
         for b in cycle
         if a < b and len(set(cycle).intersection(rotation[b])) == 2
-    ]
+    )
     for z, cycle in rotation.items():
         k = len(cycle)
-        link = set(cycle)
-        if any(
-            s + (a in link) + (b in link) < k + 4
-            for s, a, b in contractible
-            if z != a and z != b and not (a in link and b in link)
-        ):
+        # the edges avoiding z that can rank below a degree sum of k + 4
+        staying = []
+        for edge in contractible:
+            if edge[0] > k + 4:
+                break
+            if z != edge[2] and z != edge[3]:
+                staying.append(edge)
+        if _outranked(staying, deg, (k + 4, 3), cycle):
             continue
-        # around each c_t: new instead of z, new inserted after z, or before it
-        moved, after_z, before_z = [], [], []
-        for c in cycle:
-            r = rotation[c]
-            p = r.index(z)
-            moved.append(r[:p] + (new,) + r[p + 1:])
-            after_z.append(r[:p + 1] + (new,) + r[p + 1:])
-            before_z.append(r[:p] + (new,) + r[p:])
+        moved = None
         for i in range(k):
             for j in range(i + 1, k):
-                split = (z, *sorted((cycle[i], cycle[j])))
-                if split in seen:
+                ci, cj = cycle[i], cycle[j]
+                split = (z, ci, cj) if ci < cj else (z, cj, ci)
+                rank = (k + 4, min(j - i, k - j + i) + 2)
+                if split in seen or _outranked(staying, deg, rank, split[1:]):
                     continue
                 seen |= _orbit(split, automorphisms, _split_image)
+                if moved is None:
+                    # around each c_t: new instead of z, new inserted after z, or before it
+                    moved, after_z, before_z = [], [], []
+                    for c in cycle:
+                        r = rotation[c]
+                        p = r.index(z)
+                        moved.append(r[:p] + (new,) + r[p + 1:])
+                        after_z.append(r[:p + 1] + (new,) + r[p + 1:])
+                        before_z.append(r[:p] + (new,) + r[p:])
                 child = dict(rotation)
                 child[z] = cycle[i:j + 1] + (new,)
                 child[new] = cycle[j:] + cycle[:i + 1] + (z,)
@@ -272,6 +298,32 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
                 child[cycle[i]] = after_z[i]
                 child[cycle[j]] = before_z[j]
                 yield child
+
+
+def _outranked(
+    staying: list[tuple[int, int, int, int]],
+    deg: dict[int, int],
+    rank: tuple[int, int],
+    raised: tuple[int, ...],
+) -> bool:
+    """Whether an edge of ``staying``, (degree sum, min degree, a, b) lowest
+    first, ranks below ``rank``, the new edge's (degree sum, min degree),
+    once each end in ``raised`` gains a neighbour; an edge with both ends
+    raised is passed over."""
+    for s, m, a, b in staying:
+        if (s, m) >= rank:  # and so is every later edge, raised or not
+            return False
+        if a in raised:
+            if b in raised:
+                continue
+            m = min(deg[a] + 1, deg[b])
+        elif b in raised:
+            m = min(deg[a], deg[b] + 1)
+        else:
+            return True
+        if (s + 1, m) < rank:
+            return True
+    return False
 
 
 def _canonical_child(rotation: Rotation) -> CanonicalForm | None:

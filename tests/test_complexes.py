@@ -37,10 +37,11 @@ from spheremap import complexes, constructions
 from spheremap.complexes import _color_weights, _stellar_pairs, coherence_failures
 from spheremap.constructions import insertion_step
 from spheremap.constructions import boundary_simplex, construct, degree_four_witness
-from spheremap.search import _rotation_complex, _sphere_classes, _vertex_splits, enumerate_spheres
+from spheremap.search import _rotation_complex, _sphere_classes, enumerate_spheres
 from canonical_oracle import full_canonical_form, group_order
 from orientation_oracle import bfs_orient
 from shelling_oracle import is_shelling
+from split_oracle import all_vertex_splits
 from sphere_oracle import links_have_sphere_chi, recursive_is_sphere
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
@@ -996,13 +997,14 @@ def relabeled(K, ids):
     return build_complex([tuple(m[v] for v in f) for f in K.facets])
 
 
-# the complexes the enumeration hands to canonical_form: every child that
-# _vertex_splits yields up to 9 vertices, kept or not
+# the complexes the enumeration may hand to canonical_form: every split
+# child of every class up to 9 vertices, from the oracle splitter, which
+# drops none by rank
 SPLIT_CHILDREN = [
     _rotation_complex(child)
     for v in range(5, 10)
     for parent in _sphere_classes(v - 1)
-    for child in _vertex_splits(parent.canonical)
+    for child in all_vertex_splits(parent.canonical)
 ]
 SMALL_CONSTRUCTS = [construct(n, d).labeled.complex for n in (1, 2, 3) for d in range(-5, 6)]
 
@@ -1010,14 +1012,15 @@ SMALL_CONSTRUCTS = [construct(n, d).labeled.complex for n in (1, 2, 3) for d in 
 def test_split_children_generators_pinned():
     # equality of canonical forms leaves the automorphisms out, but they decide
     # which splits _vertex_splits yields: one SHA-256 over key, relabeling and
-    # generators of every split child up to 9 vertices
+    # generators of every split child up to 9 vertices, recorded with the
+    # canonical_form in use before _vertex_splits ranked each split
     digest = hashlib.sha256()
     for K in SPLIT_CHILDREN:
         cf = canonical_form(K)
         digest.update(repr((cf.key, sorted(cf.relabeling.items()), cf.automorphisms)).encode())
-    assert len(SPLIT_CHILDREN) == 795
+    assert len(SPLIT_CHILDREN) == 1328
     assert digest.hexdigest() == (
-        "a23be0136c59a2ccb5741818eccc08e7dc08a6a8e8c42bebd78a85b5e5e5f650"
+        "a32fbe65a51407d33a6d04f29bf2bac3c40b6245617ea85ad137cd62360fdcb9"
     )
 
 

@@ -18,6 +18,9 @@ import spheremap
 from spheremap import (
     CanonicalForm,
     Complex,
+    DegreeReport,
+    LabeledSphere,
+    OrientedComplex,
     build_complex,
     canonical_form,
     check_closed_pseudomanifold,
@@ -29,6 +32,7 @@ from spheremap import (
     lambda_table,
     orient,
 )
+from spheremap.complexes import _Record
 from spheremap.search import _sphere_classes
 
 
@@ -37,7 +41,6 @@ def records() -> dict:
     K = build_complex([(1, 2), (1, 3), (2, 3)])
     ls = labeled_sphere(orient(K), {1: 1, 2: 2, 3: 3})
     table = lambda_table([{"n": 3, "d": 4}])
-    tetrahedron = _sphere_classes(4)[0]
     return {
         "Complex": K,
         "ClosednessReport": check_closed_pseudomanifold(K),
@@ -48,11 +51,7 @@ def records() -> dict:
         "ConstructionCertificate": construct(1, 1),
         "LabeledSphere": ls,
         "DegreeReport": degree(ls),
-        # on a complex of its own: other callers may have cached a
-        # mappingproxy, which does not copy, on the enumeration's
-        "_SphereClass": type(tetrahedron)(
-            build_complex(tetrahedron.canonical.facets), tetrahedron.automorphisms
-        ),
+        "_SphereClass": _sphere_classes(4)[0],
         "LambdaResult": lambda_search(1, 1, 3),
         "LambdaRow": table.rows[0],
         "LambdaTable": table,
@@ -206,20 +205,37 @@ def test_complex_matches_by_position():
             pytest.fail("a Complex did not match Complex(dimension, facets)")
 
 
-# the records whose fields all copy and pickle; a labeled sphere's labels,
-# and so each record holding one, are a mappingproxy, which does neither
-COPYABLE = [
-    "Complex", "ClosednessReport", "_RidgeMap", "OrientedComplex", "SphereVerdict",
-    "CanonicalForm", "_SphereClass", "LambdaRow", "LambdaTable",
-]
+# the cached properties that hold a mappingproxy, by the record they sit on
+CACHED_MAPPINGS = {
+    Complex: ("facets_at", "ridge_entries"),
+    OrientedComplex: ("sign_by_facet",),
+    LabeledSphere: ("color_classes",),
+    DegreeReport: ("per_target_sums",),
+}
 
 
-@pytest.mark.parametrize("name", COPYABLE)
+def read_cached_mappings(record) -> None:
+    """Read every cached mapping on the record and on the records its fields hold."""
+    for name in CACHED_MAPPINGS.get(type(record), ()):
+        getattr(record, name)
+    for value in fields(record):
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, _Record):
+                read_cached_mappings(item)
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_records_copy_and_pickle(name):
+    # after their cached mappingproxy values are read, as a labeled sphere's
+    # labels and a degree report's per_target_facet always are
     record = records()[name]
+    read_cached_mappings(record)
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin == record and twin is not record
         assert repr(twin) == repr(record) and fields(twin) == fields(record)
+        assert vars(twin).keys() == vars(record).keys()
+        for attribute, value in vars(record).items():
+            assert type(vars(twin)[attribute]) is type(value)
         with pytest.raises(AttributeError):
             twin.other = None
 

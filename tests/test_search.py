@@ -183,26 +183,29 @@ def test_split_key_matches_mirror_images():
 
 
 def test_split_vertex_skip_keeps_every_kept_child(monkeypatch):
-    # a split vertex is skipped only when a parent edge outranks the new edge
-    # in all of its children: the skip drops only children the degree rank
-    # drops, and the canonical-edge rule keeps the unskipped splitter's
+    # a split is dropped before its child is built only when a parent edge
+    # that stays contractible outranks the new edge there: the rule drops
+    # only children the degree rank drops, with no canonical form, and the
+    # canonical-edge rule keeps the oracle splitter's children, in order,
+    # with and without the parent's automorphisms
     def kept(children):
         return [child for child in children if accepted_key(child) is not None]
 
     def no_form(*args):
-        raise AssertionError("a skipped child needed a canonical form")
+        raise AssertionError("a dropped split's child needed a canonical form")
 
     for v in range(5, 11):
         for parent in _sphere_classes(v - 1):
-            children = list(_vertex_splits(parent.canonical))
-            unskipped = list(all_vertex_splits(parent.canonical))
-            skipped = [child for child in unskipped if child not in children]
-            assert len(children) + len(skipped) == len(unskipped)
-            with monkeypatch.context() as m:
-                # dropped on degrees alone, with no canonical form computed
-                m.setattr(spheremap.search, "canonical_form", no_form)
-                assert not any(_canonical_child(child) for child in skipped)
-            assert kept(children) == kept(unskipped)
+            for automorphisms in ((), parent.automorphisms):
+                children = list(_vertex_splits(parent.canonical, automorphisms))
+                every = list(all_vertex_splits(parent.canonical, automorphisms))
+                dropped = [child for child in every if child not in children]
+                assert len(children) + len(dropped) == len(every)
+                with monkeypatch.context() as m:
+                    # dropped on degrees alone, with no canonical form computed
+                    m.setattr(spheremap.search, "canonical_form", no_form)
+                    assert not any(_canonical_child(child) for child in dropped)
+                assert kept(children) == kept(every)
 
 
 # canonical forms computed by a cold enumeration to v = 10: one per class
@@ -444,11 +447,13 @@ SEARCH_PINS = {
 
 
 # split children yielded by _vertex_splits on the way to 10 vertices, and by
-# the unskipped splitter (tests/split_oracle.py); pins the enumeration's work
-SPLIT_CHILDREN_PINS = {"_vertex_splits": 2136, "all_vertex_splits": 5587}
+# the oracle splitter (tests/split_oracle.py), which drops none by rank; pins
+# the enumeration's work (2,136 for _vertex_splits when only whole split
+# vertices were skipped)
+SPLIT_CHILDREN_PINS = {"_vertex_splits": 1024, "all_vertex_splits": 5587}
 # and by _vertex_splits given each parent's automorphisms, as the enumeration
-# calls it: one split per orbit
-ORBIT_SPLIT_CHILDREN_PIN = 995
+# calls it: one split per orbit (995 when only whole split vertices were skipped)
+ORBIT_SPLIT_CHILDREN_PIN = 454
 
 
 def test_split_children_counted():
