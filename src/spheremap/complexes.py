@@ -874,12 +874,14 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     cell's place, refined in synchronous rounds until a round splits no
     cell: a round re-sorts every cell by signatures over the colors at its
     start, and a cell's parts take its place, in signature order, each
-    keeping its members' order.  The root is one cell holding every
-    vertex; with every color equal, a signature is one equal int per facet
-    around the vertex, so the first round splits that cell by vertex
-    degree, in increasing degree.  Individualizing a vertex moves it to a
-    new last cell, above every other, not to the front of its cell: the
-    order of the cells decides the labels, so the key depends on it.
+    keeping its members' order.  The root is the degree cells: the
+    vertices grouped by the number of facets around them, in increasing
+    degree, each group in index order.  That is the partition a first round
+    would make of one cell holding every vertex, where with every color
+    equal a signature is one equal int per facet around the vertex; with
+    every degree equal it is that one cell.  Individualizing a vertex moves
+    it to a new last cell, above every other, not to the front of its cell:
+    the order of the cells decides the labels, so the key depends on it.
 
     A vertex's signature is, per facet around it, the sorted colors of the
     facet's other vertices, these n-tuples sorted.  Each tuple enters as one
@@ -919,16 +921,16 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     # the facets in vertex indices, mapped in one pass and regrouped by n + 1
     flat = iter(map(index.__getitem__, chain.from_iterable(complex.facets)))
     facets_idx = list(zip(*[flat] * (n + 1)))
-    # per vertex, the other vertices of each facet containing it
-    others: list[list[tuple[int, ...]]] = [[] for _ in verts]
-    for f in facets_idx:
-        # combinations leave out the last vertex first
-        for vi, o in zip(reversed(f), combinations(f, n)):
-            others[vi].append(o)
-
+    # per vertex, the other vertices of each facet containing it;
     # coder(colors)(vi): per facet around vi, one int ordered as the sorted
     # colors of the facet's other vertices are
+    others: list[list[tuple[int, ...]]] = [[] for _ in verts]
     if n == 2:
+        for a, b, c in facets_idx:
+            others[a].append((b, c))
+            others[b].append((a, c))
+            others[c].append((a, b))
+
         def coder(colors: list[int]) -> Callable[[int], list[int]]:
             # the colors p <= q of the pair read as p * nv + q
             return lambda vi: [
@@ -936,6 +938,10 @@ def canonical_form(complex: Complex) -> CanonicalForm:
                 for a, b in others[vi] for x in (colors[a],) for y in (colors[b],)
             ]
     else:
+        for f in facets_idx:
+            # combinations leave out the last vertex first
+            for vi, o in zip(reversed(f), combinations(f, n)):
+                others[vi].append(o)
         weight_of = _color_weights(n, nv)
 
         def coder(colors: list[int]) -> Callable[[int], list[int]]:
@@ -997,8 +1003,12 @@ def canonical_form(complex: Complex) -> CanonicalForm:
             descend(cells[:t] + [rest] + cells[t + 1:] + [[vi]], path + [vi])
             explored.add(vi)
 
-    # the root: one cell, which the first round splits by vertex degree
-    descend([list(range(nv))], [])
+    # the root: the degree cells, in increasing degree, each in index order,
+    # as a first round would split one cell holding every vertex
+    by_degree: dict[int, list[int]] = {}
+    for vi, o in enumerate(others):
+        by_degree.setdefault(len(o), []).append(vi)
+    descend([by_degree[k] for k in sorted(by_degree)], [])
     del descend  # it holds itself: free the search state without the cyclic GC
     relabeled, colors = best[0]
     template = "|".join([",".join(["{}"] * (n + 1))] * len(relabeled))

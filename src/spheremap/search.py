@@ -168,13 +168,34 @@ Rotation = dict[int, tuple[int, ...]]
 
 
 def _rotation(K: Complex) -> Rotation:
-    """Each vertex's link cycle, all turning the same way under orient(K):
-    w follows u around x exactly when (x, u, w) is a positive facet."""
+    """Each vertex's link cycle, all turning the way orient(K) turns them:
+    w follows u around x exactly when (x, u, w) is a positive facet.  K
+    must be a 2-sphere.
+
+    One walk over K's edges gives the cycles orient would: K.facets[0],
+    (a, b, c), is placed as the positive triangle, as orient's sign +1 on
+    it places it, and the triangle across each edge of a placed triangle
+    is placed in the opposite sense, which is orient's coherence.  Each
+    cycle starts at its smallest neighbour.  Nothing is cached on K."""
+    across: dict[tuple[int, int], list[int]] = {}  # edge -> its two opposite vertices
+    for a, b, c in K.facets:
+        across.setdefault((a, b), []).append(c)
+        across.setdefault((a, c), []).append(b)
+        across.setdefault((b, c), []).append(a)
     after: dict[int, dict[int, int]] = {x: {} for x in K.vertices}
-    for (a, b, c), sign in zip(K.facets, orient(K).signs):
-        if sign < 0:
-            b, c = c, b
-        after[a][b], after[b][c], after[c][a] = c, a, b
+    a, b, c = K.facets[0]
+    after[a][b], after[b][c], after[c][a] = c, a, b
+    placed = [(a, b, c)]
+    while placed:
+        x, y, z = placed.pop()
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+            if p in after[q]:  # the triangle (q, p, w) across {p, q} is placed
+                continue
+            u, w = across[(p, q) if p < q else (q, p)]
+            if w == r:
+                w = u
+            after[q][p], after[p][w], after[w][q] = w, q, p
+            placed.append((q, p, w))
     rotation = {}
     for x, nxt in after.items():
         cycle = [min(nxt)]

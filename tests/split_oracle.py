@@ -7,15 +7,35 @@ rank.
 children it yields that the canonical-edge rule keeps must be exactly
 those kept from this one, in the same order, given the same
 automorphisms.  Kept as the differential oracle for that rule.
+
+``orient_rotation`` reads the rotation system off ``orient``'s coherent
+signs.  Kept as the differential oracle for ``_rotation``'s edge walk.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from spheremap import Complex
+from spheremap import Complex, orient
 from spheremap.complexes import _orbit
 from spheremap.search import _rotation, _split_image
+
+
+def orient_rotation(K: Complex) -> dict[int, tuple[int, ...]]:
+    """Each vertex's link cycle, all turning the same way under orient(K):
+    w follows u around x exactly when (x, u, w) is a positive facet."""
+    after: dict[int, dict[int, int]] = {x: {} for x in K.vertices}
+    for (a, b, c), sign in zip(K.facets, orient(K).signs):
+        if sign < 0:
+            b, c = c, b
+        after[a][b], after[b][c], after[c][a] = c, a, b
+    rotation = {}
+    for x, nxt in after.items():
+        cycle = [min(nxt)]
+        while nxt[cycle[-1]] != cycle[0]:
+            cycle.append(nxt[cycle[-1]])
+        rotation[x] = tuple(cycle)
+    return rotation
 
 
 def all_vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):

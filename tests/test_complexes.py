@@ -64,6 +64,28 @@ OCTAHEDRON = [
     (6, 2, 3), (6, 3, 4), (6, 4, 5), (6, 2, 5),
 ]
 
+# apex 1, upper ring 2..6, lower ring 7..11, apex 12: every vertex in 5 facets
+ICOSAHEDRON = [
+    f
+    for i in range(5)
+    for u, u0, w, w0 in [(2 + i, 2 + (i - 1) % 5, 7 + i, 7 + (i - 1) % 5)]
+    for f in ((1, u, u0), (u, u0, w), (w, w0, u0), (12, w, w0))
+]
+
+# the boundary of the cyclic 4-polytope on 8 vertices, by Gale's evenness
+# condition: every vertex in 10 facets
+CYCLIC_8_4 = [
+    f
+    for f in combinations(range(1, 9), 4)
+    if all(
+        sum(a < x < b for x in f) % 2 == 0
+        for a, b in combinations(sorted(set(range(1, 9)) - set(f)), 2)
+    )
+]
+
+# vertex i lies in 7 - i facets: the degree partition is discrete
+DISTINCT_DEGREES = [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (2, 3, 4)]
+
 
 def cycle(v):
     return build_complex([(i, i % v + 1) for i in range(1, v + 1)])
@@ -953,6 +975,26 @@ def canonical_oracle_corpus():
     c8, c5 = cycle(8).facets, cycle(5).facets
     yield relabeled_copy(build_complex(suspension(c8)), rng)
     yield relabeled_copy(build_complex([f + tuple(v + 5 for v in g) for f in c5 for g in c5]), rng)
+    # refinement starts from the degree cells: one cell on the icosahedron
+    # and on the cyclic 3-sphere, a discrete partition on the last
+    for facets in (ICOSAHEDRON, CYCLIC_8_4, DISTINCT_DEGREES):
+        yield relabeled_copy(build_complex(facets), rng)
+
+
+def test_canonical_oracle_corpus_generators_pinned():
+    # the oracle comparison leaves out which generators are recorded: one
+    # SHA-256 over key, relabeling and generators of every corpus complex,
+    # dimensions 0 to 5, recorded with the canonical_form whose root was one
+    # cell that a first round split by degree
+    digest, count = hashlib.sha256(), 0
+    for K in canonical_oracle_corpus():
+        cf = canonical_form(K)
+        digest.update(repr((cf.key, sorted(cf.relabeling.items()), cf.automorphisms)).encode())
+        count += 1
+    assert count == 644
+    assert digest.hexdigest() == (
+        "3170cd9d61a583f9e115b40bdfdac329373260dce50b5bacba2d659d0c87af8f"
+    )
 
 
 def test_canonical_form_matches_unpruned_oracle():

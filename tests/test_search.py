@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spheremap.search
 from spheremap.search import (
@@ -15,9 +17,10 @@ from spheremap.search import (
 )
 from canonical_oracle import group_order
 from planar_code_oracle import new_edge_is_canonical, planar_code
-from split_oracle import all_vertex_splits
+from split_oracle import all_vertex_splits, orient_rotation
 from spheremap import (
     BudgetExceeded,
+    Complex,
     InvalidDimension,
     MAX_CIRCLE_VERTICES,
     MAX_SPLIT_VERTICES,
@@ -180,6 +183,37 @@ def test_split_key_matches_mirror_images():
     assert accepted_keys(rotation) == accepted_keys(mirror)
     assert all(any(map(new_edge_is_canonical, split_children_of(r))) for r in (rotation, mirror))
     assert _rotation_complex(mirror) == K
+
+
+ROTATION_CLASSES = [cf.canonical for v in range(4, 11) for cf in _sphere_classes(v)]
+
+
+def assert_rotation_matches_orient(K):
+    # a fresh copy, so nothing cached on K by another test is read; the
+    # walk caches none of orient's work on it
+    K = Complex(2, K.facets)
+    rotation = _rotation(K)
+    assert not {"orientation", "closedness", "_walk", "_ridges"} & set(vars(K))
+    # the same cycles, in the same vertex order
+    assert list(rotation.items()) == list(orient_rotation(K).items()), K.facets
+
+
+def test_rotation_matches_orient():
+    assert len(ROTATION_CLASSES) == 306
+    spheres = ROTATION_CLASSES + [OCTAHEDRON] + [
+        construct(2, d).labeled.complex for d in range(-7, 8) if d
+    ]
+    for K in spheres:
+        assert_rotation_matches_orient(K)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(K=st.sampled_from(ROTATION_CLASSES), data=st.data())
+def test_rotation_matches_orient_when_relabeled(K, data):
+    size = len(K.vertices)
+    ids = data.draw(st.lists(st.integers(1, 99), min_size=size, max_size=size, unique=True))
+    m = dict(zip(K.vertices, ids))
+    assert_rotation_matches_orient(build_complex([tuple(m[v] for v in f) for f in K.facets]))
 
 
 def test_split_vertex_skip_keeps_every_kept_child(monkeypatch):
