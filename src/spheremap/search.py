@@ -19,10 +19,16 @@ contractible in the child, and the split is dropped when one of them
 outranks the new edge there on degrees alone; a split vertex whose every
 split is so dropped is skipped whole.  So most children the rank drops
 are never built (541 of 995 to v = 10 are not).  Kept children are
-pairwise non-isomorphic, so each class's canonical form is computed once
-it is kept, giving its representative, its place in the class order and
-its automorphisms; the few children still tied in rank and then dropped
-cost one canonical form each (190 up to v = 12, against 9,149 kept).
+pairwise non-isomorphic, one per class, and come from one generator
+(``_kept_children``).  ``_sphere_classes`` computes each kept child's
+canonical form, giving its representative, its place in the class order
+and its automorphisms; the few children still tied in rank and then
+dropped cost one canonical form each (190 up to v = 12, against 9,149
+kept).  A table row needs only whether some sphere on v vertices has a
+coloring, so ``lambda_table`` searches the kept children as they are
+generated and builds no class list at the count it scans
+(``_lambda_value``), while ``lambda_search`` reports the first witness
+in class order.
 
 One pass plans the vertex order and each facet's closing (last) vertex;
 a depth-first loop over a trail of per-vertex frames, with no recursion,
@@ -39,8 +45,9 @@ reductions never lose witnesses:
   every accepted degree D, sum_t |D - s_t| over the targets' signed sums
   s_t exceeds the number of live facets.
 
-enumerate_spheres caps v, and lambda_search v_max, at MAX_SPLIT_VERTICES
-for 2-spheres and at MAX_CIRCLE_VERTICES for circles.
+enumerate_spheres caps v, and lambda_search and a table row's scan cap
+v_max, at MAX_SPLIT_VERTICES for 2-spheres and at MAX_CIRCLE_VERTICES for
+circles.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from itertools import chain
 from .complexes import (
     CanonicalForm,
     Complex,
+    OrientedComplex,
     _is_int,
     _orbit,
     _Record,
@@ -146,22 +154,33 @@ class _SphereClass(_Record):
 
 @lru_cache(maxsize=None)
 def _sphere_classes(v: int) -> tuple[_SphereClass, ...]:
-    """The 2-sphere classes on v vertices, in canonical key order.  Each
-    kept child is a class not met before: parents are split once per orbit
-    of their automorphisms (``_vertex_splits``)."""
-    if v == 4:
-        tetra = canonical_form(build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]))
-        return (_SphereClass(tetra.canonical, tetra.automorphisms),)
+    """The 2-sphere classes on v vertices, in canonical key order: the kept
+    children on v (``_kept_children``), each under its canonical form."""
     classes: dict[bytes, _SphereClass] = {}
+    for K, cf in _kept_children(v):
+        if cf is None:
+            cf = canonical_form(K)
+        if cf.key in classes:
+            raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
+        classes[cf.key] = _SphereClass(cf.canonical, cf.automorphisms)
+    return tuple(classes[k] for k in sorted(classes))
+
+
+def _kept_children(v: int):
+    """The 2-spheres on v vertices, one per class, in generation order: on
+    4 vertices the tetrahedron, and above that each class on v - 1 vertices
+    in key order, split once per orbit of its automorphisms
+    (``_vertex_splits``), with the children whose new edge is canonical
+    (``_canonical_child``).  Each is yielded as (complex, canonical form or
+    None), the form only when the canonical-edge test needed one."""
+    if v == 4:
+        yield build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]), None
+        return
     for parent in _sphere_classes(v - 1):
         for child in _vertex_splits(parent.canonical, parent.automorphisms):
-            cf = _canonical_child(child)
-            if cf is None:
-                continue
-            if cf.key in classes:
-                raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
-            classes[cf.key] = _SphereClass(cf.canonical, cf.automorphisms)
-    return tuple(classes[k] for k in sorted(classes))
+            kept = _canonical_child(child)
+            if kept is not None:
+                yield kept
 
 
 Rotation = dict[int, tuple[int, ...]]
@@ -347,9 +366,9 @@ def _outranked(
     return False
 
 
-def _canonical_child(rotation: Rotation) -> CanonicalForm | None:
-    """The canonical form of a split child whose new edge is canonical, or
-    None when the new edge is not.
+def _canonical_child(rotation: Rotation) -> tuple[Complex, CanonicalForm | None] | None:
+    """A split child whose new edge is canonical, as (complex, canonical
+    form or None), or None when the new edge is not.
 
     In a split child the new vertex is the largest id, and the split vertex
     z closes its cycle.  An edge {a, b} is contractible when a and b have
@@ -363,15 +382,15 @@ def _canonical_child(rotation: Rotation) -> CanonicalForm | None:
     one whose sorted pair of canonical labels is smallest, and the child is
     kept when its new edge lies in that edge's orbit under the recorded
     automorphisms; with no rival left the new edge is the canonical edge,
-    and no orbit is computed.  The rank, with its tie-break, is an
-    invariant, so the labels pick the canonical edge in the canonical
-    complex alone, and two canonical labelings of one child differ by an
-    automorphism of it: whether the new edge lies in that orbit is an
-    isomorphism invariant.  Every contractible edge of a class at v+1
-    contracts to a class at v, and splitting that class's representative
-    at the matching link pair gives the child back with that edge as
-    {z, new}, so every class is kept at least once (McKay's canonical
-    construction path, J. Algorithms 26, 1998).
+    and neither the canonical form nor an orbit is computed.  The rank,
+    with its tie-break, is an invariant, so the labels pick the canonical
+    edge in the canonical complex alone, and two canonical labelings of one
+    child differ by an automorphism of it: whether the new edge lies in
+    that orbit is an isomorphism invariant.  Every contractible edge of a
+    class at v+1 contracts to a class at v, and splitting that class's
+    representative at the matching link pair gives the child back with
+    that edge as {z, new}, so every class is kept at least once (McKay's
+    canonical construction path, J. Algorithms 26, 1998).
     """
     deg = {x: len(cycle) for x, cycle in rotation.items()}
     new = max(rotation)
@@ -407,12 +426,13 @@ def _canonical_child(rotation: Rotation) -> CanonicalForm | None:
             if theirs == mine_around:
                 tied.append((a, b))
         rivals = tied
-    cf = canonical_form(_rotation_complex(rotation))
+    K = _rotation_complex(rotation)
     if not rivals:
-        return cf
+        return K, None
+    cf = canonical_form(K)
     label = cf.relabeling
     edges = [tuple(sorted((label[a], label[b]))) for a, b in [(z, new), *rivals]]
-    return cf if edges[0] in _orbit(min(edges), cf.automorphisms, _edge_image) else None
+    return (K, cf) if edges[0] in _orbit(min(edges), cf.automorphisms, _edge_image) else None
 
 
 def _edge_image(g: dict[int, int], edge: tuple[int, int]) -> tuple[int, int]:
@@ -455,16 +475,17 @@ def _search_plan(K: Complex) -> tuple[list[int], dict[int, list[tuple[int, bool]
     return list(plan), plan
 
 
-def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
-    """First degree-d coloring in canonical scan order, or None.
+def _search_labelings(oriented: OrientedComplex, d: int) -> tuple[Labeling | None, int]:
+    """First degree-d coloring of the oriented sphere in canonical scan
+    order, or None.
 
     Returns (witness, partial colorings examined).  Complete with respect
     to the reductions in the module docstring: a coloring of degree d
     exists iff this scan returns one.
     """
+    K, eps = oriented.base, oriented.signs
     ncolors = K.dimension + 2
     colors = range(1, ncolors + 1)
-    eps = orient(K).signs
     order, plan = _search_plan(K)
     state = [0] * len(K.facets)  # bit mask of placed colors, or _DEGENERATE
     sums = [0] * (ncolors + 1)  # signed sum of the closed facets over each target
@@ -515,7 +536,7 @@ def _search_labelings(K: Complex, d: int) -> tuple[Labeling | None, int]:
 def exists_labeling(K: Complex, d: int) -> Labeling | None:
     """Witness coloring of degree exactly d, or None if none exists."""
     _check_ints(d=d)
-    return _search_labelings(K, d)[0]
+    return _search_labelings(orient(K), d)[0]
 
 
 class LambdaResult(_Record):
@@ -553,33 +574,50 @@ class LambdaResult(_Record):
         return "found" if self.found else "NotFoundWithinBudget"
 
 
-def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
-    """Smallest vertex count admitting a degree-d coloring, up to v_max.
-
-    Scans vertex counts upward, streaming every isomorphism class at each
-    count; the reported witness is the first in deterministic enumeration
-    order.  A degree-d coloring needs (n+2)|d| nondegenerate facets, so
-    counts with fewer facets (v for a circle, 2v - 4 for a 2-sphere) are
-    skipped unexamined.
-    """
+def _search_sizes(n: int, d: int, v_max: int) -> range:
+    """The vertex counts a search for degree d scans, up to v_max, once n,
+    d and v_max are checked.  A degree-d coloring needs (n+2)|d|
+    nondegenerate facets, so counts with fewer facets (v for a circle,
+    2v - 4 for a 2-sphere) are left out."""
     _check_ints(n=n, d=d, v_max=v_max)
     if n not in (1, 2):
         raise UnsupportedDimension(f"search covers n in {{1, 2}}, got {_shown(n)}")
     cap = MAX_CIRCLE_VERTICES if n == 1 else MAX_SPLIT_VERTICES
     if v_max > cap:
         raise BudgetExceeded(f"v_max {_shown(v_max)} above the n={n} guard ({cap})")
+    smallest = 3 * abs(d) if n == 1 else 2 * abs(d) + 2
+    return range(max(n + 2, smallest), v_max + 1)
+
+
+def _checked_witness(oriented: OrientedComplex, coloring: Labeling, d: int) -> LabeledSphere:
+    """The search's coloring as a labeled sphere, once the degree engine
+    confirms degree d."""
+    witness = labeled_sphere(oriented, coloring)
+    if degree(witness).degree != d:
+        raise SpheremapError(f"search witness does not have degree {d}")
+    return witness
+
+
+def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
+    """Smallest vertex count admitting a degree-d coloring, up to v_max.
+
+    Scans vertex counts upward, streaming every isomorphism class at each
+    count; the reported witness is the first in deterministic enumeration
+    order.  Counts with fewer than (n+2)|d| facets are skipped unexamined
+    (``_search_sizes``).
+    """
     triangulations = labelings = 0
     witness = None
-    smallest = 3 * abs(d) if n == 1 else 2 * abs(d) + 2
-    sizes = range(max(n + 2, smallest), v_max + 1)
+    sizes = _search_sizes(n, d, v_max)
     for K in chain.from_iterable(enumerate_spheres(n, v) for v in sizes):
-        coloring, nodes = _search_labelings(K, d)
+        # orient caches its work on the complex it is given; a copy keeps it
+        # off K, which may be a class representative the enumeration holds
+        oriented = orient(Complex(K.dimension, K.facets))
+        coloring, nodes = _search_labelings(oriented, d)
         triangulations += 1
         labelings += nodes
         if coloring is not None:
-            witness = labeled_sphere(orient(K), coloring)
-            if degree(witness).degree != d:
-                raise SpheremapError(f"search witness does not have degree {d}")
+            witness = _checked_witness(oriented, coloring, d)
             break
     return LambdaResult(
         n=n,
@@ -590,6 +628,27 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
         triangulations_examined=triangulations,
         labelings_examined=labelings,
     )
+
+
+def _lambda_value(n: int, d: int, v_max: int) -> int | None:
+    """``lambda_search(n, d, v_max).lambda_value``, decided by existence.
+
+    The value is the least v at which some sphere has a degree-d coloring,
+    so no class order is needed.  For 2-spheres each v's kept children
+    (``_kept_children``) are searched as they are generated, with no class
+    list and no canonical form at v beyond the few the canonical-edge test
+    needs; the scan stops at the first coloring, which the degree engine
+    re-checks.  The kept children are the classes on v, each once, and the
+    labeling search is complete on each, so the value is lambda_search's.
+    """
+    for v in _search_sizes(n, d, v_max):
+        spheres = enumerate_spheres(1, v) if n == 1 else (K for K, _ in _kept_children(v))
+        for K in spheres:  # each built for this scan alone
+            oriented = orient(K)
+            if (coloring := _search_labelings(oriented, d)[0]) is not None:
+                _checked_witness(oriented, coloring, d)
+                return v
+    return None
 
 
 def known_lambda(n: int, d: int) -> tuple[int, str] | None:
@@ -675,9 +734,12 @@ def lambda_table(requests) -> LambdaTable:
 
     Each request is {"n": int, "d": int, "v_max": optional int}; any other
     request raises ValidationError.  With a v_max and n in {1, 2} the entry
-    is computed by exhaustive search; otherwise a closed form is used when
-    one exists, and the construct generator's vertex count is reported as
-    an upper bound when not.
+    is computed by exhaustive search: an existence scan in generation order
+    (``_lambda_value``), which gives lambda_search's value under the same
+    checks and caps but, for 2-spheres, builds no class list at the vertex
+    count it scans.  Otherwise a closed form is used when one exists, and
+    the construct generator's vertex count is reported as an upper bound
+    when not.
     """
     rows = []
     for req in requests:
@@ -701,7 +763,7 @@ def lambda_table(requests) -> LambdaTable:
             raise ValidationError("table row n and d must have at most 100 digits")
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
-            value = lambda_search(n, d, v_max).lambda_value
+            value = _lambda_value(n, d, v_max)
             status, note = (
                 ("exact_search", f"exhaustive search to v_max={v_max}")
                 if value is not None

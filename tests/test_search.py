@@ -115,8 +115,11 @@ def test_enumerated_classes_are_pinned():
 def accepted_key(child):
     """The canonical key of a child kept by the canonical-edge rule, or
     None."""
-    cf = _canonical_child(child)
-    return None if cf is None else cf.key
+    kept = _canonical_child(child)
+    if kept is None:
+        return None
+    K, cf = kept
+    return (canonical_form(K) if cf is None else cf).key
 
 
 def normalized(rotation):
@@ -263,6 +266,35 @@ def test_cold_enumeration_canonical_forms_counted(monkeypatch):
         _sphere_classes.cache_clear()
     assert counts == [1, 1, 2, 5, 14, 50, 233]
     assert len(calls) == CANONICAL_FORMS_TO_V10
+
+
+# canonical forms a cold table row (2, 4, 10) computes: one per class up to
+# v = 9 and the few children on 10 vertices still tied in rank, of the 25
+# kept children built on 10 vertices before the 17th has a coloring
+CANONICAL_FORMS_FOR_TABLE_ROW_2_4_10 = 82
+
+
+def test_cold_table_row_builds_no_class_list_at_its_top_count(monkeypatch):
+    calls, listed = [], []
+
+    def counted(K):
+        calls.append(K)
+        return canonical_form(K)
+
+    def classes(v):
+        listed.append(v)
+        return _sphere_classes(v)
+
+    monkeypatch.setattr(spheremap.search, "canonical_form", counted)
+    monkeypatch.setattr(spheremap.search, "_sphere_classes", classes)
+    _sphere_classes.cache_clear()
+    try:
+        row = lambda_table([{"n": 2, "d": 4, "v_max": 10}]).rows[0]
+    finally:
+        _sphere_classes.cache_clear()
+    assert (row.lambda_value, row.status) == (10, "exact_search")
+    assert max(listed) == 9
+    assert len(calls) == CANONICAL_FORMS_FOR_TABLE_ROW_2_4_10 < CANONICAL_FORMS_TO_V10
 
 
 def test_rank_tie_settled_on_neighbour_degrees(monkeypatch):
@@ -530,14 +562,34 @@ def test_witnesses_are_stable():
 
 
 def test_lambda_search_rejects_wrong_witness(monkeypatch):
-    # a coloring whose degree is not d must raise, also under python -O
+    # a coloring whose degree is not d must raise, also under python -O,
+    # in the search and in a table row's existence scan
     monkeypatch.setattr(
         spheremap.search,
         "_search_labelings",
-        lambda K, d: ({v: 1 for v in K.vertices}, 1),
+        lambda oriented, d: ({v: 1 for v in oriented.vertices}, 1),
     )
     with pytest.raises(SpheremapError, match="does not have degree 2"):
         lambda_search(2, 2, 8)
+    with pytest.raises(SpheremapError, match="does not have degree 2"):
+        lambda_table([{"n": 2, "d": 2, "v_max": 8}])
+
+
+def test_searches_cache_no_orientation_on_classes():
+    # the labeling search and the witness orient copies, so the class
+    # representatives the enumeration keeps hold no orientation work
+    _sphere_classes.cache_clear()
+    try:
+        for n, d, v_max in ((2, 2, 8), (2, 3, 9), (2, -4, 10), (2, 0, 6)):
+            assert lambda_search(n, d, v_max).found
+        held = [
+            sorted({"orientation", "closedness", "_walk", "_ridges"} & set(vars(cf.canonical)))
+            for v in range(4, 11)
+            for cf in _sphere_classes(v)
+        ]
+    finally:
+        _sphere_classes.cache_clear()
+    assert len(held) == 306 and not any(held)
 
 
 def test_lambda_guards():
@@ -649,6 +701,21 @@ def test_lambda_table_names_rows_too_long_to_print():
         with pytest.raises(ValidationError) as info:
             lambda_table([row])
         assert message in str(info.value)
+
+
+def test_lambda_table_search_rows_match_lambda_search():
+    # the table's existence scan in generation order gives the value of the
+    # search over classes in key order, found or not
+    rows = [
+        (n, d, v_max)
+        for n, budgets in ((1, (30,)), (2, (6, 9, 11)))
+        for v_max in budgets
+        for d in range(-7, 8)
+    ]
+    table = lambda_table([{"n": n, "d": d, "v_max": v_max} for n, d, v_max in rows])
+    got = [row.lambda_value for row in table.rows]
+    assert got == [lambda_search(*row).lambda_value for row in rows]
+    assert got.count(None) == 26
 
 
 def test_lambda_table_search_row_for_degree_four():
