@@ -30,6 +30,21 @@ generated and builds no class list at the count it scans
 (``_lambda_value``), while ``lambda_search`` reports the first witness
 in class order.
 
+That scan also generates only the 2-spheres that can carry a degree-d
+coloring, d != 0.  Call a vertex off when its degree is not a multiple of
+3.  (i) A 2-sphere on v vertices with such a coloring has at most 3S
+off-vertices, S = 2v - 4 - 4|d|: S = 2N + G over its N facets of the
+sign opposite to d's and its G degenerate facets, and a vertex on none of
+them has a link that winds round a triangle of colors, so a degree that
+is a multiple of 3 (``_lambda_value``).  (ii) Contracting a child's new
+edge changes the degrees of z, c_i and c_j alone, so a class with m
+off-vertices has its canonical parent among the classes with at most
+m + 3 (``_kept_children``).  So the scan at v takes room 3S, streams its
+parents with room 3S + 3, theirs with 3S + 6 and so on, until the room
+covers every class and the cached class list is used, and drops each
+split whose child has too many off-vertices before building it
+(``_vertex_splits``).  Neither bound loses a witness.
+
 One pass plans the vertex order and each facet's closing (last) vertex;
 a depth-first loop over a trail of per-vertex frames, with no recursion,
 colors the vertices in that order with one state per facet: the bit mask
@@ -156,28 +171,57 @@ class _SphereClass(_Record):
 def _sphere_classes(v: int) -> tuple[_SphereClass, ...]:
     """The 2-sphere classes on v vertices, in canonical key order: the kept
     children on v (``_kept_children``), each under its canonical form."""
-    classes: dict[bytes, _SphereClass] = {}
-    for K, cf in _kept_children(v):
-        if cf is None:
-            cf = canonical_form(K)
-        if cf.key in classes:
-            raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
-        classes[cf.key] = _SphereClass(cf.canonical, cf.automorphisms)
+    classes = dict(_classes(v))
     return tuple(classes[k] for k in sorted(classes))
 
 
-def _kept_children(v: int):
+def _classes(v: int, room: int | None = None):
+    """(canonical key, class) for each kept child of ``_kept_children(v,
+    room)``, in generation order, each under its canonical form; raises
+    SpheremapError if two of them share one."""
+    keys: set[bytes] = set()
+    for K, cf in _kept_children(v, room):
+        if cf is None:
+            cf = canonical_form(K)
+        if cf.key in keys:
+            raise SpheremapError(f"two planar classes on {v} vertices share a canonical form")
+        keys.add(cf.key)
+        yield cf.key, _SphereClass(cf.canonical, cf.automorphisms)
+
+
+def _kept_children(v: int, room: int | None = None):
     """The 2-spheres on v vertices, one per class, in generation order: on
     4 vertices the tetrahedron, and above that each class on v - 1 vertices
-    in key order, split once per orbit of its automorphisms
-    (``_vertex_splits``), with the children whose new edge is canonical
-    (``_canonical_child``).  Each is yielded as (complex, canonical form or
-    None), the form only when the canonical-edge test needed one."""
+    split once per orbit of its automorphisms (``_vertex_splits``), with
+    the children whose new edge is canonical (``_canonical_child``).  Each
+    is yielded as (complex, canonical form or None), the form only when
+    the canonical-edge test needed one.
+
+    With a ``room``, only the classes with at most ``room`` off-vertices
+    (vertices whose degree is not a multiple of 3) are yielded, each once.
+    Contracting a child's new edge {z, new} changes the degrees of z, c_i
+    and c_j alone (z's becomes deg z + deg new - 4, the two common
+    neighbours' drop by one), so a class with m off-vertices has its
+    canonical parent among the classes with at most m + 3.  The parents
+    are therefore those of ``_kept_children(v - 1, room + 3)``, in
+    generation order, and the splits whose child has more than ``room``
+    off-vertices are dropped before their child is built.  A sphere on
+    v - 1 vertices has at most v - 1 off-vertices, so once room + 3 >=
+    v - 1 the parents are every class, ``_sphere_classes(v - 1)`` in key
+    order.  Without a room every class on v is yielded."""
     if v == 4:
         yield build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]), None
         return
-    for parent in _sphere_classes(v - 1):
-        for child in _vertex_splits(parent.canonical, parent.automorphisms):
+    if room is None or room + 3 >= v - 1:
+        parents = _sphere_classes(v - 1)
+    else:
+        parents = (parent for _, parent in _classes(v - 1, room + 3))
+    for parent in parents:
+        if room is None:
+            children = _vertex_splits(parent.canonical, parent.automorphisms)
+        else:
+            children = _vertex_splits(parent.canonical, parent.automorphisms, room)
+        for child in children:
             kept = _canonical_child(child)
             if kept is not None:
                 yield kept
@@ -235,7 +279,9 @@ def _rotation_complex(rotation: Rotation) -> Complex:
     return Complex(2, tuple(sorted(facets)))
 
 
-def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
+def _vertex_splits(
+    K: Complex, automorphisms: tuple[dict[int, int], ...] = (), room: int | None = None
+):
     """The rotation of the single-vertex splits of a triangulated 2-sphere,
     one per orbit of the given automorphisms of K.
 
@@ -289,10 +335,20 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
     contractibility, which automorphisms keep, so it drops whole orbits:
     the kept children, their order and their canonical forms are those of
     splitting every orbit.
+
+    With a ``room``, a split is also dropped, before its child is built,
+    when that child has more than ``room`` off-vertices (vertices whose
+    degree is not a multiple of 3).  Only four degrees differ from K's:
+    z's becomes j - i + 2, the new vertex's k - j + i + 2, and c_i's and
+    c_j's rise by one, so the count is K's, corrected at those vertices,
+    in O(1).  Degrees are kept by automorphisms, so this rule too drops
+    whole orbits and leaves every other split's child as it was.
     """
     rotation = _rotation(K)
     deg = {x: len(cycle) for x, cycle in rotation.items()}
     seen: set[tuple[int, int, int]] = set()  # orbits of the splits yielded
+    if room is not None:
+        off = sum(k % 3 != 0 for k in deg.values())  # K's off-vertices
     new = max(rotation) + 1
     # contractible edges as (degree sum, min degree, a, b), lowest first
     contractible = sorted(
@@ -312,13 +368,24 @@ def _vertex_splits(K: Complex, automorphisms: tuple[dict[int, int], ...] = ()):
                 staying.append(edge)
         if _outranked(staying, deg, (k + 4, 3), cycle):
             continue
+        if room is not None:
+            # the off-vertices a child may add once z's own is gone, and the
+            # change at each c_t as its degree rises by one
+            spare = room - off + (k % 3 != 0)
+            gain = [((deg[c] + 1) % 3 != 0) - (deg[c] % 3 != 0) for c in cycle]
         moved = None
         for i in range(k):
             for j in range(i + 1, k):
                 ci, cj = cycle[i], cycle[j]
                 split = (z, ci, cj) if ci < cj else (z, cj, ci)
+                if split in seen or room is not None and (
+                    # z and new have degrees j - i + 2 and k - j + i + 2
+                    gain[i] + gain[j] + ((j - i + 2) % 3 != 0) + ((k - j + i + 2) % 3 != 0)
+                    > spare
+                ):
+                    continue
                 rank = (k + 4, min(j - i, k - j + i) + 2)
-                if split in seen or _outranked(staying, deg, rank, split[1:]):
+                if _outranked(staying, deg, rank, split[1:]):
                     continue
                 seen |= _orbit(split, automorphisms, _split_image)
                 if moved is None:
@@ -638,11 +705,28 @@ def _lambda_value(n: int, d: int, v_max: int) -> int | None:
     (``_kept_children``) are searched as they are generated, with no class
     list and no canonical form at v beyond the few the canonical-edge test
     needs; the scan stops at the first coloring, which the degree engine
-    re-checks.  The kept children are the classes on v, each once, and the
-    labeling search is complete on each, so the value is lambda_search's.
+    re-checks.  The labeling search is complete on each class, so the
+    value is lambda_search's.
+
+    For d != 0 only the classes that can carry a coloring are generated:
+    a 2-sphere on v vertices with a degree-d coloring has at most 3S
+    off-vertices (degree not a multiple of 3), S = 2v - 4 - 4|d|.  Let N
+    count its facets whose sign is opposite to d's and G its degenerate
+    facets.  Each of the 4 targets sums to d, and each nondegenerate facet
+    lands on one target, so the 2v - 4 facets give 2N + G = S.  A vertex
+    whose every facet is nondegenerate with d's sign has a link whose
+    colors step the same way round the triangle of the three colors it
+    lacks, so its degree is a multiple of 3.  Every off-vertex thus lies on
+    one of the N + G <= S other facets, at most 3 to a facet.  So the scan
+    at v passes room 3S, and the kept children with at most that many
+    off-vertices are every class on v that may have a coloring.
     """
     for v in _search_sizes(n, d, v_max):
-        spheres = enumerate_spheres(1, v) if n == 1 else (K for K, _ in _kept_children(v))
+        if n == 1:
+            spheres = enumerate_spheres(1, v)
+        else:
+            room = None if d == 0 else 3 * (2 * v - 4 - 4 * abs(d))
+            spheres = (K for K, _ in _kept_children(v, room))
         for K in spheres:  # each built for this scan alone
             oriented = orient(K)
             if (coloring := _search_labelings(oriented, d)[0]) is not None:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import spheremap.search
 from spheremap.search import (
     _canonical_child,
+    _kept_children,
     _rotation,
     _rotation_complex,
     _search_plan,
@@ -269,9 +270,10 @@ def test_cold_enumeration_canonical_forms_counted(monkeypatch):
 
 
 # canonical forms a cold table row (2, 4, 10) computes: one per class up to
-# v = 9 and the few children on 10 vertices still tied in rank, of the 25
-# kept children built on 10 vertices before the 17th has a coloring
-CANONICAL_FORMS_FOR_TABLE_ROW_2_4_10 = 82
+# v = 7, one per kept child on 8 and 9 vertices with at most 6 and 3
+# off-vertices (degree not a multiple of 3), and the few children on 10
+# vertices with none still tied in rank
+CANONICAL_FORMS_FOR_TABLE_ROW_2_4_10 = 26
 
 
 def test_cold_table_row_builds_no_class_list_at_its_top_count(monkeypatch):
@@ -293,8 +295,65 @@ def test_cold_table_row_builds_no_class_list_at_its_top_count(monkeypatch):
     finally:
         _sphere_classes.cache_clear()
     assert (row.lambda_value, row.status) == (10, "exact_search")
-    assert max(listed) == 9
+    # room 0 on 10 vertices, so the parents on 9 and 8 are streamed with
+    # rooms 3 and 6, and those on 7 are every class
+    assert max(listed) == 7
     assert len(calls) == CANONICAL_FORMS_FOR_TABLE_ROW_2_4_10 < CANONICAL_FORMS_TO_V10
+
+
+def off_vertices(K):
+    """The vertices of a 2-sphere whose degree is not a multiple of 3."""
+    return sum(len(K.facets_at[x]) % 3 != 0 for x in K.vertices)
+
+
+def test_colorable_classes_have_at_most_3s_off_vertices():
+    # a degree-d coloring (d != 0) on v vertices leaves S = 2v - 4 - 4|d|
+    # facets degenerate or of the sign opposite to d's, and every
+    # off-vertex lies on one of them; the search accepts d and -d alike
+    beyond = 0
+    for v in range(4, 12):
+        for cls in _sphere_classes(v):
+            off = off_vertices(cls.canonical)
+            for d in range(1, (v - 2) // 2 + 1):
+                if off > 3 * (2 * v - 4 - 4 * d):
+                    beyond += 1
+                    assert exists_labeling(Complex(2, cls.canonical.facets), d) is None
+    assert beyond == 944
+
+
+def test_table_scan_passes_room_3s_and_its_parents_room_plus_3(monkeypatch):
+    # the row (2, 2, 12) scans v = 6 (S = 0) and v = 7 (S = 2), where it
+    # finds lambda; the parents on 5 are streamed with room 3, and once the
+    # room covers every sphere on v - 1 the class list on v - 1 is used
+    calls = []
+
+    def recorded(v, room=None):
+        calls.append((v, room))
+        return kept_children(v, room)
+
+    kept_children = spheremap.search._kept_children
+    monkeypatch.setattr(spheremap.search, "_kept_children", recorded)
+    _sphere_classes.cache_clear()
+    try:
+        row = lambda_table([{"n": 2, "d": 2, "v_max": 12}]).rows[0]
+    finally:
+        _sphere_classes.cache_clear()
+    assert row.lambda_value == 7
+    assert calls == [(6, 0), (5, 3), (4, None), (7, 6), (6, None), (5, None)]
+
+
+@pytest.mark.parametrize("room", [0, 3, 6])
+def test_kept_children_with_room_are_the_classes_with_that_many_off_vertices(room):
+    # a class with m off-vertices has its canonical parent among those with
+    # at most m + 3, so streaming the parents with room + 3 loses no class
+    for v in range(4, 12):
+        got = [canonical_form(K).key for K, _ in _kept_children(v, room)]
+        wanted = {
+            canonical_form(cls.canonical).key
+            for cls in _sphere_classes(v)
+            if off_vertices(cls.canonical) <= room
+        }
+        assert len(got) == len(set(got)) and set(got) == wanted
 
 
 def test_rank_tie_settled_on_neighbour_degrees(monkeypatch):
