@@ -24,26 +24,11 @@ pairwise non-isomorphic, one per class, and come from one generator
 canonical form, giving its representative, its place in the class order
 and its automorphisms; the few children still tied in rank and then
 dropped cost one canonical form each (190 up to v = 12, against 9,149
-kept).  A table row needs only whether some sphere on v vertices has a
-coloring, so ``lambda_table`` searches the kept children as they are
-generated and builds no class list at the count it scans
-(``_lambda_value``), while ``lambda_search`` reports the first witness
-in class order.
-
-That scan also generates only the 2-spheres that can carry a degree-d
-coloring, d != 0.  Call a vertex off when its degree is not a multiple of
-3.  (i) A 2-sphere on v vertices with such a coloring has at most 3S
-off-vertices, S = 2v - 4 - 4|d|: S = 2N + G over its N facets of the
-sign opposite to d's and its G degenerate facets, and a vertex on none of
-them has a link that winds round a triangle of colors, so a degree that
-is a multiple of 3 (``_lambda_value``).  (ii) Contracting a child's new
-edge changes the degrees of z, c_i and c_j alone, so a class with m
-off-vertices has its canonical parent among the classes with at most
-m + 3 (``_kept_children``).  So the scan at v takes room 3S, streams its
-parents with room 3S + 3, theirs with 3S + 6 and so on, until the room
-covers every class and the cached class list is used, and drops each
-split whose child has too many off-vertices before building it
-(``_vertex_splits``).  Neither bound loses a witness.
+kept).  One existence scan (``_lambda_scan``) finds the minimum: it
+searches the kept children whose degrees allow a degree-d coloring as
+they are generated, with no class list at the count it scans, and
+``lambda_search`` then lists the classes it kept there in key order to
+report the first witness in class order.
 
 One pass plans the vertex order and each facet's closing (last) vertex;
 a depth-first loop over a trail of per-vertex frames, with no recursion,
@@ -60,9 +45,8 @@ reductions never lose witnesses:
   every accepted degree D, sum_t |D - s_t| over the targets' signed sums
   s_t exceeds the number of live facets.
 
-enumerate_spheres caps v, and lambda_search and a table row's scan cap
-v_max, at MAX_SPLIT_VERTICES for 2-spheres and at MAX_CIRCLE_VERTICES for
-circles.
+enumerate_spheres caps v, and the scan caps v_max, at MAX_SPLIT_VERTICES
+for 2-spheres and at MAX_CIRCLE_VERTICES for circles.
 """
 
 from __future__ import annotations
@@ -607,7 +591,9 @@ def exists_labeling(K: Complex, d: int) -> Labeling | None:
 
 
 class LambdaResult(_Record):
-    """Outcome of a minimal-vertex search up to a budget."""
+    """Outcome of a minimal-vertex search up to a budget.  The counts
+    add up the labeling searches, one per sphere, of the existence scan and
+    of the pick of a witness in class order, and their partial colorings."""
 
     __match_args__ = (
         "n", "d", "v_max", "lambda_value", "witness",
@@ -656,83 +642,93 @@ def _search_sizes(n: int, d: int, v_max: int) -> range:
     return range(max(n + 2, smallest), v_max + 1)
 
 
-def _checked_witness(oriented: OrientedComplex, coloring: Labeling, d: int) -> LabeledSphere:
-    """The search's coloring as a labeled sphere, once the degree engine
-    confirms degree d."""
-    witness = labeled_sphere(oriented, coloring)
-    if degree(witness).degree != d:
-        raise SpheremapError(f"search witness does not have degree {d}")
-    return witness
+def _first_witness(spheres, d: int) -> tuple[LabeledSphere | None, int, int]:
+    """(witness, spheres searched, partial colorings examined) for the
+    first of ``spheres`` with a degree-d coloring, which the degree engine
+    re-checks; the witness is None when none has one.  Each sphere is
+    oriented as it is, so it must be built for this search alone."""
+    searched = labelings = 0
+    for K in spheres:
+        oriented = orient(K)
+        coloring, nodes = _search_labelings(oriented, d)
+        searched += 1
+        labelings += nodes
+        if coloring is not None:
+            witness = labeled_sphere(oriented, coloring)
+            if degree(witness).degree != d:
+                raise SpheremapError(f"search witness does not have degree {d}")
+            return witness, searched, labelings
+    return None, searched, labelings
 
 
 def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
-    """Smallest vertex count admitting a degree-d coloring, up to v_max.
+    """Smallest vertex count admitting a degree-d coloring, up to v_max,
+    with the first witness in class order.
 
-    Scans vertex counts upward, streaming every isomorphism class at each
-    count; the reported witness is the first in deterministic enumeration
-    order.  Counts with fewer than (n+2)|d| facets are skipped unexamined
-    (``_search_sizes``).
+    The existence scan (``_lambda_scan``) finds the count.  For 2-spheres
+    the classes the scan kept there are then listed in canonical key order
+    and searched again.  They hold every class with a coloring, and key
+    order restricted to them keeps their relative order, so the first with
+    a coloring is the first witness in ``enumerate_spheres`` order.  A
+    circle count has one class, whose witness the scan reports.
     """
-    triangulations = labelings = 0
-    witness = None
-    sizes = _search_sizes(n, d, v_max)
-    for K in chain.from_iterable(enumerate_spheres(n, v) for v in sizes):
-        # orient caches its work on the complex it is given; a copy keeps it
-        # off K, which may be a class representative the enumeration holds
-        oriented = orient(Complex(K.dimension, K.facets))
-        coloring, nodes = _search_labelings(oriented, d)
-        triangulations += 1
+    v, witness, triangulations, labelings = _lambda_scan(n, d, v_max)
+    if n == 2 and v is not None:
+        classes = dict(_classes(v, _room(v, d)))
+        in_key_order = (classes[key].canonical for key in sorted(classes))
+        witness, searched, nodes = _first_witness(in_key_order, d)
+        triangulations += searched
         labelings += nodes
-        if coloring is not None:
-            witness = _checked_witness(oriented, coloring, d)
-            break
     return LambdaResult(
-        n=n,
-        d=d,
-        v_max=v_max,
-        lambda_value=None if witness is None else len(witness.complex.vertices),
-        witness=witness,
-        triangulations_examined=triangulations,
-        labelings_examined=labelings,
+        n=n, d=d, v_max=v_max, lambda_value=v, witness=witness,
+        triangulations_examined=triangulations, labelings_examined=labelings,
     )
 
 
-def _lambda_value(n: int, d: int, v_max: int) -> int | None:
-    """``lambda_search(n, d, v_max).lambda_value``, decided by existence.
+def _room(v: int, d: int) -> int | None:
+    """At most how many off-vertices a 2-sphere on v vertices with a
+    degree-d coloring has (``_lambda_scan``), or None for d = 0."""
+    return None if d == 0 else 3 * (2 * v - 4 - 4 * abs(d))
 
-    The value is the least v at which some sphere has a degree-d coloring,
-    so no class order is needed.  For 2-spheres each v's kept children
+
+def _lambda_scan(n: int, d: int, v_max: int) -> tuple[int | None, LabeledSphere | None, int, int]:
+    """The least vertex count up to v_max on which some sphere has a
+    degree-d coloring, decided by existence, as (count, witness, spheres
+    searched, partial colorings examined); count and witness are None when
+    no count has one.
+
+    No class order is needed.  For 2-spheres each v's kept children
     (``_kept_children``) are searched as they are generated, with no class
     list and no canonical form at v beyond the few the canonical-edge test
-    needs; the scan stops at the first coloring, which the degree engine
-    re-checks.  The labeling search is complete on each class, so the
-    value is lambda_search's.
+    needs, and the labeling search is complete on each.
 
-    For d != 0 only the classes that can carry a coloring are generated:
-    a 2-sphere on v vertices with a degree-d coloring has at most 3S
-    off-vertices (degree not a multiple of 3), S = 2v - 4 - 4|d|.  Let N
-    count its facets whose sign is opposite to d's and G its degenerate
-    facets.  Each of the 4 targets sums to d, and each nondegenerate facet
-    lands on one target, so the 2v - 4 facets give 2N + G = S.  A vertex
-    whose every facet is nondegenerate with d's sign has a link whose
-    colors step the same way round the triangle of the three colors it
-    lacks, so its degree is a multiple of 3.  Every off-vertex thus lies on
-    one of the N + G <= S other facets, at most 3 to a facet.  So the scan
-    at v passes room 3S, and the kept children with at most that many
-    off-vertices are every class on v that may have a coloring.
+    For d != 0 only the classes that can carry a coloring are generated.
+    Call a vertex off when its degree is not a multiple of 3.  (i) A
+    2-sphere on v vertices with a degree-d coloring has at most 3S
+    off-vertices, S = 2v - 4 - 4|d| (``_room``).  Let N count its facets
+    whose sign is opposite to d's and G its degenerate facets.  Each of the
+    4 targets sums to d, and each nondegenerate facet lands on one target,
+    so the 2v - 4 facets give 2N + G = S.  A vertex whose every facet is
+    nondegenerate with d's sign has a link whose colors step the same way
+    round the triangle of the three colors it lacks, so its degree is a
+    multiple of 3.  Every off-vertex thus lies on one of the N + G <= S
+    other facets, at most 3 to a facet.  (ii) A class with m off-vertices
+    has its canonical parent among the classes with at most m + 3
+    (``_kept_children``).  So the kept children on v with room 3S are
+    every class on v that may have a coloring, each once.
     """
+    triangulations = labelings = 0
     for v in _search_sizes(n, d, v_max):
         if n == 1:
             spheres = enumerate_spheres(1, v)
         else:
-            room = None if d == 0 else 3 * (2 * v - 4 - 4 * abs(d))
-            spheres = (K for K, _ in _kept_children(v, room))
-        for K in spheres:  # each built for this scan alone
-            oriented = orient(K)
-            if (coloring := _search_labelings(oriented, d)[0]) is not None:
-                _checked_witness(oriented, coloring, d)
-                return v
-    return None
+            spheres = (K for K, _ in _kept_children(v, _room(v, d)))
+        witness, searched, nodes = _first_witness(spheres, d)
+        triangulations += searched
+        labelings += nodes
+        if witness is not None:
+            return v, witness, triangulations, labelings
+    return None, None, triangulations, labelings
 
 
 def known_lambda(n: int, d: int) -> tuple[int, str] | None:
@@ -818,12 +814,11 @@ def lambda_table(requests) -> LambdaTable:
 
     Each request is {"n": int, "d": int, "v_max": optional int}; any other
     request raises ValidationError.  With a v_max and n in {1, 2} the entry
-    is computed by exhaustive search: an existence scan in generation order
-    (``_lambda_value``), which gives lambda_search's value under the same
-    checks and caps but, for 2-spheres, builds no class list at the vertex
-    count it scans.  Otherwise a closed form is used when one exists, and
-    the construct generator's vertex count is reported as an upper bound
-    when not.
+    is computed by exhaustive search: the existence scan lambda_search
+    runs (``_lambda_scan``), without lambda_search's pick of the first
+    witness in class order.  Otherwise a closed form is used when one
+    exists, and the construct generator's vertex count is reported as an
+    upper bound when not.
     """
     rows = []
     for req in requests:
@@ -847,7 +842,7 @@ def lambda_table(requests) -> LambdaTable:
             raise ValidationError("table row n and d must have at most 100 digits")
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
-            value = _lambda_value(n, d, v_max)
+            value = _lambda_scan(n, d, v_max)[0]
             status, note = (
                 ("exact_search", f"exhaustive search to v_max={v_max}")
                 if value is not None

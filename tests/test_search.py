@@ -18,6 +18,7 @@ from spheremap.search import (
 )
 from canonical_oracle import group_order
 from planar_code_oracle import new_edge_is_canonical, planar_code
+from search_oracle import key_order_search
 from split_oracle import all_vertex_splits, orient_rotation
 from spheremap import (
     BudgetExceeded,
@@ -543,9 +544,11 @@ def test_skipped_vertex_counts_have_no_witness():
                 for d in range(-6, 7):
                     if facets < (n + 2) * abs(d):
                         assert exists_labeling(K, d) is None
-    for n in (1, 2):
+    # a circle is searched once; the tetrahedron once by the scan and once
+    # by the pick of the first witness in class order
+    for n, searched in ((1, 1), (2, 2)):
         result = lambda_search(n, 0, n + 2)
-        assert result.lambda_value == n + 2 and result.triangulations_examined == 1
+        assert result.lambda_value == n + 2 and result.triangulations_examined == searched
 
 
 def test_lambda_small_sphere_values():
@@ -558,11 +561,14 @@ def test_lambda_small_sphere_values():
 # (n, d, v_max) -> (lambda, triangulations examined, labelings examined,
 # SHA-256 of the serialized witness); pins the search's output and its work.
 # Vertex counts with fewer than (n+2)|d| facets are skipped unexamined, so
-# (2, 5, 9) and (1, 3, 8) examine nothing.
+# (2, 5, 9) and (1, 3, 8) examine nothing.  A 2-sphere search counts the
+# spheres of its existence scan and then the classes its key-order pick
+# searches at lambda: (2, 2, 8) meets one colorless class on 7 vertices in
+# the scan, and the pick's first class in key order has a coloring.
 SEARCH_PINS = {
-    (2, 2, 8): (7, 3, 79, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
-    (2, 3, 9): (8, 1, 20, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
-    (2, 4, 10): (10, 2, 40, "b0ff0813a3d193ab02a18e36491ecd22096fe11e14a8ab243586c6510075886f"),
+    (2, 2, 8): (7, 3, 188, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
+    (2, 3, 9): (8, 2, 40, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
+    (2, 4, 10): (10, 2, 44, "b0ff0813a3d193ab02a18e36491ecd22096fe11e14a8ab243586c6510075886f"),
     (2, 5, 9): (None, 0, 0, None),
     (1, 3, 8): (None, 0, 0, None),
     (1, 4, 12): (12, 1, 24, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
@@ -762,9 +768,9 @@ def test_lambda_table_names_rows_too_long_to_print():
         assert message in str(info.value)
 
 
-def test_lambda_table_search_rows_match_lambda_search():
-    # the table's existence scan in generation order gives the value of the
-    # search over classes in key order, found or not
+def test_searches_match_the_key_order_oracle():
+    # the existence scan and the key-order pick at lambda give the value and
+    # the witness of the search over every class in key order, found or not
     rows = [
         (n, d, v_max)
         for n, budgets in ((1, (30,)), (2, (6, 9, 11)))
@@ -772,9 +778,15 @@ def test_lambda_table_search_rows_match_lambda_search():
         for d in range(-7, 8)
     ]
     table = lambda_table([{"n": n, "d": d, "v_max": v_max} for n, d, v_max in rows])
-    got = [row.lambda_value for row in table.rows]
-    assert got == [lambda_search(*row).lambda_value for row in rows]
-    assert got.count(None) == 26
+
+    def outcome(value, witness):
+        return value, witness and hashlib.sha256(serialize(witness).encode()).hexdigest()
+
+    expected = [outcome(*key_order_search(*row)) for row in rows]
+    searched = [lambda_search(*row) for row in rows]
+    assert [outcome(r.lambda_value, r.witness) for r in searched] == expected
+    assert [row.lambda_value for row in table.rows] == [value for value, _ in expected]
+    assert [value for value, _ in expected].count(None) == 26
 
 
 def test_lambda_table_search_row_for_degree_four():
