@@ -24,11 +24,11 @@ pairwise non-isomorphic, one per class, and come from one generator
 canonical form, giving its representative, its place in the class order
 and its automorphisms; the few children still tied in rank and then
 dropped cost one canonical form each (190 up to v = 12, against 9,149
-kept).  One existence scan (``_lambda_scan``) finds the minimum: it
-searches the kept children whose degrees allow a degree-d coloring as
-they are generated, with no class list at the count it scans, and
-``lambda_search`` then lists the classes it kept there in key order to
-report the first witness in class order.
+kept).  One existence scan (``_lambda_scan``) finds the minimum, walking
+each vertex count once and searching there only the classes whose
+degrees allow a degree-d coloring: a table row searches them as they are
+generated, with no class list at that count, and ``lambda_search`` in
+canonical key order, so its witness is the first in class order.
 
 One pass plans the vertex order and each facet's closing (last) vertex;
 a depth-first loop over a trail of per-vertex frames, with no recursion,
@@ -52,6 +52,8 @@ for 2-spheres and at MAX_CIRCLE_VERTICES for circles.
 from __future__ import annotations
 
 import heapq
+import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -114,13 +116,13 @@ _TABLE_ARGUMENT_LIMIT = 10 ** 100
 _DEGENERATE = -1
 
 
-def enumerate_spheres(n: int, v: int):
-    """Stream one representative per isomorphism class, deterministically.
+def enumerate_spheres(n: int, v: int) -> Iterator[Complex]:
+    """Iterate over one representative per isomorphism class, deterministically.
 
-    n=1 yields the single v-cycle; n=2 yields all triangulated 2-spheres on
-    v vertices, canonically relabeled and ordered by canonical key.  A v
-    above MAX_CIRCLE_VERTICES (n=1) or MAX_SPLIT_VERTICES (n=2) raises
-    BudgetExceeded before anything is built.
+    n=1 gives the single v-cycle; n=2 gives all triangulated 2-spheres on
+    v vertices, canonically relabeled and ordered by canonical key.  The
+    call checks its arguments: a v above MAX_CIRCLE_VERTICES (n=1) or
+    MAX_SPLIT_VERTICES (n=2) raises BudgetExceeded before anything is built.
     """
     _check_ints(n=n, v=v)
     if n not in (1, 2):
@@ -133,10 +135,8 @@ def enumerate_spheres(n: int, v: int):
             f"{'circle' if n == 1 else '2-sphere'} enumeration is capped at {cap} vertices"
         )
     if n == 1:
-        yield build_complex([(i, i % v + 1) for i in range(1, v + 1)])
-        return
-    for cf in _sphere_classes(v):
-        yield cf.canonical
+        return iter([build_complex([(i, i % v + 1) for i in range(1, v + 1)])])
+    return (cf.canonical for cf in _sphere_classes(v))
 
 
 class _SphereClass(_Record):
@@ -155,11 +155,10 @@ class _SphereClass(_Record):
 def _sphere_classes(v: int) -> tuple[_SphereClass, ...]:
     """The 2-sphere classes on v vertices, in canonical key order: the kept
     children on v (``_kept_children``), each under its canonical form."""
-    classes = dict(_classes(v))
-    return tuple(classes[k] for k in sorted(classes))
+    return tuple(cls for _, cls in sorted(_classes(v, math.inf)))
 
 
-def _classes(v: int, room: int | None = None):
+def _classes(v: int, room: float):
     """(canonical key, class) for each kept child of ``_kept_children(v,
     room)``, in generation order, each under its canonical form; raises
     SpheremapError if two of them share one."""
@@ -173,7 +172,7 @@ def _classes(v: int, room: int | None = None):
         yield cf.key, _SphereClass(cf.canonical, cf.automorphisms)
 
 
-def _kept_children(v: int, room: int | None = None):
+def _kept_children(v: int, room: float):
     """The 2-spheres on v vertices, one per class, in generation order: on
     4 vertices the tetrahedron, and above that each class on v - 1 vertices
     split once per orbit of its automorphisms (``_vertex_splits``), with
@@ -181,8 +180,9 @@ def _kept_children(v: int, room: int | None = None):
     is yielded as (complex, canonical form or None), the form only when
     the canonical-edge test needed one.
 
-    With a ``room``, only the classes with at most ``room`` off-vertices
-    (vertices whose degree is not a multiple of 3) are yielded, each once.
+    Only the classes with at most ``room`` off-vertices (vertices whose
+    degree is not a multiple of 3) are yielded, each once; ``math.inf``
+    yields every class.
     Contracting a child's new edge {z, new} changes the degrees of z, c_i
     and c_j alone (z's becomes deg z + deg new - 4, the two common
     neighbours' drop by one), so a class with m off-vertices has its
@@ -192,20 +192,16 @@ def _kept_children(v: int, room: int | None = None):
     off-vertices are dropped before their child is built.  A sphere on
     v - 1 vertices has at most v - 1 off-vertices, so once room + 3 >=
     v - 1 the parents are every class, ``_sphere_classes(v - 1)`` in key
-    order.  Without a room every class on v is yielded."""
+    order."""
     if v == 4:
         yield build_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]), None
         return
-    if room is None or room + 3 >= v - 1:
+    if room + 3 >= v - 1:
         parents = _sphere_classes(v - 1)
     else:
         parents = (parent for _, parent in _classes(v - 1, room + 3))
     for parent in parents:
-        if room is None:
-            children = _vertex_splits(parent.canonical, parent.automorphisms)
-        else:
-            children = _vertex_splits(parent.canonical, parent.automorphisms, room)
-        for child in children:
+        for child in _vertex_splits(parent.canonical, parent.automorphisms, room):
             kept = _canonical_child(child)
             if kept is not None:
                 yield kept
@@ -264,7 +260,7 @@ def _rotation_complex(rotation: Rotation) -> Complex:
 
 
 def _vertex_splits(
-    K: Complex, automorphisms: tuple[dict[int, int], ...] = (), room: int | None = None
+    K: Complex, automorphisms: tuple[dict[int, int], ...] = (), room: float = math.inf
 ):
     """The rotation of the single-vertex splits of a triangulated 2-sphere,
     one per orbit of the given automorphisms of K.
@@ -320,9 +316,9 @@ def _vertex_splits(
     the kept children, their order and their canonical forms are those of
     splitting every orbit.
 
-    With a ``room``, a split is also dropped, before its child is built,
-    when that child has more than ``room`` off-vertices (vertices whose
-    degree is not a multiple of 3).  Only four degrees differ from K's:
+    A split is also dropped, before its child is built, when that child
+    has more than ``room`` off-vertices (vertices whose degree is not a
+    multiple of 3; none by default).  Only four degrees differ from K's:
     z's becomes j - i + 2, the new vertex's k - j + i + 2, and c_i's and
     c_j's rise by one, so the count is K's, corrected at those vertices,
     in O(1).  Degrees are kept by automorphisms, so this rule too drops
@@ -331,8 +327,7 @@ def _vertex_splits(
     rotation = _rotation(K)
     deg = {x: len(cycle) for x, cycle in rotation.items()}
     seen: set[tuple[int, int, int]] = set()  # orbits of the splits yielded
-    if room is not None:
-        off = sum(k % 3 != 0 for k in deg.values())  # K's off-vertices
+    off = sum(k % 3 != 0 for k in deg.values())  # K's off-vertices
     new = max(rotation) + 1
     # contractible edges as (degree sum, min degree, a, b), lowest first
     contractible = sorted(
@@ -352,17 +347,16 @@ def _vertex_splits(
                 staying.append(edge)
         if _outranked(staying, deg, (k + 4, 3), cycle):
             continue
-        if room is not None:
-            # the off-vertices a child may add once z's own is gone, and the
-            # change at each c_t as its degree rises by one
-            spare = room - off + (k % 3 != 0)
-            gain = [((deg[c] + 1) % 3 != 0) - (deg[c] % 3 != 0) for c in cycle]
+        # the off-vertices a child may add once z's own is gone, and the
+        # change at each c_t as its degree rises by one
+        spare = room - off + (k % 3 != 0)
+        gain = [((deg[c] + 1) % 3 != 0) - (deg[c] % 3 != 0) for c in cycle]
         moved = None
         for i in range(k):
             for j in range(i + 1, k):
                 ci, cj = cycle[i], cycle[j]
                 split = (z, ci, cj) if ci < cj else (z, cj, ci)
-                if split in seen or room is not None and (
+                if split in seen or (
                     # z and new have degrees j - i + 2 and k - j + i + 2
                     gain[i] + gain[j] + ((j - i + 2) % 3 != 0) + ((k - j + i + 2) % 3 != 0)
                     > spare
@@ -592,8 +586,8 @@ def exists_labeling(K: Complex, d: int) -> Labeling | None:
 
 class LambdaResult(_Record):
     """Outcome of a minimal-vertex search up to a budget.  The counts
-    add up the labeling searches, one per sphere, of the existence scan and
-    of the pick of a witness in class order, and their partial colorings."""
+    are the existence scan's labeling searches, one per sphere, and their
+    partial colorings."""
 
     __match_args__ = (
         "n", "d", "v_max", "lambda_value", "witness",
@@ -644,9 +638,10 @@ def _search_sizes(n: int, d: int, v_max: int) -> range:
 
 def _first_witness(spheres, d: int) -> tuple[LabeledSphere | None, int, int]:
     """(witness, spheres searched, partial colorings examined) for the
-    first of ``spheres`` with a degree-d coloring, which the degree engine
-    re-checks; the witness is None when none has one.  Each sphere is
-    oriented as it is, so it must be built for this search alone."""
+    first of ``spheres``, in the order given, with a degree-d coloring,
+    which the degree engine re-checks; the witness is None when none has
+    one.  Each sphere is oriented as it is, so it must be built for this
+    search alone: a split child, or a canonical form computed for it."""
     searched = labelings = 0
     for K in spheres:
         oriented = orient(K)
@@ -665,42 +660,38 @@ def lambda_search(n: int, d: int, v_max: int) -> LambdaResult:
     """Smallest vertex count admitting a degree-d coloring, up to v_max,
     with the first witness in class order.
 
-    The existence scan (``_lambda_scan``) finds the count.  For 2-spheres
-    the classes the scan kept there are then listed in canonical key order
-    and searched again.  They hold every class with a coloring, and key
-    order restricted to them keeps their relative order, so the first with
-    a coloring is the first witness in ``enumerate_spheres`` order.  A
-    circle count has one class, whose witness the scan reports.
+    The existence scan (``_lambda_scan``) walks each vertex count once,
+    searching its classes in canonical key order, and stops at the first
+    coloring, so that witness is the first in ``enumerate_spheres`` order.
+    A circle count has one class.
     """
-    v, witness, triangulations, labelings = _lambda_scan(n, d, v_max)
-    if n == 2 and v is not None:
-        classes = dict(_classes(v, _room(v, d)))
-        in_key_order = (classes[key].canonical for key in sorted(classes))
-        witness, searched, nodes = _first_witness(in_key_order, d)
-        triangulations += searched
-        labelings += nodes
+    v, witness, triangulations, labelings = _lambda_scan(n, d, v_max, in_key_order=True)
     return LambdaResult(
         n=n, d=d, v_max=v_max, lambda_value=v, witness=witness,
         triangulations_examined=triangulations, labelings_examined=labelings,
     )
 
 
-def _room(v: int, d: int) -> int | None:
+def _room(v: int, d: int) -> float:
     """At most how many off-vertices a 2-sphere on v vertices with a
-    degree-d coloring has (``_lambda_scan``), or None for d = 0."""
-    return None if d == 0 else 3 * (2 * v - 4 - 4 * abs(d))
+    degree-d coloring has (``_lambda_scan``); ``math.inf`` for d = 0,
+    where no such bound holds."""
+    return math.inf if d == 0 else 3 * (2 * v - 4 - 4 * abs(d))
 
 
-def _lambda_scan(n: int, d: int, v_max: int) -> tuple[int | None, LabeledSphere | None, int, int]:
+def _lambda_scan(
+    n: int, d: int, v_max: int, in_key_order: bool
+) -> tuple[int | None, LabeledSphere | None, int, int]:
     """The least vertex count up to v_max on which some sphere has a
-    degree-d coloring, decided by existence, as (count, witness, spheres
-    searched, partial colorings examined); count and witness are None when
-    no count has one.
+    degree-d coloring, as (count, witness, spheres searched, partial
+    colorings examined); count and witness are None when no count has one.
 
-    No class order is needed.  For 2-spheres each v's kept children
-    (``_kept_children``) are searched as they are generated, with no class
-    list and no canonical form at v beyond the few the canonical-edge test
-    needs, and the labeling search is complete on each.
+    Each count is walked once.  ``in_key_order`` searches its classes
+    (``_classes``) in canonical key order, so the witness is the first in
+    class order; otherwise its kept children (``_kept_children``) are
+    searched as they are generated, with no class list and no canonical
+    form beyond the few the canonical-edge test needs.  The labeling
+    search is complete on each sphere.
 
     For d != 0 only the classes that can carry a coloring are generated.
     Call a vertex off when its degree is not a multiple of 3.  (i) A
@@ -715,12 +706,15 @@ def _lambda_scan(n: int, d: int, v_max: int) -> tuple[int | None, LabeledSphere 
     other facets, at most 3 to a facet.  (ii) A class with m off-vertices
     has its canonical parent among the classes with at most m + 3
     (``_kept_children``).  So the kept children on v with room 3S are
-    every class on v that may have a coloring, each once.
+    every class on v that may have a coloring, each once, and in key order
+    the first of them with a coloring is the first in class order.
     """
     triangulations = labelings = 0
     for v in _search_sizes(n, d, v_max):
         if n == 1:
             spheres = enumerate_spheres(1, v)
+        elif in_key_order:
+            spheres = (cls.canonical for _, cls in sorted(_classes(v, _room(v, d))))
         else:
             spheres = (K for K, _ in _kept_children(v, _room(v, d)))
         witness, searched, nodes = _first_witness(spheres, d)
@@ -815,8 +809,8 @@ def lambda_table(requests) -> LambdaTable:
     Each request is {"n": int, "d": int, "v_max": optional int}; any other
     request raises ValidationError.  With a v_max and n in {1, 2} the entry
     is computed by exhaustive search: the existence scan lambda_search
-    runs (``_lambda_scan``), without lambda_search's pick of the first
-    witness in class order.  Otherwise a closed form is used when one
+    runs (``_lambda_scan``), in generation order, since a row needs no
+    witness.  Otherwise a closed form is used when one
     exists, and the construct generator's vertex count is reported as an
     upper bound when not.
     """
@@ -842,7 +836,7 @@ def lambda_table(requests) -> LambdaTable:
             raise ValidationError("table row n and d must have at most 100 digits")
         v_max = req.get("v_max")
         if v_max is not None and n in (1, 2):
-            value = _lambda_scan(n, d, v_max)[0]
+            value = _lambda_scan(n, d, v_max, in_key_order=False)[0]
             status, note = (
                 ("exact_search", f"exhaustive search to v_max={v_max}")
                 if value is not None

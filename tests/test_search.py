@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -88,6 +89,20 @@ def test_enumerate_guards():
         list(enumerate_spheres(2, 3))
     with pytest.raises(BudgetExceeded):
         list(enumerate_spheres(2, MAX_SPLIT_VERTICES + 1))
+
+
+def test_enumerate_guards_raise_when_called():
+    # the arguments are checked at the call, not at the first next()
+    for n, v, error in (
+        (2, 100, BudgetExceeded),
+        (2, MAX_SPLIT_VERTICES + 1, BudgetExceeded),
+        (1, MAX_CIRCLE_VERTICES + 1, BudgetExceeded),
+        (7, 5, UnsupportedDimension),
+        (2, 3, InvalidDimension),
+        (2, 4.0, ValidationError),
+    ):
+        with pytest.raises(error):
+            enumerate_spheres(n, v)
 
 
 def test_circle_enumeration_is_capped():
@@ -302,6 +317,38 @@ def test_cold_table_row_builds_no_class_list_at_its_top_count(monkeypatch):
     assert len(calls) == CANONICAL_FORMS_FOR_TABLE_ROW_2_4_10 < CANONICAL_FORMS_TO_V10
 
 
+def test_cold_search_walks_lambda_once_in_key_order(monkeypatch):
+    # lambda(2, +-5) = 12 = 2|d| + 2, so the scan searches only the classes
+    # on 12 vertices with no off-vertex, listing their parents with room 3
+    # and 6 on 11 and 10 vertices and every class up to 9; each kept child
+    # on 12 gets one canonical form for its place in key order (334 when the
+    # scan's kept children on 12 were listed again for the pick)
+    calls, listed = [], []
+
+    def counted(K):
+        calls.append(K)
+        return canonical_form(K)
+
+    def classes(v):
+        listed.append(v)
+        return _sphere_classes(v)
+
+    monkeypatch.setattr(spheremap.search, "canonical_form", counted)
+    monkeypatch.setattr(spheremap.search, "_sphere_classes", classes)
+    forms = []
+    try:
+        for d in (5, -5):
+            _sphere_classes.cache_clear()
+            calls.clear()
+            result = lambda_search(2, d, 12)
+            assert (result.lambda_value, result.triangulations_examined) == (12, 1)
+            forms.append(len(calls))
+    finally:
+        _sphere_classes.cache_clear()
+    assert forms == [272, 272]
+    assert max(listed) == 9
+
+
 def off_vertices(K):
     """The vertices of a 2-sphere whose degree is not a multiple of 3."""
     return sum(len(K.facets_at[x]) % 3 != 0 for x in K.vertices)
@@ -328,7 +375,7 @@ def test_table_scan_passes_room_3s_and_its_parents_room_plus_3(monkeypatch):
     # room covers every sphere on v - 1 the class list on v - 1 is used
     calls = []
 
-    def recorded(v, room=None):
+    def recorded(v, room=math.inf):
         calls.append((v, room))
         return kept_children(v, room)
 
@@ -340,7 +387,7 @@ def test_table_scan_passes_room_3s_and_its_parents_room_plus_3(monkeypatch):
     finally:
         _sphere_classes.cache_clear()
     assert row.lambda_value == 7
-    assert calls == [(6, 0), (5, 3), (4, None), (7, 6), (6, None), (5, None)]
+    assert calls == [(6, 0), (5, 3), (4, math.inf), (7, 6), (6, math.inf), (5, math.inf)]
 
 
 @pytest.mark.parametrize("room", [0, 3, 6])
@@ -544,11 +591,10 @@ def test_skipped_vertex_counts_have_no_witness():
                 for d in range(-6, 7):
                     if facets < (n + 2) * abs(d):
                         assert exists_labeling(K, d) is None
-    # a circle is searched once; the tetrahedron once by the scan and once
-    # by the pick of the first witness in class order
-    for n, searched in ((1, 1), (2, 2)):
+    # a circle and the tetrahedron are each searched once
+    for n in (1, 2):
         result = lambda_search(n, 0, n + 2)
-        assert result.lambda_value == n + 2 and result.triangulations_examined == searched
+        assert result.lambda_value == n + 2 and result.triangulations_examined == 1
 
 
 def test_lambda_small_sphere_values():
@@ -562,13 +608,12 @@ def test_lambda_small_sphere_values():
 # SHA-256 of the serialized witness); pins the search's output and its work.
 # Vertex counts with fewer than (n+2)|d| facets are skipped unexamined, so
 # (2, 5, 9) and (1, 3, 8) examine nothing.  A 2-sphere search counts the
-# spheres of its existence scan and then the classes its key-order pick
-# searches at lambda: (2, 2, 8) meets one colorless class on 7 vertices in
-# the scan, and the pick's first class in key order has a coloring.
+# classes its existence scan searches in key order: on these rows it
+# searches none below lambda, and the first on lambda has a coloring.
 SEARCH_PINS = {
-    (2, 2, 8): (7, 3, 188, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
-    (2, 3, 9): (8, 2, 40, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
-    (2, 4, 10): (10, 2, 44, "b0ff0813a3d193ab02a18e36491ecd22096fe11e14a8ab243586c6510075886f"),
+    (2, 2, 8): (7, 1, 51, "e4f23b37de6051405fc0e3dfc458ea3118a8b35f2a53cd2b1248f074cdddbb96"),
+    (2, 3, 9): (8, 1, 20, "131202bb26619e7f897c1e707749716b933fec095fd1e1f22230d9b417b6fa63"),
+    (2, 4, 10): (10, 1, 22, "b0ff0813a3d193ab02a18e36491ecd22096fe11e14a8ab243586c6510075886f"),
     (2, 5, 9): (None, 0, 0, None),
     (1, 3, 8): (None, 0, 0, None),
     (1, 4, 12): (12, 1, 24, "1a705369ae196de1efc55bbeeaed8ef8fc660aee3c7643fa2ed9d2f8805a5397"),
