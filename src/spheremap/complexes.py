@@ -92,23 +92,39 @@ def parity_to_sorted(seq) -> int:
     return -1 if inv % 2 else 1
 
 
-_store = object.__setattr__  # how a record's __init__ stores a field
+_store = object.__setattr__  # how a record stores a field
 
 
 class _Record:
     """Base of the package's immutable records.
 
-    A record is a plain class: ``__match_args__`` names its fields in order,
-    and its ``__init__`` stores each with ``_store`` (``object.__setattr__``),
-    keeping CPython's key-sharing instance dicts.  It equals a record of its
-    own class whose compared fields (``_compared``, all of them unless the
-    class says otherwise) are equal, hashes as the tuple of those, and
-    prints as ``Name(field=value, ...)``.  Assigning or deleting any
-    attribute raises AttributeError; a ``cached_property`` still caches, as
-    it writes the instance dict directly.  A record copies and pickles with
-    its cached values, a mappingproxy among them handed over as its dict."""
+    A record is a plain class that declares its fields once, in order, in
+    ``__match_args__``.  It is built with each field given by position or
+    by keyword; a missing, unknown, repeated or extra field raises
+    TypeError.  ``__init__`` stores the fields with ``_store``
+    (``object.__setattr__``) in ``__match_args__`` order, keeping CPython's
+    key-sharing instance dicts.  It equals a record of its own class whose
+    compared fields (``_compared``, all of them unless the class says
+    otherwise) are equal, hashes as the tuple of those, and prints as
+    ``Name(field=value, ...)``.  Assigning or deleting any attribute raises
+    AttributeError; a ``cached_property`` still caches, as it writes the
+    instance dict directly.  A record copies and pickles with its cached
+    values, a mappingproxy among them handed over as its dict."""
 
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__match_args__
+        if named or len(values) != len(fields):  # bind the keywords, then check
+            given = {**dict(zip(fields, values)), **named}
+            if len(values) + len(named) != len(fields) or given.keys() != set(fields):
+                raise TypeError(
+                    f"{type(self).__qualname__} takes the fields {', '.join(fields)}, each once; "
+                    f"got {len(values)} by position and {', '.join(named) or 'none'} by keyword"
+                )
+            values = [given[name] for name in fields]
+        for name, value in zip(fields, values):
+            _store(self, name, value)
 
     def _compared(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -149,10 +165,6 @@ class Complex(_Record):
     """Pure n-dimensional simplicial complex given by its facet list."""
 
     __match_args__ = ("dimension", "facets")
-
-    def __init__(self, dimension: int, facets: tuple[Facet, ...]):
-        _store(self, "dimension", dimension)
-        _store(self, "facets", facets)
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
@@ -252,7 +264,7 @@ def build_complex(facet_list) -> Complex:
             if f in seen:
                 raise DuplicateFacet(f"facet {f} appears more than once")
             seen.add(f)
-    return Complex(dimension=size - 1, facets=tuple(sorted(normalized)))
+    return Complex(size - 1, tuple(sorted(normalized)))
 
 
 class ClosednessReport(_Record):
@@ -260,11 +272,6 @@ class ClosednessReport(_Record):
     (ridge, facet multiplicity != 2) pairs."""
 
     __match_args__ = ("passed", "bad_ridges", "connected")
-
-    def __init__(self, passed: bool, bad_ridges: tuple[tuple[Facet, int], ...], connected: bool):
-        _store(self, "passed", passed)
-        _store(self, "bad_ridges", bad_ridges)
-        _store(self, "connected", connected)
 
 
 def check_closed_pseudomanifold(complex: Complex) -> ClosednessReport:
@@ -299,10 +306,6 @@ class _RidgeMap(_Record):
     """
 
     __match_args__ = ("rows", "closed")
-
-    def __init__(self, rows: list[tuple[tuple[int, int, int], ...]], closed: bool):
-        _store(self, "rows", rows)
-        _store(self, "closed", closed)
 
 
 def _ridge_map(complex: Complex) -> _RidgeMap:
@@ -413,10 +416,6 @@ class OrientedComplex(_Record):
 
     __match_args__ = ("base", "signs")
 
-    def __init__(self, base: Complex, signs: tuple[int, ...]):
-        _store(self, "base", base)
-        _store(self, "signs", signs)
-
     @property
     def dimension(self) -> int:
         return self.base.dimension
@@ -432,22 +431,6 @@ class OrientedComplex(_Record):
     @cached_property
     def sign_by_facet(self) -> MappingProxyType[Facet, int]:
         return MappingProxyType(dict(zip(self.base.facets, self.signs)))
-
-    @cached_property
-    def _failure(self) -> str | None:
-        """The answer of ``_sphere_failure``, computed once."""
-        verdict = is_sphere(self.base)
-        if not verdict.passed:
-            return f"fails sphere checks: {[name for name, ok in verdict.checks if not ok]}"
-        # K is closed, connected and orientable, so its coherent signs are the
-        # walk's and their negation; only other signs need a bad ridge named
-        walk = self.base._walk[0]
-        if self.signs == walk or self.signs == tuple(map(neg, walk)):
-            return None
-        bad = coherence_failures(self)
-        if bad:
-            return f"orientation not coherent across ridge {list(bad[0])}"
-        return None
 
     def sign_of(self, facet: Facet) -> int:
         try:
@@ -567,10 +550,6 @@ class SphereVerdict(_Record):
     """The status ``is_sphere`` gives, and each check it ran, in order."""
 
     __match_args__ = ("status", "checks")
-
-    def __init__(self, status: SphereStatus, checks: tuple[tuple[str, bool], ...]):
-        _store(self, "status", status)
-        _store(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -732,10 +711,26 @@ def _links_have_sphere_chi(faces: list[set[Facet]], n: int) -> bool:
 
 def _sphere_failure(oriented: OrientedComplex) -> str | None:
     """Why a sphere from outside the package is not one, or None: it must
-    pass ``is_sphere`` and be coherently oriented.  Documents, literal seeds
-    and link reductions all pass this one gate, which is computed once per
-    oriented complex and cached on it."""
-    return oriented._failure
+    pass ``is_sphere``, and its signs must be a tuple of exactly one int, +1
+    or -1, per facet that together orient it coherently.  Documents, literal
+    seeds and link reductions all pass this one gate; the verdict and the
+    walk it reads are cached on the complex."""
+    verdict = is_sphere(oriented.base)
+    if not verdict.passed:
+        return f"fails sphere checks: {[name for name, ok in verdict.checks if not ok]}"
+    walk, signs = oriented.base._walk[0], oriented.signs
+    if not (
+        isinstance(signs, tuple)
+        and len(signs) == len(walk)
+        and _all_ints(signs)
+        and set(signs) <= {1, -1}
+    ):
+        return "orientation needs a tuple of exactly one sign, +1 or -1, per facet"
+    # K is closed, connected and orientable, so its coherent signs are the
+    # walk's and their negation, and any other signs have a bad ridge
+    if signs == walk or signs == tuple(map(neg, walk)):
+        return None
+    return f"orientation not coherent across ridge {list(coherence_failures(oriented)[0])}"
 
 
 def _sorted_facet(facet) -> Facet:
@@ -836,25 +831,14 @@ class CanonicalForm(_Record):
     """Isomorphism-invariant key plus a relabeling realizing it, and
     generators of the canonical complex's automorphism group.
 
-    Each automorphism maps a canonical id to its image; together they
-    generate every automorphism of ``canonical``, mirror images included.
-    They are left out of comparisons: another search may find another
-    generating set of the same group.
+    ``relabeling`` maps each original vertex id to its canonical id
+    (1-based).  Each automorphism maps a canonical id to its image; together
+    they generate every automorphism of ``canonical``, mirror images
+    included.  They are left out of comparisons: another search may find
+    another generating set of the same group.
     """
 
     __match_args__ = ("key", "relabeling", "canonical", "automorphisms")
-
-    def __init__(
-        self,
-        key: bytes,
-        relabeling: dict[int, int],  # original vertex id -> canonical id (1-based)
-        canonical: Complex,
-        automorphisms: tuple[dict[int, int], ...],
-    ):
-        _store(self, "key", key)
-        _store(self, "relabeling", relabeling)
-        _store(self, "canonical", canonical)
-        _store(self, "automorphisms", automorphisms)
 
     def _compared(self) -> tuple:
         return self.key, self.relabeling, self.canonical
@@ -1015,10 +999,8 @@ def canonical_form(complex: Complex) -> CanonicalForm:
     key = f"{n};{nv};{template.format(*chain.from_iterable(relabeled))}".encode()
     relabeling = {verts[vi]: colors[vi] + 1 for vi in range(nv)}
     return CanonicalForm(
-        key=key,
-        relabeling=relabeling,
-        canonical=Complex(complex.dimension, relabeled),
-        automorphisms=tuple(
-            {colors[vi] + 1: colors[g[vi]] + 1 for vi in range(nv)} for g in automorphisms
-        ),
+        key,
+        relabeling,
+        Complex(complex.dimension, relabeled),
+        tuple({colors[vi] + 1: colors[g[vi]] + 1 for vi in range(nv)} for g in automorphisms),
     )

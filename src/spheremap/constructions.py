@@ -41,7 +41,6 @@ from .complexes import (
     _sorted_facet,
     _sphere_failure,
     _stellar_pairs,
-    _store,
     build_complex,
     orient,
 )
@@ -99,18 +98,6 @@ class ConstructionCertificate(_Record):
     """Self-verifying witness: labeled sphere + claims + replayable recipe."""
 
     __match_args__ = ("labeled", "claimed_degree", "claimed_vertex_count", "recipe")
-
-    def __init__(
-        self,
-        labeled: LabeledSphere,
-        claimed_degree: int,
-        claimed_vertex_count: int,
-        recipe: Recipe,
-    ):
-        _store(self, "labeled", labeled)
-        _store(self, "claimed_degree", claimed_degree)
-        _store(self, "claimed_vertex_count", claimed_vertex_count)
-        _store(self, "recipe", recipe)
 
     @property
     def vertex_count(self) -> int:

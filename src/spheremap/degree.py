@@ -173,18 +173,6 @@ class DegreeReport(_Record):
 
     __match_args__ = ("degree", "per_target_facet", "consistent", "degenerate_facet_count")
 
-    def __init__(
-        self,
-        degree: int | None,
-        per_target_facet: Mapping[int, tuple[tuple[Facet, int], ...]],
-        consistent: bool,
-        degenerate_facet_count: int,
-    ):
-        _store(self, "degree", degree)
-        _store(self, "per_target_facet", per_target_facet)
-        _store(self, "consistent", consistent)
-        _store(self, "degenerate_facet_count", degenerate_facet_count)
-
     @cached_property
     def per_target_sums(self) -> Mapping[int, int]:
         return MappingProxyType(

@@ -65,7 +65,6 @@ from .complexes import (
     _is_int,
     _orbit,
     _Record,
-    _store,
     build_complex,
     canonical_form,
     orient,
@@ -145,10 +144,6 @@ class _SphereClass(_Record):
     ids."""
 
     __match_args__ = ("canonical", "automorphisms")
-
-    def __init__(self, canonical: Complex, automorphisms: tuple[dict[int, int], ...]):
-        _store(self, "canonical", canonical)
-        _store(self, "automorphisms", automorphisms)
 
 
 @lru_cache(maxsize=None)
@@ -594,24 +589,6 @@ class LambdaResult(_Record):
         "triangulations_examined", "labelings_examined",
     )
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        v_max: int,
-        lambda_value: int | None,
-        witness: LabeledSphere | None,
-        triangulations_examined: int,
-        labelings_examined: int,
-    ):
-        _store(self, "n", n)
-        _store(self, "d", d)
-        _store(self, "v_max", v_max)
-        _store(self, "lambda_value", lambda_value)
-        _store(self, "witness", witness)
-        _store(self, "triangulations_examined", triangulations_examined)
-        _store(self, "labelings_examined", labelings_examined)
-
     @property
     def found(self) -> bool:
         return self.lambda_value is not None
@@ -748,23 +725,11 @@ def known_lambda(n: int, d: int) -> tuple[int, str] | None:
 
 class LambdaRow(_Record):
     """One (n, d) table entry; lambda_value is exact unless status says
-    upper_bound, and None when a bounded search came up empty."""
+    upper_bound, and None when a bounded search came up empty.  status is
+    one of exact_search, exact_formula, upper_bound and
+    not_found_within_budget."""
 
     __match_args__ = ("n", "d", "lambda_value", "status", "note")
-
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        lambda_value: int | None,
-        status: str,  # exact_search | exact_formula | upper_bound | not_found_within_budget
-        note: str,
-    ):
-        _store(self, "n", n)
-        _store(self, "d", d)
-        _store(self, "lambda_value", lambda_value)
-        _store(self, "status", status)
-        _store(self, "note", note)
 
     @property
     def ratio_over_d(self) -> Fraction | None:
@@ -783,9 +748,6 @@ class LambdaTable(_Record):
     """The rows ``lambda_table`` computed, in request order."""
 
     __match_args__ = ("rows",)
-
-    def __init__(self, rows: tuple[LambdaRow, ...]):
-        _store(self, "rows", rows)
 
     def _pivot(self, key) -> dict[int, dict[int, Fraction]]:
         """{outer: {inner: ratio}} over the rows with a ratio, where key maps

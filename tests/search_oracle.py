@@ -4,7 +4,9 @@ Method: the plain search over every class.  Vertex counts go upward, every
 isomorphism class at each count is searched in enumeration (canonical key)
 order, and the first class with a degree-d coloring gives the witness.  It
 shares the enumeration and the labeling search with the package; what it
-checks is the package's existence scan and the class it picks at lambda.
+checks is the package's existence scan, which searches only each count's
+classes with room for a degree-d coloring, in key order, and stops at the
+first coloring.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from spheremap import (
     InvalidLink,
     Complex,
     ConstructionCertificate,
+    LabeledSphere,
     OrientedComplex,
     PivotNotFound,
     SphereStatus,
@@ -571,6 +572,31 @@ def test_moves_reject_vertex_ids_that_are_not_integers():
             insertion_step(cert, facet)
     for out in (one_point_suspension(cert, 1), insertion_step(cert, [3, 2, 1])):
         assert load_certificate(serialize(out)) == out
+
+
+def test_the_sphere_gate_refuses_malformed_signs():
+    # one sign too few, one too many, doubled, all 0, and coherent signs in
+    # a list, which would leave an unhashable sphere unequal to its parsed
+    # copy: each entry point refuses the literal seed before any move reads it
+    ls = construct(2, 3).labeled
+    K, signs = ls.complex, ls.oriented.signs
+    malformed = (
+        signs[:-1], signs + (1,), tuple(2 * s for s in signs), (0,) * len(signs), list(signs)
+    )
+    for bad in malformed:
+        seed = LabeledSphere(OrientedComplex(K, bad), ls.labels)
+        entries = (
+            lambda: replay((("literal", seed),)),
+            lambda: one_point_suspension(seed),
+            lambda: insertion_step(seed),
+        )
+        for entry in entries:
+            with pytest.raises(ValidationError) as caught:
+                entry()
+            assert str(caught.value) == (
+                "literal seed orientation needs a tuple of exactly one sign, +1 or -1, per facet"
+            )
+    assert replay((("literal", LabeledSphere(OrientedComplex(K, signs), ls.labels)),)).labeled == ls
 
 
 def test_replay_rejects_bad_literal_seeds():

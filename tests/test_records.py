@@ -157,6 +157,19 @@ def test_records_build_by_position_and_by_keyword(name):
         assert repr(built) == repr(record)
     with pytest.raises(TypeError):
         cls(*values, None)
+    with pytest.raises(TypeError):  # a field missing
+        cls(*values[:-1])
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(*values, other=None)
+    with pytest.raises(TypeError):  # a field given by position and by keyword
+        cls(*values, **{cls.__match_args__[0]: values[0]})
+
+
+def test_only_the_labeled_sphere_defines_its_own_init():
+    # it checks its coloring; every other record is built by _Record.__init__
+    classes = {type(record) for record in records().values()}
+    assert set(_Record.__subclasses__()) == classes
+    assert [cls.__name__ for cls in classes if "__init__" in vars(cls)] == ["LabeledSphere"]
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -814,8 +814,9 @@ def test_lambda_table_names_rows_too_long_to_print():
 
 
 def test_searches_match_the_key_order_oracle():
-    # the existence scan and the key-order pick at lambda give the value and
-    # the witness of the search over every class in key order, found or not
+    # the existence scan, walking each count's room-bounded classes in key
+    # order, gives the value and the witness of the search over every class
+    # in key order, found or not
     rows = [
         (n, d, v_max)
         for n, budgets in ((1, (30,)), (2, (6, 9, 11)))
