@@ -28,7 +28,7 @@ from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Sequence
 from functools import cached_property
 from itertools import chain, combinations, count, cycle, repeat
-from operator import add, eq, floordiv, mod, neg, sub
+from operator import add, eq, floordiv, mod, neg
 from types import MappingProxyType
 
 from .errors import (

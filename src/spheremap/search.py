@@ -30,12 +30,16 @@ degrees allow a degree-d coloring: a table row searches them as they are
 generated, with no class list at that count, and ``lambda_search`` in
 canonical key order, so its witness is the first in class order.
 
-One pass plans the vertex order and each facet's closing (last) vertex;
-a depth-first loop over a trail of per-vertex frames, with no recursion,
-colors the vertices in that order with one state per facet: the bit mask
-of its placed colors, or a degenerate mark once a color repeats.  A facet
-is decided at its closing vertex by the degree module's sign rule.  Two
-reductions never lose witnesses:
+One pass plans the vertex order and each facet's closing (last) vertex,
+and the plan becomes per-depth lists: the facets a vertex leaves open,
+and those it closes with their orientation signs.  A depth-first loop
+over a trail of per-vertex frames, with no recursion, colors the
+vertices in that order with one state per facet: the bit mask of its
+placed colors, or a degenerate mark once a color repeats.  A facet is
+decided at its closing vertex by the degree module's sign rule, applied
+once per color pattern in a search: a facet's sign is its orientation
+sign times a factor of its color tuple alone.  Two reductions never lose
+witnesses:
 
 * color-permutation quotient: colors are forced to appear in first-use
   order along the vertex order, and both degrees d and -d are accepted
@@ -43,7 +47,9 @@ reductions never lose witnesses:
 * counting bound: a live facet (undecided, no repeated color) can still
   land on at most one target, so a partial coloring is abandoned when, for
   every accepted degree D, sum_t |D - s_t| over the targets' signed sums
-  s_t exceeds the number of live facets.
+  s_t exceeds the number of live facets.  Each of these sums is kept as
+  the search goes: closing a facet on target t moves it by
+  |D - new s_t| - |D - old s_t|, and no node re-sums the targets.
 
 enumerate_spheres caps v, and the scan caps v_max, at MAX_SPLIT_VERTICES
 for 2-spheres and at MAX_CIRCLE_VERTICES for circles.
@@ -104,7 +110,7 @@ __all__ = [
 MAX_SPLIT_VERTICES = 12
 # a circle scan skips sizes below 3|d| and always finds a witness on the
 # first cycle it tries, so it builds and searches at most one cycle; this
-# cap bounds that cycle, and 99 covers |d| <= 33 in about 0.003 s
+# cap bounds that cycle, and 99 covers |d| <= 33 in about 0.002 s
 MAX_CIRCLE_VERTICES = 99
 # a table row's n and |d| stay below this, so every number a row reports (at
 # most 3|d| or n + |d| + 3) prints in far fewer than the interpreter's 4,300
@@ -521,43 +527,67 @@ def _search_labelings(oriented: OrientedComplex, d: int) -> tuple[Labeling | Non
 
     Returns (witness, partial colorings examined).  Complete with respect
     to the reductions in the module docstring: a coloring of degree d
-    exists iff this scan returns one.
+    exists iff this scan returns one.  Each color pattern is signed once
+    per search, and each node moves the counting bound's two sums (for d
+    and -d; equal at d = 0) only by the facets it closes, so a node's work
+    is that of the facets at its vertex plus one copy of the target sums.
     """
     K, eps = oriented.base, oriented.signs
     ncolors = K.dimension + 2
-    colors = range(1, ncolors + 1)
     order, plan = _search_plan(K)
+    # per depth: the facets its vertex touches and leaves open, and
+    # (index, facet, eps) of those it closes
+    opens = [[fi for fi, closes in plan[v] if not closes] for v in order]
+    closing = [[(fi, K.facets[fi], eps[fi]) for fi, closes in plan[v] if closes] for v in order]
     state = [0] * len(K.facets)  # bit mask of placed colors, or _DEGENERATE
     sums = [0] * (ncolors + 1)  # signed sum of the closed facets over each target
     live = len(K.facets)  # undecided facets without a repeated color
     color_of: dict[int, int] = {}
-    accepted = (d,) if d == 0 else (d, -d)
+    # (sign before eps, target) per color tuple of a facet being closed
+    pattern_sign: dict[tuple[int, ...], tuple[int, int | None]] = {}
+    # the counting bound's sum_t |D - s_t| for D = d and for D = -d
+    off = off_neg = ncolors * abs(d)
     nodes = 0
-    # per colored vertex: color, highest allowed color, and masks, sums, live before it
-    trail: list[tuple[int, int, list[int], list[int], int]] = []
+    # per colored vertex: color, highest allowed color, and the masks of its
+    # open facets, sums, live and both bound sums before it
+    trail: list[tuple[int, int, list[int], list[int], int, int, int]] = []
     c = top = 1  # next color to try at the next uncolored vertex, and its highest
     while True:
         if c <= top:
-            v = order[len(trail)]
-            trail.append((c, top, [state[fi] for fi, _ in plan[v]], sums[:], live))
+            depth = len(trail)
+            v = order[depth]
+            touched = opens[depth]
+            trail.append((c, top, [state[fi] for fi in touched], sums[:], live, off, off_neg))
             color_of[v] = c
             nodes += 1
-            for fi, closes in plan[v]:
+            bit = 1 << c
+            for fi in touched:
                 mask = state[fi]
-                if mask == _DEGENERATE:
-                    continue
-                if mask & 1 << c:
+                if not mask & bit:
+                    state[fi] = mask | bit
+                elif mask != _DEGENERATE:
                     # a repeated color: the facet can no longer hit any target
                     state[fi] = _DEGENERATE
                     live -= 1
+            # no later node reads a closed facet's state, so it is left as is
+            for fi, facet, e in closing[depth]:
+                mask = state[fi]
+                if mask == _DEGENERATE:
                     continue
-                state[fi] = mask | 1 << c
-                if closes:
-                    sign, target = _facet_sign(color_of, ncolors, eps[fi], K.facets[fi])
-                    sums[target] += sign
-                    live -= 1
-            if any(sum(abs(D - sums[m]) for m in colors) <= live for D in accepted):
-                if len(trail) == len(order):
+                live -= 1
+                if mask & bit:  # a repeated color
+                    continue
+                cols = tuple(map(color_of.__getitem__, facet))
+                pattern = pattern_sign.get(cols)
+                if pattern is None:
+                    pattern = pattern_sign[cols] = _facet_sign(color_of, ncolors, 1, facet)
+                sign, target = pattern
+                old = sums[target]
+                new = sums[target] = old + e * sign
+                off += abs(d - new) - abs(d - old)
+                off_neg += abs(d + new) - abs(d + old)
+            if off <= live or off_neg <= live:
+                if depth + 1 == len(order):
                     # every sum is d, or -d by the counting bound and an odd swap flips it
                     swap = {} if sums[1] == d else {1: 2, 2: 1}
                     return {u: swap.get(k, k) for u, k in color_of.items()}, nodes
@@ -566,8 +596,8 @@ def _search_labelings(oriented: OrientedComplex, d: int) -> tuple[Labeling | Non
         elif not trail:
             return None, nodes
         # uncolor the last colored vertex and go on with its next color
-        c, top, masks, saved_sums, live = trail.pop()
-        for (fi, _), mask in zip(plan[order[len(trail)]], masks):
+        c, top, masks, saved_sums, live, off, off_neg = trail.pop()
+        for fi, mask in zip(opens[len(trail)], masks):
             state[fi] = mask
         sums[:] = saved_sums
         c += 1

@@ -1,7 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +13,13 @@ from spheremap.search import (
     _kept_children,
     _rotation,
     _rotation_complex,
+    _search_labelings,
     _search_plan,
     _sphere_classes,
     _vertex_splits,
 )
 from canonical_oracle import group_order
+from labeling_oracle import search_labelings
 from planar_code_oracle import new_edge_is_canonical, planar_code
 from search_oracle import key_order_search
 from split_oracle import all_vertex_splits, orient_rotation
@@ -571,6 +573,39 @@ def test_pruned_search_equals_brute_force():
             if witness is not None:
                 ls = labeled_sphere(orient(K), witness)
                 assert degree(ls).degree == d
+
+
+def cyclic_polytope_boundary(v):
+    """Boundary of the cyclic 4-polytope on v vertices: by Gale's evenness
+    condition, a 4-set is a facet when any two vertices outside it have an
+    even number of its vertices between them."""
+    facets = []
+    for S in combinations(range(1, v + 1), 4):
+        outside = [u for u in range(1, v + 1) if u not in S]
+        if all(sum(a < s < b for s in S) % 2 == 0 for a, b in combinations(outside, 2)):
+            facets.append(S)
+    return build_complex(facets)
+
+
+def test_search_labelings_matches_the_reference_scan():
+    # same nodes in the same order: the identical witness after the
+    # identical number of partial colorings, on circles, 2-spheres and the
+    # cyclic 3-spheres, for every degree in -5..5
+    cycles = [build_complex([(i, i % v + 1) for i in range(1, v + 1)]) for v in range(3, 13)]
+    # copies keep the orientation off the enumeration's representatives
+    spheres = [Complex(2, K.facets) for v in range(4, 10) for K in enumerate_spheres(2, v)]
+    cyclic = [cyclic_polytope_boundary(v) for v in range(6, 11)]
+    assert [len(K.facets) for K in cyclic] == [9, 14, 20, 27, 35]
+    found = {}
+    for K in cycles + spheres + cyclic:
+        oriented = orient(K)
+        for d in range(-5, 6):
+            got = _search_labelings(oriented, d)
+            assert got == search_labelings(oriented, d), (K.facets, d)
+            if K.dimension == 3 and got[0] is not None:
+                found.setdefault(len(K.vertices), set()).add(d)
+    # the degrees the cyclic 3-spheres on 6..10 vertices carry
+    assert found == {v: set(range(-k, k + 1)) for v, k in zip(range(6, 11), (1, 1, 2, 2, 4))}
 
 
 def test_lambda_circle_values():
