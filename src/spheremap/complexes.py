@@ -168,10 +168,8 @@ class Complex(_Record):
 
     @cached_property
     def vertices(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for f in self.facets:
-            seen.update(f)
-        return tuple(sorted(seen))
+        # a set keeps the first-seen of hash-equal ids (True before 1)
+        return tuple(sorted(set(chain.from_iterable(self.facets))))
 
     @cached_property
     def facet_set(self) -> frozenset[Facet]:

@@ -18,7 +18,10 @@ stays within ((n+2)/n)*|d| + 2n+2, and hits the known exact minima for
 |d| <= 1 and for d in {2,3,4} with n >= d-1 (n+d+3 vertices).
 
 construct and replay splice a run of insertions into one facet -> sign dict
-and certify once, so both take time linear in |d|.  A reversed certificate
+and certify once, so both take time linear in |d|.  The facets a step
+leaves, and their signs, are a fixed pattern in n: each run builds it once,
+with _stellar_pairs on the facet 0..n, and each step maps its own facet and
+new vertices through it in one comprehension.  A reversed certificate
 (d < 0, or the recipe move ``reverse``) takes the negation of the degree
 engine's report on the sphere it reverses, so construct(n, -d) runs the
 engine on its final sphere once.  construct, replay,
@@ -32,6 +35,7 @@ from __future__ import annotations
 import heapq
 from functools import partial
 from itertools import combinations, count, groupby
+from operator import itemgetter
 
 from .complexes import (
     Facet,
@@ -45,6 +49,7 @@ from .complexes import (
     orient,
 )
 from .degree import (
+    DegreeReport,
     LabeledSphere,
     _check_ints,
     _facet_sign,
@@ -85,8 +90,9 @@ __all__ = [
 # input (table specs, CLI arguments, recipes) picks the size.  Work grows
 # with the facet count, about n times the vertex count, times the facet
 # size n+1: at both caps (construct(12, 17120), 19,987 vertices and a 71 MB
-# document), construct plus serialize takes about 11 s and 300 MiB in one
-# process (2 vCPU Xeon, Python 3.11).
+# document), construct plus serialize takes 2.4-3.0 s and peaks at 258-260
+# MiB of RSS in one process (2 vCPU Xeon, Python 3.11); CI fails it above
+# 300 MiB.
 MAX_BUILD_DIMENSION = 12
 MAX_BUILD_VERTICES = 20_000
 
@@ -218,15 +224,57 @@ def insertion_step(x, facet: Facet | None = None) -> ConstructionCertificate:
     return _insert(x, [facet])
 
 
+def _insertion_pattern(n: int) -> tuple[list, list]:
+    """One insertion step on the facet 0..n with new vertices n+1..2n+2, as
+    positions into ``facet + (w, w + 1, ..., w + n + 1)``.
+
+    Returns ``(splice, pushes)``: ``splice`` holds an (itemgetter, sign
+    factor) pair per facet the step leaves, in the step's key order, and
+    ``pushes`` an itemgetter per qualifying facet it makes, in push order.
+    The step subdivides the facet by w and then each new facet
+    facet - u + w by the vertex w + i of u's color.  Every new vertex lies
+    above every id, so the facets come out sorted, and ``_stellar_pairs``
+    gives the same positions and sign factors on any facet.
+    """
+    top = tuple(range(n + 1))
+    w = n + 1
+    new = dict(_stellar_pairs(top, 1, w))
+    pushes = []
+    # facet - u + (w + i) is facet with u replaced in place by a vertex of
+    # u's color, so it maps with facet's sign +1; every other new facet
+    # holds w, of color n+2
+    for i, u in enumerate(top, 1):
+        rest = top[:u] + top[u + 1:]
+        new.update(_stellar_pairs(rest + (w,), new.pop(rest + (w,)), w + i))
+        pushes.append(itemgetter(*rest, w + i))
+    return [(itemgetter(*f), s) for f, s in new.items()], pushes
+
+
 def _insert(x, facets) -> ConstructionCertificate:
     """An insertion step at each of ``facets`` (None: the smallest qualifying
     facet), all spliced into one facet -> sign dict and certified once."""
     ls, recipe = _as_labeled(x)
     n = ls.dimension
+    if n < 1:  # the step would leave the labels of two vertices it removes
+        raise InvalidDimension(f"insertion_step needs n >= 1, got {n}")
     _check_budget(n, len(ls.oriented.vertices) + (n + 2) * len(facets))
+    before = degree(ls)
+    signs, labels, steps = _splice_insertions(ls, before, facets)
+    out = labeled_sphere(OrientedComplex.from_pairs(n, signs.items()), labels)
+    return _certify(out, recipe + tuple(steps), before.degree + n * len(steps))
+
+
+def _splice_insertions(
+    ls: LabeledSphere, before: DegreeReport, facets
+) -> tuple[dict, dict, list]:
+    """The facet -> sign dict and labels after an insertion step at each of
+    ``facets`` of ``ls``, whose degree report is ``before``, and the recipe
+    steps.  Each step maps its facet and new vertices through the one
+    ``_insertion_pattern`` of this call."""
+    n = ls.dimension
     signs = dict(ls.oriented.sign_by_facet)
     labels = dict(ls.labels)
-    before = degree(ls)
+    splice, pushes = _insertion_pattern(n)
     # qualifying facets, sorted and so a heap; consumed ones are skipped on pop
     heap = sorted(f for f, s in before.per_target_facet[n + 2] if s == 1)
     steps = []
@@ -247,20 +295,16 @@ def _insert(x, facets) -> ConstructionCertificate:
             s, _ = _facet_sign(labels, n + 2, signs[facet], facet)
             if s != 1:
                 raise BadFacetSign(f"facet {_shown(facet)} has map sign {s}, need +1")
-        new = dict(_stellar_pairs(facet, signs.pop(facet), w))
+        s = signs.pop(facet)
+        spliced = facet + tuple(range(w, w + n + 2))
+        signs.update({g(spliced): s * f for g, f in splice})
         labels[w] = n + 2
-        # facet - u + (w + i) is facet with u replaced in place by a vertex of
-        # u's color, so it maps with facet's sign +1; every other new facet
-        # holds w, of color n+2.  w lies above every id: these are sorted
         for i, u in enumerate(facet, 1):  # sorted order: deterministic ids
-            rest = tuple(z for z in facet if z != u)
-            new.update(_stellar_pairs(rest + (w,), new.pop(rest + (w,)), w + i))
             labels[w + i] = labels[u]
-            heapq.heappush(heap, rest + (w + i,))
-        signs.update(new)
+        for g in pushes:
+            heapq.heappush(heap, g(spliced))
         steps.append(("insert", facet))
-    out = labeled_sphere(OrientedComplex.from_pairs(n, signs.items()), labels)
-    return _certify(out, recipe + tuple(steps), before.degree + n * len(steps))
+    return signs, labels, steps
 
 
 def degree_four_witness(raw: bool = False) -> ConstructionCertificate:

@@ -109,17 +109,33 @@ def _parse_seed(fields: dict) -> LabeledSphere:
     return _parse_document({**fields, "format_version": FORMAT_VERSION})[0].labeled
 
 
+class _IntRows(tuple):
+    """Non-empty tuples of ints (int itself), as one type scan in
+    ``_core_dict`` found them; ``_dump`` writes them without scanning
+    again, and json writes them as the list they are."""
+
+    __slots__ = ()
+
+
 def _core_dict(ls: LabeledSphere) -> dict:
     """The sphere's fields, shared by documents and literal recipe seeds.
     Facets and ``(sign, *facet)`` entries are tuples, which ``_dump`` writes
     as JSON lists; a label key is the int's own digits, also for an int
-    subclass such as an IntEnum's, whose ``str`` may be its name."""
+    subclass such as an IntEnum's, whose ``str`` may be its name.  The
+    orientation rows are the facets with a sign in front, so one scan of
+    the facet ids' types (and one of the signs') serves both row lists."""
     facets = ls.complex.facets
+    signs = ls.oriented.signs
+    orientation = [(s, *f) for f, s in zip(facets, signs)]
+    if all(facets) and set(map(type, chain.from_iterable(facets))) == {int}:
+        facets = _IntRows(facets)
+        if set(map(type, signs)) == {int}:
+            orientation = _IntRows(orientation)
     return {
         "dimension": ls.dimension,
         "facets": facets,
         "labels": {int.__repr__(v): c for v, c in ls.labels.items()},
-        "orientation": [(s, *f) for f, s in zip(facets, ls.oriented.signs)],
+        "orientation": orientation,
     }
 
 
@@ -145,12 +161,14 @@ def _dump(x, indent: str) -> str:
 
     json.dumps with indent skips json's C encoder, so this writes the
     document's ints, strings, lists and str-keyed dicts itself: a flat int
-    list with one join, a list of non-empty rows of ints (lists or tuples,
-    such as the facet and orientation rows) with one ``%`` template per row
-    length mapped over the rows, and a str-keyed dict of ints (the labels)
-    with one join.  "Int" means int itself here.  Any other value (bool,
-    None, float, empty container, int subclass, dict with a non-str key) is
-    left to json.dumps for its subtree.
+    list with one join, the facet and orientation rows with one ``%``
+    template per row length mapped over the rows (``_int_rows``), and a
+    str-keyed dict of ints (the labels) with one join.  "Int" means int
+    itself here.  The rows reach ``_int_rows`` only as ``_IntRows``, whose
+    ids ``_core_dict`` scanned once per document; any other list is written
+    item by item.  Any other value (bool, None, float, empty container, int
+    subclass, dict with a non-str key) is left to json.dumps for its
+    subtree.
     """
     t = type(x)
     if t is int:
@@ -159,12 +177,12 @@ def _dump(x, indent: str) -> str:
         return encode_basestring_ascii(x)
     inner = indent + "  "
     sep = ",\n" + inner
+    if t is _IntRows:
+        return f"[\n{inner}{sep.join(_int_rows(x, inner))}\n{indent}]"
     if (t is list or t is tuple) and x:
         kinds = set(map(type, x))
         if kinds == {int}:
             body = sep.join(map(int.__repr__, x))
-        elif kinds <= {list, tuple} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
-            body = sep.join(_int_rows(x, kinds, inner))
         else:
             body = sep.join([_dump(v, inner) for v in x])
         return f"[\n{inner}{body}\n{indent}]"
@@ -178,15 +196,13 @@ def _dump(x, indent: str) -> str:
     return json.dumps(x, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
-def _int_rows(rows, kinds, inner: str):
-    """The text of each of ``rows``, non-empty lists or tuples of ints, at
+def _int_rows(rows, inner: str):
+    """The text of each of ``rows``, non-empty tuples of ints, at
     ``inner``: one ``%`` template per row length."""
     templates = {
         k: f"[\n{inner}  %d" + f",\n{inner}  %d" * (k - 1) + f"\n{inner}]"
         for k in set(map(len, rows))
     }
-    if list in kinds:  # % reads a tuple's items, but a list as one value
-        rows = map(tuple, rows)
     if len(templates) == 1:
         return map(templates.popitem()[1].__mod__, rows)
     return [templates[len(r)] % r for r in rows]

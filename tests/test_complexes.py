@@ -103,6 +103,18 @@ def test_build_triangle_circle():
     assert K.vertices == (1, 2, 3)
 
 
+def test_vertices_keep_the_first_seen_of_hash_equal_ids():
+    # True == 1 and hashes alike: the vertex set keeps whichever a facet
+    # holds first, as a set filled facet by facet did
+    for facets in (((True, 2), (1, 3), (2, 3)), ((1, 2), (True, 3), (2, 3))):
+        K = Complex(1, facets)
+        seen = set()
+        for f in facets:
+            seen.update(f)
+        assert K.vertices == tuple(sorted(seen)) == (1, 2, 3)
+        assert [type(v) for v in K.vertices] == [type(facets[0][0]), int, int]
+
+
 def test_build_boundary_tetrahedron():
     K = build_complex(TETRA)
     assert K.dimension == 2

@@ -62,6 +62,8 @@ from spheremap import (
 )
 from spheremap.degree import _facet_sign
 
+from insertion_oracle import splice_insertions
+
 
 def test_boundary_simplex_triangle():
     cert = boundary_simplex(1)
@@ -176,6 +178,12 @@ def test_insertion_step_explicit_facet_guards():
     # degree -1 input has no positively mapped {1..n+1} facet at all
     with pytest.raises(FacetNotFound):
         insertion_step(reversed_base)
+    # on a 0-sphere the step would drop two vertices and keep their labels
+    zero_sphere = labeled_sphere(
+        OrientedComplex(build_complex([(1,), (2,)]), (1, -1)), {1: 1, 2: 2}
+    )
+    with pytest.raises(InvalidDimension, match="insertion_step needs n >= 1, got 0"):
+        insertion_step(zero_sphere)
 
 
 def test_witness_shape():
@@ -464,6 +472,44 @@ def test_insert_pushes_exactly_the_new_qualifying_facets(monkeypatch):
             )
         assert expected and len(got) == len(set(got))
         assert set(got) == set(expected)
+
+
+def _outcome(splice, ls, facets):
+    """A splice's signs and labels as item lists (key order included) and
+    its steps, or the type and message of the error it raises."""
+    try:
+        signs, labels, steps = splice(ls, degree(ls), facets)
+    except SpheremapError as e:
+        return type(e), str(e)
+    return list(signs.items()), list(labels.items()), steps
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pattern_splice_matches_the_two_stage_oracle(n):
+    constructions_mod = importlib.import_module("spheremap.constructions")
+    rng = random.Random(n)
+    for base in (construct(n, n + 1), construct(n, 2 * n + 1), construct(n, -n - 1)):
+        ls = base.labeled
+        qualifying = sorted(f for f, s in degree(ls).per_target_facet[n + 2] if s == 1)
+        others = rng.sample(ls.complex.facets, 2)
+        runs = [[None] * k for k in range(1, 7)]
+        if qualifying:
+            mid = qualifying[len(qualifying) // 2]
+            # an explicit facet, then a default step, then one it may have consumed
+            runs += [[qualifying[-1]], [qualifying[-1], None, mid], [mid, None, qualifying[0]]]
+        runs += [[f] for f in others] + [[None, f] for f in others]
+        for facets in runs:
+            got = _outcome(constructions_mod._splice_insertions, ls, facets)
+            assert got == _outcome(splice_insertions, ls, facets), facets
+            if len(got) == 2:  # both raised
+                continue
+            signs, labels, steps = splice_insertions(ls, degree(ls), facets)
+            cert = constructions_mod._insert(base, facets)
+            expected = labeled_sphere(OrientedComplex.from_pairs(n, signs.items()), labels)
+            assert cert.labeled == expected and cert.recipe == base.recipe + tuple(steps)
+            assert replay(cert.recipe) == cert
+        if qualifying:
+            assert insertion_step(base, qualifying[-1]).recipe[-1] == ("insert", qualifying[-1])
 
 
 # the second insertion of a run names a facet the first one consumed, a

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from spheremap import (
     MAX_BUILD_DIMENSION,
     BudgetExceeded,
+    Complex,
     DegreeMismatch,
     DocumentSyntaxError,
+    OrientedComplex,
     ValidationError,
     boundary_simplex,
+    build_complex,
     construct,
     cyclic_circle,
     degree,
@@ -24,12 +27,13 @@ from spheremap import (
     labeled_sphere,
     load_certificate,
     one_point_suspension,
+    orient,
     parse,
     parse_with_metadata,
     replay,
     serialize,
 )
-from spheremap.documents import _document_dict, _dump
+from spheremap.documents import _document_dict, _dump, _IntRows
 
 TORUS = [
     tuple(sorted((i + k) % 7 + 1 for k in off))
@@ -316,8 +320,13 @@ INT_ROWS = st.lists(INT_ROW | INT_ROW.map(tuple), max_size=40)
     lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k).map(tuple), max_size=40)
 ))
 def test_dump_equals_json_dumps_on_int_rows(rows):
-    # several row lengths in one list, and one length for all rows as in documents
-    for value in (rows, tuple(rows), {"rows": rows}):
+    # several row lengths in one list, and one length for all rows as in
+    # documents; plain lists are written by recursion, _IntRows by _int_rows
+    values = [rows, tuple(rows), {"rows": rows}]
+    if rows:
+        int_rows = _IntRows(map(tuple, rows))
+        values += [int_rows, {"rows": int_rows}]
+    for value in values:
         assert _dump(value, "") == json_oracle(value)
 
 
@@ -349,6 +358,29 @@ def test_serialize_equals_json_dumps_on_every_move():
     assert seeded.recipe[0][0] == "literal"
     for cert in (seeded, one_point_suspension(seeded), insertion_step(seeded)):
         check(cert)
+
+
+def test_serialize_writes_ids_that_are_not_exact_ints_as_json_does(monkeypatch):
+    # one type scan per document decides both row lists; rows holding an
+    # int subclass must still go to json.dumps, never to the row templates
+    documents_mod = importlib.import_module("spheremap.documents")
+    monkeypatch.setattr(documents_mod, "_int_rows", None)  # fails if called
+    Vertex = enum.IntEnum("Vertex", [("ONE", 1), ("TWO", 2), ("THREE", 3), ("FOUR", 4)])
+    tetra = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    enum_ids = labeled_sphere(
+        orient(build_complex([tuple(map(Vertex, f)) for f in tetra])), {v: int(v) for v in Vertex}
+    )
+    # a hand-built complex: build_complex refuses bools, LabeledSphere takes True == 1
+    with_true = labeled_sphere(
+        OrientedComplex(
+            Complex(2, tuple((True, *f[1:]) if f[0] == 1 else f for f in tetra)),
+            orient(build_complex(tetra)).signs,
+        ),
+        {v: v for v in range(1, 5)},
+    )
+    for ls in (enum_ids, with_true):
+        assert serialize(ls) == json_oracle(_document_dict(ls)) + "\n"
+    assert '"facets": [\n    [\n      true,\n' in serialize(with_true)
 
 
 def test_parse_rejects_bad_json():
